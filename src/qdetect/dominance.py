@@ -15,7 +15,7 @@ import numpy as np
 from scipy.optimize import linprog
 
 from .errors import InvalidModel
-from .protocol import build_action_kernel, build_mismatched_kernel
+from .protocol import _private_posteriors, build_action_kernel, build_mismatched_kernel
 from .quantum import DEFAULT_SOLVER, ActionMap, PsychParams
 from .stopping import evaluate_policy, value_iteration
 
@@ -211,19 +211,9 @@ def inverse_stochasticity_report(M):
 def _channel_family(frame, params, change, obs, pi_values, solver):
     """Steady action distributions Gamma_y^pi, shape (n_pi, n_obs, A)."""
     amap = ActionMap(frame, params, solver)
-    g = np.asarray(pi_values, dtype=float)
-    pred1 = g + change.p * (1.0 - g)
-    pred2 = (1.0 - change.p) * (1.0 - g)
-    etas = []
-    for y in range(obs.n_obs):
-        num = obs.B[0, y] * pred1
-        sig = num + obs.B[1, y] * pred2
-        safe = sig > 0
-        e1 = np.where(safe, num / np.where(safe, sig, 1.0), pred1)
-        etas.append(e1)
-    e1 = np.stack(etas, axis=1).reshape(-1)
+    e1 = _private_posteriors(pi_values, change, obs).reshape(-1)
     out = amap.batch(np.stack([e1, 1.0 - e1], axis=1))
-    return out.reshape(g.size, obs.n_obs, -1)
+    return out.reshape(len(pi_values), obs.n_obs, -1)
 
 
 def _mix_params(p1, p2, eps):

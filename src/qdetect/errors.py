@@ -33,6 +33,10 @@ class NonConvergence(QDetectError):
 class NumericalFailure(QDetectError):
     """A numerical routine produced non-finite or inconsistent output."""
 
+    def __init__(self, message, residual=None):
+        super().__init__(message)
+        self.residual = residual
+
 
 class RunawayEpisode(QDetectError):
     """An episode exceeded its step cap without stopping."""

@@ -7,6 +7,35 @@ blends a coherent part (block Hamiltonian of ones) with a dissipative part
 whose jump rates come from a cognitive matrix: a convex mix of utility-driven
 choice rates and belief-driven rates. The observable output is the steady-state
 action distribution.
+
+The steady readout is affine in the belief: Gamma(eta) = sum_x eta_x Gamma(e_x)
+for every frame, with e_x the certain belief in state x. ``ActionMap`` relies on
+this. Proof, for alpha > 0 and eta on the simplex, writing p = diag(rho) for the
+populations, pi_x = p(. | x) for the choice rates and q for the action marginal:
+
+1. Both parts of the cognitive matrix C = (1 - phi) Pi^T + phi B(eta)^T have
+   unit column sums for every eta: column (x', a') of Pi^T holds pi_x'(a) in
+   rows (x', a), and column (x', a') of B^T holds eta_x in rows (x, a'). Every
+   total outflow is therefore 1, and the dissipator is alpha (diag(C p) - rho).
+2. With K = -i(1 - alpha)[H, .], a steady state solves (alpha - K) rho =
+   alpha diag(C p). K has imaginary spectrum, so alpha - K is invertible and
+   p = M C p with M = diag o alpha (alpha - K)^-1 o diag. Since
+   alpha (alpha - K)^-1 = int_0^inf alpha e^{-alpha t} e^{tK} dt averages
+   unitary conjugations, M maps populations to nonnegative populations with
+   the same sum. H is the same all-ones A x A block in every state, and [H, .]
+   keeps each state block, so M acts as one A x A column-stochastic matrix
+   M_A on each state's populations, whatever the state and eta.
+3. Reading p = M C p state by state, p_x = (1 - phi) s_x M_A pi_x +
+   phi eta_x M_A q, with s_x the state marginal. Summing over actions gives
+   phi s_x = phi eta_x, so s = eta for phi > 0. Summing over states gives
+   q = (1 - phi) M_A sum_x eta_x pi_x + phi M_A q. For phi < 1, I - phi M_A is
+   invertible, so q = (1 - phi)(I - phi M_A)^-1 M_A sum_x eta_x pi_x is linear
+   in eta, and p and rho are unique. At phi = 1, q = M_A q does not involve
+   eta: M_A has the unique fixed point q = 1/A for alpha < 1, and at alpha = 1
+   (M_A = I) the dynamics conserve q, so the long-time fallback from the
+   maximally mixed state returns q = 1/A. At phi = 0 the generator does not
+   depend on eta at all, so the fallback's answer is belief-free. A linear or
+   constant map on the simplex equals sum_x eta_x Gamma(e_x).
 """
 
 from dataclasses import dataclass, field
@@ -243,6 +272,33 @@ def _steady_rho_from_probes(superop, frame, solver):
     )
 
 
+def _steady_batch(gens, frame, solver):
+    """Steady-state action distributions of a stack of generators: one batched
+    eigendecomposition, with long-time evolution where the null space is
+    degenerate or empty at tolerance."""
+    w, V = np.linalg.eig(gens)
+    null_counts = (np.abs(w) <= solver.null_tol).sum(axis=1)
+    d = frame.dim
+    out = np.empty((gens.shape[0], frame.n_actions))
+    simple = null_counts == 1
+    if simple.any():
+        pick = np.argmin(np.abs(w[simple]), axis=1)
+        vecs = np.take_along_axis(V[simple], pick[:, None, None], axis=2)[:, :, 0]
+        rhos = vecs.reshape(-1, d, d)
+        rhos = 0.5 * (rhos + np.conj(np.swapaxes(rhos, 1, 2)))
+        traces = np.trace(rhos, axis1=1, axis2=2).real
+        if np.any(np.abs(traces) < 1e-14):
+            raise NumericalFailure("null-space candidate has zero trace")
+        rhos /= traces[:, None, None]
+        diags = np.real(np.diagonal(rhos, axis1=1, axis2=2))
+        probs = diags.reshape(-1, frame.n_states, frame.n_actions).sum(axis=1)
+        out[simple] = np.stack([_finalize_distribution(p) for p in probs])
+    for i in np.flatnonzero(~simple):
+        rho = _steady_rho_from_probes(gens[i], frame, solver)
+        out[i] = action_marginal(rho, frame)
+    return out
+
+
 def steady_state_distribution(frame, params, eta, solver=DEFAULT_SOLVER):
     """Long-run action distribution of the evolution at belief eta.
 
@@ -254,29 +310,18 @@ def steady_state_distribution(frame, params, eta, solver=DEFAULT_SOLVER):
         raise UnsupportedParameter(
             "steady state requires alpha > 0 (purely coherent evolution does not settle)"
         )
-    superop = assemble_lindbladian(frame, params, eta)
-    w, V = np.linalg.eig(superop)
-    null = np.abs(w) <= solver.null_tol
-    if null.sum() == 1:
-        d = frame.dim
-        rho = V[:, np.argmax(null)].reshape(d, d)
-        rho = 0.5 * (rho + rho.conj().T)
-        tr = np.trace(rho).real
-        if abs(tr) < 1e-14:
-            raise NumericalFailure("null-space candidate has zero trace")
-        rho = rho / tr
-    else:
-        rho = _steady_rho_from_probes(superop, frame, solver)
-    return action_marginal(rho, frame)
+    return _steady_batch(assemble_lindbladian(frame, params, eta)[None], frame, solver)[0]
 
 
 class ActionMap:
     """Steady-state action distributions as a function of belief, for a fixed
     frame and parameter set.
 
-    The generator is affine in the belief vector, so it is assembled once as a
-    base part plus one part per state and evaluated for many beliefs with a
-    single batched eigendecomposition.
+    The readout is affine in the belief (see the module docstring), so the map
+    solves only the certain beliefs e_x plus the barycenter, in one batched
+    eigendecomposition at construction. Row x of ``vertices`` is Gamma(e_x),
+    and every belief is read off as eta @ vertices. A barycenter that misses
+    the vertex mean by more than 1e-9 raises NumericalFailure.
     """
 
     def __init__(self, frame, params, solver=DEFAULT_SOLVER):
@@ -285,22 +330,23 @@ class ActionMap:
         self.frame = frame
         self.params = params
         self.solver = solver
-        d = frame.dim
+        d, n = frame.dim, frame.n_states
         H = hamiltonian(frame)
         Pi = subjective_choice_matrix(frame, params.lam)
         coh = -1j * (1.0 - params.alpha) * (np.kron(H, np.eye(d)) - np.kron(np.eye(d), H.T))
-        self._base = coh + params.alpha * _dissipator((1.0 - params.phi) * Pi.T)
-        self._belief_parts = []
-        for s in range(frame.n_states):
-            e = np.zeros(frame.n_states)
-            e[s] = 1.0
-            B = belief_matrix(frame, e)
-            self._belief_parts.append(params.alpha * _dissipator(params.phi * B.T))
-        self._belief_parts = np.stack(self._belief_parts)
-
-    def generator(self, eta):
-        eta = check_belief(eta, self.frame.n_states)
-        return self._base + np.tensordot(eta, self._belief_parts, axes=1)
+        base = coh + params.alpha * _dissipator((1.0 - params.phi) * Pi.T)
+        parts = np.stack([params.alpha * _dissipator(params.phi * belief_matrix(frame, e).T)
+                          for e in np.eye(n)])
+        etas = np.vstack([np.eye(n), np.full(n, 1.0 / n)])
+        gammas = _steady_batch(base + np.tensordot(etas, parts, axes=(1, 0)), frame, solver)
+        self.vertices = gammas[:n]
+        residual = float(np.abs(gammas[n] - self.vertices.mean(axis=0)).max())
+        if residual > 1e-9:
+            raise NumericalFailure(
+                f"steady readout is not affine in belief: barycenter misses "
+                f"the vertex mean by {residual:.3g}",
+                residual=residual,
+            )
 
     def __call__(self, eta):
         return self.batch(np.asarray(eta, dtype=float)[None, :])[0]
@@ -308,26 +354,11 @@ class ActionMap:
     def batch(self, etas):
         """Steady-state distributions for a stack of beliefs, shape (m, n)."""
         etas = np.asarray(etas, dtype=float)
-        m = etas.shape[0]
-        gens = self._base[None, :, :] + np.tensordot(etas, self._belief_parts, axes=(1, 0))
-        w, V = np.linalg.eig(gens)
-        null_counts = (np.abs(w) <= self.solver.null_tol).sum(axis=1)
-        d = self.frame.dim
-        out = np.empty((m, self.frame.n_actions))
-        simple = null_counts == 1
-        if simple.any():
-            pick = np.argmin(np.abs(w[simple]), axis=1)
-            vecs = np.take_along_axis(V[simple], pick[:, None, None], axis=2)[:, :, 0]
-            rhos = vecs.reshape(-1, d, d)
-            rhos = 0.5 * (rhos + np.conj(np.swapaxes(rhos, 1, 2)))
-            traces = np.trace(rhos, axis1=1, axis2=2).real
-            if np.any(np.abs(traces) < 1e-14):
-                raise NumericalFailure("null-space candidate has zero trace")
-            rhos /= traces[:, None, None]
-            diags = np.real(np.diagonal(rhos, axis1=1, axis2=2))
-            probs = diags.reshape(-1, self.frame.n_states, self.frame.n_actions).sum(axis=1)
-            out[simple] = np.stack([_finalize_distribution(p) for p in probs])
-        for i in np.flatnonzero(~simple):
-            rho = _steady_rho_from_probes(gens[i], self.frame, self.solver)
-            out[i] = action_marginal(rho, self.frame)
-        return out
+        n = self.frame.n_states
+        if etas.ndim != 2 or etas.shape[1] != n:
+            raise InvalidModel(f"beliefs must have shape (m, {n}), got {etas.shape}")
+        ok = (etas >= -1e-12).all(axis=1) & (np.abs(etas.sum(axis=1) - 1.0) <= 1e-12)
+        if not ok.all():
+            row = int(np.argmin(ok))
+            raise InvalidModel(f"belief row {row} is not a distribution: {etas[row]}")
+        return np.clip(etas, 0.0, None) @ self.vertices

@@ -3,15 +3,19 @@
 Utility table rows are the agent's actions (cooperate, defect), columns the
 opponent regimes (state 1 cooperates, state 2 defects); the change model's
 absorbing state 1 is the cooperative regime, so beliefs flow between the
-filtering layer and the decision core without reordering.  Session-scoped
-kernels are built once because the generator eigendecompositions dominate
-test runtime.
+filtering layer and the decision core without reordering.  The fixtures are
+session-scoped: the model objects are immutable, so one instance serves every
+test.
+
+Hypothesis runs under a deterministic profile: derandomized examples and no
+example database, so every run draws the same cases.
 """
 
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from qdetect import (
     ActionMap,
@@ -23,6 +27,11 @@ from qdetect import (
     PsychParams,
     build_action_kernel,
 )
+
+settings.register_profile(
+    "deterministic", derandomize=True, database=None, deadline=None
+)
+settings.load_profile("deterministic")
 
 
 @pytest.fixture(scope="session")

@@ -1,9 +1,10 @@
 """Filtering-protocol tests: belief updates, the action-likelihood kernel,
 mixtures, and episode simulation.
 
-The kernel oracle recomputes steady states by long-time evolution instead of
-the eigendecomposition the builder uses; the consistency identity ties the
-public update to the private one through two independently computed sides.
+The kernel oracle recomputes steady states by long-time evolution at every
+posterior instead of the vertex readout the builder uses; the consistency
+identity ties the public update to the private one through two independently
+computed sides.
 """
 
 import numpy as np

@@ -8,11 +8,13 @@ matrix exponential as a cross-check on the eigendecomposition path.
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from qdetect import (
     ActionMap,
     DecisionFrame,
     InvalidModel,
+    NumericalFailure,
     PsychParams,
     UnsupportedParameter,
     assemble_lindbladian,
@@ -24,6 +26,7 @@ from qdetect import (
     steady_state_distribution,
     subjective_choice_matrix,
 )
+from qdetect import quantum
 from qdetect.quantum import apply_superoperator, check_density
 
 
@@ -281,6 +284,60 @@ def test_degenerate_generator_uses_fallback(pd_frame):
     gammas = amap.batch(etas)
     assert np.abs(gammas - gammas[0]).max() <= 1e-8
     assert abs(gammas[0, 1] - 0.8753214409) <= 1e-6
+
+
+@st.composite
+def frames_and_params(draw):
+    n = draw(st.integers(1, 4))
+    A = draw(st.integers(1, 4))
+    u = draw(st.lists(st.floats(1.0, 30.0), min_size=n * A, max_size=n * A))
+    # interior phi stays 1e-3 away from the endpoints: closer in, the null
+    # space is numerically degenerate and the oracle's own eigensolve loses
+    # digits (ROADMAP item 3); the endpoints themselves are drawn exactly
+    phi = draw(st.sampled_from([0.0, 1.0]) | st.floats(1e-3, 1.0 - 1e-3))
+    params = PsychParams(
+        alpha=draw(st.floats(0.05, 1.0, exclude_min=True)),
+        lam=draw(st.floats(0.0, 50.0)),
+        phi=phi,
+    )
+    return DecisionFrame(n, A, np.reshape(u, (A, n))), params
+
+
+@given(frames_and_params(), st.integers(0, 2**32 - 1))
+def test_action_map_matches_oracle_on_random_frames(frame_params, seed):
+    frame, params = frame_params
+    etas = np.random.default_rng(seed).dirichlet(np.ones(frame.n_states), size=2)
+    gammas = ActionMap(frame, params).batch(etas)
+    for eta, row in zip(etas, gammas):
+        direct = steady_state_distribution(frame, params, eta)
+        np.testing.assert_allclose(row, direct, rtol=0, atol=1e-10)
+
+
+def test_action_map_rejects_off_simplex_beliefs(pd_action_map):
+    with pytest.raises(InvalidModel, match="row 1"):
+        pd_action_map.batch(np.array([[0.5, 0.5], [1.5, -0.5]]))
+    with pytest.raises(InvalidModel, match="row 0"):
+        pd_action_map(np.array([1.5, -0.5]))
+    with pytest.raises(InvalidModel, match="row 0"):
+        pd_action_map(np.array([0.6, 0.6]))
+    with pytest.raises(InvalidModel, match="shape"):
+        pd_action_map(np.array([0.2, 0.3, 0.5]))
+    with pytest.raises(InvalidModel, match="shape"):
+        pd_action_map.batch(np.array([[0.2, 0.3, 0.5]]))
+
+
+def test_action_map_guards_the_affine_identity(pd_frame, pd_params, monkeypatch):
+    solve = quantum._steady_batch
+
+    def bent(gens, frame, solver):
+        out = solve(gens, frame, solver)
+        out[-1] += np.array([1e-6, -1e-6])     # barycenter off the vertex mean
+        return out
+
+    monkeypatch.setattr(quantum, "_steady_batch", bent)
+    with pytest.raises(NumericalFailure) as exc:
+        ActionMap(pd_frame, pd_params)
+    assert abs(exc.value.residual - 1e-6) <= 1e-12
 
 
 def test_frame_validation():
