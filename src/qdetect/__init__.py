@@ -33,6 +33,7 @@ from .protocol import (
     BeliefGrid,
     ChangeModel,
     DetectionCosts,
+    EpisodeBatch,
     EpisodeTrace,
     ObservationModel,
     ParameterMixture,
@@ -42,6 +43,7 @@ from .protocol import (
     private_belief_update,
     public_belief_update,
     simulate_episode,
+    simulate_episodes,
 )
 from .stopping import (
     Policy,

@@ -24,7 +24,7 @@ from .errors import (
     QDetectError,
     RunawayEpisode,
 )
-from .protocol import DetectionCosts, build_action_kernel, simulate_episode
+from .protocol import DetectionCosts, build_action_kernel, simulate_episodes
 from .quantum import DEFAULT_SOLVER, ActionMap, PsychParams
 from .stopping import classical_value_iteration, value_iteration
 
@@ -134,38 +134,24 @@ def cmd_simulate(config, n_episodes, out=None):
         policy = serialize.read_policy(os.path.join(cache, "policy.csv"), config.hash)
     except CacheMiss as exc:
         raise CacheMiss(f"{exc}; run the solve command first") from None
-    amap = ActionMap(config.frame, config.params)
-    seeds = np.random.SeedSequence(config.seed).spawn(n_episodes)
-    rows = []
-    costs_sum = 0.0
-    costs_sq = 0.0
-    false_alarms = 0
-    delays = []
-    for i, s in enumerate(seeds):
-        trace = simulate_episode(
-            config.frame, config.params, config.change, config.obs,
-            policy, kernel, s, costs=config.costs, action_map=amap,
-        )
-        delay = max(trace.stop_time - trace.change_time, 0)
-        fa = trace.stop_time < trace.change_time
-        rows.append((i, trace.change_time, trace.stop_time, delay,
-                     fa, trace.cost))
-        costs_sum += trace.cost
-        costs_sq += trace.cost**2
-        false_alarms += int(fa)
-        if not fa:
-            delays.append(delay)
+    batch = simulate_episodes(config.frame, config.params, config.change, config.obs, policy,
+                              kernel, np.random.SeedSequence(config.seed).spawn(n_episodes),
+                              costs=config.costs)
+    tau0, tau, costs = (v.tolist() for v in (batch.change_time, batch.stop_time, batch.cost))
+    rows = [(i, t0, t, max(t - t0, 0), t < t0, c)
+            for i, (t0, t, c) in enumerate(zip(tau0, tau, costs))]
+    delays = [t - t0 for t0, t in zip(tau0, tau) if t >= t0]
+    costs_sum = costs_sq = 0.0
+    for c in costs:                      # in order: the printed statistics depend on it
+        costs_sum += c
+        costs_sq += c**2
     path = out or os.path.join(cache, "episodes.csv")
-    serialize.write_csv(
-        path,
-        ("episode", "tau0", "tau", "delay", "false_alarm", "cost"),
-        rows,
-        config.hash,
-    )
+    serialize.write_csv(path, ("episode", "tau0", "tau", "delay", "false_alarm", "cost"),
+                        rows, config.hash)
     mean = costs_sum / n_episodes
     var = max(costs_sq / n_episodes - mean**2, 0.0)
     stderr = (var * n_episodes / max(n_episodes - 1, 1)) ** 0.5 / n_episodes**0.5
-    p_fa = false_alarms / n_episodes
+    p_fa = (n_episodes - len(delays)) / n_episodes
     mean_delay = float(np.mean(delays)) if delays else float("nan")
     print(f"simulate: {n_episodes} episodes -> {path}")
     print(f"simulate: mean cost {mean:.6g} +- {stderr:.3g}, "

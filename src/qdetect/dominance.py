@@ -15,8 +15,8 @@ import numpy as np
 from scipy.optimize import linprog
 
 from .errors import InvalidModel
-from .protocol import _private_posteriors, build_action_kernel, build_mismatched_kernel
-from .quantum import DEFAULT_SOLVER, ActionMap, PsychParams
+from .protocol import _channel_family, build_action_kernel, build_mismatched_kernel
+from .quantum import DEFAULT_SOLVER, PsychParams
 from .stopping import evaluate_policy, value_iteration
 
 
@@ -206,14 +206,6 @@ def inverse_stochasticity_report(M):
         "inverse_row_sum_dev": float(np.abs(inv.sum(axis=1) - 1.0).max()),
         "inverse_col_sum_dev": float(np.abs(inv.sum(axis=0) - 1.0).max()),
     }
-
-
-def _channel_family(frame, params, change, obs, pi_values, solver):
-    """Steady action distributions Gamma_y^pi, shape (n_pi, n_obs, A)."""
-    amap = ActionMap(frame, params, solver)
-    e1 = _private_posteriors(pi_values, change, obs).reshape(-1)
-    out = amap.batch(np.stack([e1, 1.0 - e1], axis=1))
-    return out.reshape(len(pi_values), obs.n_obs, -1)
 
 
 def _mix_params(p1, p2, eps):

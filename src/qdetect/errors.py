@@ -2,7 +2,12 @@
 
 
 class QDetectError(Exception):
-    """Base class for all package errors."""
+    """Base class for all package errors. Keyword arguments become attributes
+    carrying the failing quantities; each subclass lists its own (default None)."""
+
+    def __init__(self, message, **quantities):
+        super().__init__(message)
+        self.__dict__.update(quantities)
 
 
 class InvalidModel(QDetectError):
@@ -16,30 +21,31 @@ class UnsupportedParameter(QDetectError):
 class ImpossibleObservation(QDetectError):
     """An observation has zero likelihood under the current belief."""
 
+    episode = step = belief = observation = None
+
 
 class ImpossibleAction(QDetectError):
     """An action has zero likelihood under the current belief."""
+
+    episode = step = belief = action = None
 
 
 class NonConvergence(QDetectError):
     """An iterative solver failed to converge within its budget."""
 
-    def __init__(self, message, last_delta=None, probes=None):
-        super().__init__(message)
-        self.last_delta = last_delta
-        self.probes = probes
+    last_delta = probes = None
 
 
 class NumericalFailure(QDetectError):
     """A numerical routine produced non-finite or inconsistent output."""
 
-    def __init__(self, message, residual=None):
-        super().__init__(message)
-        self.residual = residual
+    residual = None
 
 
 class RunawayEpisode(QDetectError):
     """An episode exceeded its step cap without stopping."""
+
+    episode = step_cap = None
 
 
 class ConfigError(QDetectError):

@@ -12,7 +12,7 @@ parameter p is the per-step probability that the change occurs, so the change
 time is geometric(p) with mean 1/p.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,6 +20,7 @@ from .errors import (
     ImpossibleAction,
     ImpossibleObservation,
     InvalidModel,
+    NumericalFailure,
     RunawayEpisode,
 )
 from .quantum import DEFAULT_SOLVER, ActionMap, check_belief
@@ -137,8 +138,8 @@ class ActionKernel:
         object.__setattr__(self, "table", R)
         if R.ndim != 3 or R.shape[0] != 2 or R.shape[1] != self.grid.size:
             raise InvalidModel(f"kernel table has shape {R.shape}")
-        if np.any(R < 0):
-            raise InvalidModel("kernel entries must be >= 0")
+        if not np.all(np.isfinite(R)) or np.any(R < 0):
+            raise InvalidModel("kernel entries must be finite and >= 0")
         if np.abs(R.sum(axis=2) - 1.0).max() > 1e-9:
             raise InvalidModel("kernel rows must sum to 1")
 
@@ -147,29 +148,34 @@ class ActionKernel:
         return self.table.shape[2]
 
     def at(self, pi1):
-        """Kernel values at an off-grid belief, linearly interpolated in pi(1);
-        returns shape (2, n_actions)."""
+        """Kernel values at off-grid beliefs, interpolated linearly in pi(1)
+        per (state, action) column; shape (2, n_actions) + shape of pi1."""
         pts = self.grid.points
-        out = np.empty((2, self.n_actions))
-        for x in range(2):
-            for a in range(self.n_actions):
-                out[x, a] = np.interp(pi1, pts, self.table[x, :, a])
-        return out
+        return np.array([[np.interp(pi1, pts, col) for col in R_x.T] for R_x in self.table])
+
+
+def bayes_step(pi1, pi2, like1, like2, p):
+    """One predict-then-Bayes step of the two-state filter, elementwise over
+    broadcast arrays: the belief (pi1, pi2) moves through P' and is weighted
+    by the likelihoods (like1, like2) of the evidence in states 1 and 2.
+    Returns the predicted pi(1), the posterior numerators and their sum
+    sigma, the evidence's marginal likelihood; what sigma = 0 means is the
+    caller's rule."""
+    pred1 = pi1 + p * pi2
+    num1 = like1 * pred1
+    num2 = like2 * ((1.0 - p) * pi2)
+    return pred1, num1, num2, num1 + num2
 
 
 def private_belief_update(pi, y, change, obs):
     """Bayes update of the sensor's belief after observation y (1-based):
     T(pi, y) = B_y P' pi / sigma(pi, y)."""
     pi = check_belief(pi, 2)
-    pred = change.predict(pi)
-    like = obs.B[:, y - 1]
-    post = like * pred
-    sigma = post.sum()
+    _, num1, num2, sigma = bayes_step(pi[0], pi[1], obs.B[0, y - 1], obs.B[1, y - 1], change.p)
     if sigma <= 0.0:
-        raise ImpossibleObservation(
-            f"observation {y} has zero likelihood at belief {pi}"
-        )
-    return post / sigma
+        raise ImpossibleObservation(f"observation {y} has zero likelihood at belief {pi}",
+                                    belief=pi, observation=y)
+    return np.array([num1, num2]) / sigma
 
 
 def observation_likelihood(pi, y, change, obs):
@@ -179,41 +185,28 @@ def observation_likelihood(pi, y, change, obs):
 
 
 def _private_posteriors(grid_points, change, obs):
-    """Posterior pi(1) values T(pi, y) for every grid point and observation.
+    """Posterior pi(1) values T(pi, y) for every grid point and observation,
+    shape (npts, n_obs). Where an observation is impossible the prediction
+    stands in; such entries carry zero weight in any kernel row."""
+    g = np.asarray(grid_points, dtype=float)[:, None]
+    pred1, num1, _, sigma = bayes_step(g, 1.0 - g, obs.B[0], obs.B[1], change.p)
+    return np.where(sigma > 0, num1 / np.where(sigma > 0, sigma, 1.0), pred1)
 
-    Where an observation is impossible (zero marginal likelihood) the
-    prediction itself is used; such entries carry zero weight in any kernel
-    row that can reach them.
-    """
-    g = np.asarray(grid_points, dtype=float)
-    pred1 = g + change.p * (1.0 - g)
-    pred2 = (1.0 - change.p) * (1.0 - g)
-    n_obs = obs.n_obs
-    eta1 = np.empty((g.size, n_obs))
-    for y in range(n_obs):
-        num = obs.B[0, y] * pred1
-        sig = num + obs.B[1, y] * pred2
-        safe = sig > 0
-        eta1[:, y] = np.where(safe, num / np.where(safe, sig, 1.0), pred1)
-    return eta1
+
+def _channel_family(frame, params, change, obs, pi_values, solver=DEFAULT_SOLVER):
+    """Steady action distributions Gamma(T(pi, y)) at the sensor's posterior
+    for each belief pi(1) and observation y, shape (n_pi, n_obs, A)."""
+    e1 = _private_posteriors(pi_values, change, obs).reshape(-1)
+    gammas = ActionMap(frame, params, solver).batch(np.stack([e1, 1.0 - e1], axis=1))
+    return gammas.reshape(len(pi_values), obs.n_obs, -1)
 
 
 def build_action_kernel(frame, params, change, obs, grid, solver=DEFAULT_SOLVER):
     """Detector-side action likelihoods on the belief grid:
     R_{x,pi}(a) = sum_y Gamma(T(pi, y))(a) B_{x,y}, with Gamma the steady-state
     action distribution at the sensor's posterior."""
-    amap = ActionMap(frame, params, solver)
-    return _kernel_from_map(amap, change, obs, grid)
-
-
-def _kernel_from_map(amap, change, obs, grid):
-    g = grid.points
-    eta1 = _private_posteriors(g, change, obs)          # (npts, n_obs)
-    flat = eta1.reshape(-1)
-    etas = np.stack([flat, 1.0 - flat], axis=1)
-    gammas = amap.batch(etas).reshape(g.size, obs.n_obs, -1)
-    R = np.einsum("iya,xy->xia", gammas, obs.B)
-    return ActionKernel(grid=grid, table=R)
+    gammas = _channel_family(frame, params, change, obs, grid.points, solver)
+    return ActionKernel(grid=grid, table=np.einsum("iya,xy->xia", gammas, obs.B))
 
 
 def build_mismatched_kernel(frame, mixture, change, obs, grid, solver=DEFAULT_SOLVER):
@@ -231,13 +224,12 @@ def public_belief_update(pi, a, change, kernel):
     T_bar(pi, a) = R_pi(a) P' pi / sigma_bar(pi, a). Returns the new belief
     and sigma_bar. Off-grid beliefs read R by linear interpolation."""
     pi = check_belief(pi, 2)
-    pred = change.predict(pi)
     like = kernel.at(pi[0])[:, a - 1]
-    post = like * pred
-    sigma_bar = post.sum()
+    _, num1, num2, sigma_bar = bayes_step(pi[0], pi[1], like[0], like[1], change.p)
     if sigma_bar <= 0.0:
-        raise ImpossibleAction(f"action {a} has zero likelihood at belief {pi}")
-    return post / sigma_bar, float(sigma_bar)
+        raise ImpossibleAction(f"action {a} has zero likelihood at belief {pi}",
+                               belief=pi, action=a)
+    return np.array([num1, num2]) / sigma_bar, float(sigma_bar)
 
 
 @dataclass(frozen=True)
@@ -251,82 +243,127 @@ class EpisodeTrace:
     cost: float
 
 
-def simulate_episode(
-    frame,
-    params,
-    change,
-    obs,
-    policy,
-    kernel,
-    seed,
-    costs=None,
-    action_map=None,
-    step_cap=None,
-    solver=DEFAULT_SOLVER,
-):
-    """Run the protocol once with all randomness drawn from the seed.
+RECORD_FIELDS = ("n", "x", "y", "eta1", "a", "pi1", "u")
 
-    Per step: the chain may jump, the sensor observes y and updates its
-    private belief, the agent draws an action from the steady state at that
-    private belief, the detector updates the public belief through the kernel
-    and applies the policy. Stops at the first u = 1.
+
+@dataclass(frozen=True)
+class EpisodeBatch:
+    """Episodes run in lockstep: per-episode change and stop times and costs,
+    and the step-ordered log, one array per RECORD_FIELDS name plus "episode"."""
+
+    change_time: np.ndarray
+    stop_time: np.ndarray
+    cost: np.ndarray
+    log: dict
+
+    def traces(self):
+        """One EpisodeTrace per episode, with plain int and float records."""
+        order = np.argsort(self.log["episode"], kind="stable")
+        records = list(zip(*(self.log[k][order].tolist() for k in RECORD_FIELDS)))
+        ends = np.cumsum(self.stop_time).tolist()
+        return [EpisodeTrace(tau0, tau, tuple(records[end - tau:end]), cost)
+                for tau0, tau, cost, end in zip(self.change_time.tolist(),
+                                                self.stop_time.tolist(), self.cost.tolist(), ends)]
+
+
+def _draw(probs, uniforms, episodes):
+    """Row-wise index that Generator.choice(len(p), p=p) draws with uniform
+    u: the count of entries of cumsum(p) / sum(p) that are <= u. choice's
+    checks stay: entries finite and >= 0, sum within sqrt(eps) of 1."""
+    residual = np.abs(probs.sum(axis=1) - 1.0)
+    ok = (probs >= 0).all(axis=1) & (residual <= np.sqrt(np.finfo(float).eps))  # NaN, inf fail
+    if not ok.all():
+        k = int(np.argmin(ok))
+        raise NumericalFailure(f"episode {episodes[k]}: {probs[k]} is not a probability "
+                               f"vector", residual=float(residual[k]))
+    cdf = np.cumsum(probs, axis=1)
+    cdf /= cdf[:, -1:]
+    return (cdf <= uniforms[:, None]).sum(axis=1)
+
+
+def _raise_impossible(sigma, error, kind, values, episodes, n, pi):
+    """The typed error for the first episode whose evidence has zero likelihood."""
+    for k in np.flatnonzero(sigma <= 0.0)[:1]:
+        raise error(f"episode {episodes[k]} step {n}: {kind} {values[k]} has zero "
+                    f"likelihood at belief {pi[k]}", episode=int(episodes[k]), step=n,
+                    belief=pi[k], **{kind: int(values[k])})
+
+
+def simulate_episodes(frame, params, change, obs, policy, kernel, seeds, costs=None,
+                      action_map=None, step_cap=None, solver=DEFAULT_SOLVER):
+    """Run the protocol once per seed, every running episode advancing one
+    step per iteration on arrays: the chain may jump, the sensor observes y
+    and updates its private belief, the agent draws an action from the steady
+    state there, the detector updates the public belief through the kernel
+    and applies the policy, and an episode stops at its first u = 1.
+
+    Episode k draws from default_rng(seeds[k]): the change time, then two
+    uniforms per step that _draw turns into y and a as Generator.choice
+    would. The filters keep the scalar expression order, so each episode's
+    records, times and cost equal those of the episode run alone. Errors
+    name the episode and step; of several failures the one raised is the
+    first in step order, then check order, then episode index.
     """
-    rng = np.random.default_rng(seed)
+    rngs = [np.random.default_rng(s) for s in seeds]
+    if not rngs:
+        raise InvalidModel("need at least one episode")
     amap = action_map if action_map is not None else ActionMap(frame, params, solver)
     if step_cap is None:
         step_cap = int(10 * change.mean_change_time + 1000)
-    f = costs.f if costs is not None else 0.0
-    d = costs.d if costs is not None else 0.0
-
-    tau0 = int(rng.geometric(change.p))
-    pi = change.pi0
-    records = []
-    n = 0
-    while True:
+    f, d = (costs.f, costs.d) if costs is not None else (0.0, 0.0)
+    tau0 = np.array([rng.geometric(change.p) for rng in rngs])
+    stop = np.zeros_like(tau0)
+    log = {k: [] for k in ("episode",) + RECORD_FIELDS}
+    act = np.arange(len(rngs))                      # running episodes
+    pi = np.tile(change.pi0, (act.size, 1))
+    n = block_end = 0
+    while act.size:
         n += 1
         if n > step_cap:
-            raise RunawayEpisode(f"no stop after {step_cap} steps")
-        x = 1 if n >= tau0 else 2
-        y = int(rng.choice(obs.n_obs, p=obs.B[x - 1])) + 1
-        eta = private_belief_update(pi, y, change, obs)
-        gamma = amap(eta)
-        a = int(rng.choice(gamma.size, p=gamma)) + 1
-        pi, _ = public_belief_update(pi, a, change, kernel)
-        u = policy.decide(pi[0])
-        records.append((n, x, y, float(eta[0]), a, float(pi[0]), u))
-        if u == 1:
-            break
-    tau = n
-    cost = d * max(tau - tau0, 0) + (f if tau < tau0 else 0.0)
-    return EpisodeTrace(
-        change_time=tau0, stop_time=tau, records=tuple(records), cost=float(cost)
-    )
+            raise RunawayEpisode(f"episode {act[0]}: no stop after {step_cap} steps",
+                                 episode=int(act[0]), step_cap=step_cap)
+        if n > block_end:                           # the next uniforms of each running episode
+            width = max(32, n)
+            uniforms = np.array([rngs[k].random(2 * width) for k in act])
+            rows, block_start, block_end = np.arange(act.size), n, n + width - 1
+        col = 2 * (n - block_start)
+        x = np.where(n >= tau0[act], 1, 2)
+        y = _draw(obs.B[x - 1], uniforms[rows, col], act) + 1
+        pi = check_belief(pi, 2)
+        _, num1, num2, sigma = bayes_step(pi[:, 0], pi[:, 1], obs.B[0, y - 1], obs.B[1, y - 1],
+                                          change.p)
+        _raise_impossible(sigma, ImpossibleObservation, "observation", y, act, n, pi)
+        etas = np.stack([num1 / sigma, num2 / sigma], axis=1)
+        a = _draw(amap.batch(etas), uniforms[rows, col + 1], act) + 1
+        like = kernel.at(pi[:, 0])[:, a - 1, np.arange(act.size)]
+        _, num1, num2, sigma = bayes_step(pi[:, 0], pi[:, 1], like[0], like[1], change.p)
+        _raise_impossible(sigma, ImpossibleAction, "action", a, act, n, pi)
+        pi = np.stack([num1 / sigma, num2 / sigma], axis=1)
+        u = policy.decide(pi[:, 0])
+        for key, column in zip(log, (act, np.full(act.size, n), x, y, etas[:, 0], a, pi[:, 0], u)):
+            log[key].append(column)
+        running = u != 1
+        stop[act[~running]] = n
+        act, pi, rows = act[running], pi[running], rows[running]
+    cost = d * np.maximum(stop - tau0, 0) + np.where(stop < tau0, f, 0.0)
+    return EpisodeBatch(tau0, stop, cost, {k: np.concatenate(v) for k, v in log.items()})
 
 
-def estimate_cost(
-    frame,
-    params,
-    change,
-    obs,
-    policy,
-    kernel,
-    costs,
-    n_episodes,
-    seed,
-    solver=DEFAULT_SOLVER,
-):
-    """Mean realized cost and its standard error over independent episodes."""
-    if n_episodes < 1:
-        raise InvalidModel("need at least one episode")
-    amap = ActionMap(frame, params, solver)
-    child_seeds = np.random.SeedSequence(seed).spawn(n_episodes)
-    realized = np.empty(n_episodes)
-    for i, s in enumerate(child_seeds):
-        trace = simulate_episode(
-            frame, params, change, obs, policy, kernel, s,
-            costs=costs, action_map=amap, solver=solver,
-        )
-        realized[i] = trace.cost
-    mean = float(realized.mean())
+def simulate_episode(frame, params, change, obs, policy, kernel, seed, costs=None,
+                     action_map=None, step_cap=None, solver=DEFAULT_SOLVER):
+    """Run the protocol once with all randomness drawn from the seed (simulate_episodes)."""
+    return simulate_episodes(
+        frame, params, change, obs, policy, kernel, [seed], costs=costs,
+        action_map=action_map, step_cap=step_cap, solver=solver,
+    ).traces()[0]
+
+
+def estimate_cost(frame, params, change, obs, policy, kernel, costs, n_episodes, seed,
+                  solver=DEFAULT_SOLVER):
+    """Mean realized cost and its standard error over independent episodes,
+    one per child of SeedSequence(seed)."""
+    realized = simulate_episodes(frame, params, change, obs, policy, kernel,
+                                 np.random.SeedSequence(seed).spawn(n_episodes),
+                                 costs=costs, solver=solver).cost
     stderr = float(realized.std(ddof=1) / np.sqrt(n_episodes)) if n_episodes > 1 else 0.0
-    return mean, stderr
+    return float(realized.mean()), stderr

@@ -113,14 +113,14 @@ DEFAULT_SOLVER = SolverConfig()
 
 
 def check_belief(eta, n):
-    """Validate a length-n belief vector (nonnegative, sums to 1)."""
+    """Validate a length-n belief vector or a stack of them (nonnegative, sums to 1)."""
     eta = np.asarray(eta, dtype=float)
-    if eta.shape != (n,):
+    if eta.ndim not in (1, 2) or eta.shape[-1] != n:
         raise InvalidModel(f"belief must have length {n}, got shape {eta.shape}")
     if np.any(eta < -1e-12):
         raise InvalidModel(f"belief has negative entries: {eta}")
-    if abs(eta.sum() - 1.0) > 1e-12:
-        raise InvalidModel(f"belief must sum to 1, got {eta.sum()!r}")
+    if np.any(np.abs(eta.sum(axis=-1) - 1.0) > 1e-12):
+        raise InvalidModel(f"belief must sum to 1, got {eta.sum(axis=-1)!r}")
     return np.clip(eta, 0.0, None)
 
 

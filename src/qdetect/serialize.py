@@ -12,7 +12,7 @@ import tempfile
 
 import numpy as np
 
-from .errors import CacheMiss
+from .errors import CacheMiss, InvalidModel
 from .protocol import ActionKernel, BeliefGrid
 from .stopping import Policy, ValueTable
 
@@ -98,21 +98,26 @@ def write_kernel(path, kernel, config_hash):
 
 
 def read_kernel(path, config_hash):
+    """Kernel table from its CSV; every (x, pi1, a) cell must appear exactly
+    once, otherwise CacheMiss names the first cell that does not."""
     meta, columns, rows = read_csv(path)
     _require_hash(meta, config_hash, path)
     try:
         grid = BeliefGrid(n_cells=int(meta["grid_n"]))
-        n_actions = int(meta["n_actions"])
-        table = np.empty((2, grid.size, n_actions))
-        seen = 0
-        for pi1, x, a, R in rows:
-            i = int(round(float(pi1) * grid.n_cells))
-            table[int(x) - 1, i, int(a) - 1] = float(R)
-            seen += 1
-        if seen != 2 * grid.size * n_actions:
-            raise ValueError(f"expected {2 * grid.size * n_actions} rows, got {seen}")
-        return ActionKernel(grid=grid, table=table)
-    except (KeyError, ValueError, IndexError) as exc:
+        shape = (2, grid.size, int(meta["n_actions"]))
+        pi1, x, a, R = np.array(rows, dtype=float).T
+        cells = np.stack([x - 1, np.rint(pi1 * grid.n_cells), a - 1])
+        if not np.all(np.isfinite(cells) & (cells == np.round(cells))):
+            raise ValueError("non-integer state, action or grid index")
+        flat = np.ravel_multi_index(cells.astype(int), shape)
+        counts = np.bincount(flat, minlength=np.prod(shape))
+        if np.any(counts != 1):
+            k = int(np.argmax(counts != 1))
+            xk, ik, ak = np.unravel_index(k, shape)
+            raise ValueError(f"kernel cell (x={xk + 1}, pi1={float(grid.points[ik])!r}, "
+                             f"a={ak + 1}) appears {counts[k]} times")
+        return ActionKernel(grid=grid, table=R[np.argsort(flat)].reshape(shape))
+    except (KeyError, ValueError, IndexError, InvalidModel) as exc:
         raise CacheMiss(f"artifact {path} is corrupt: {exc}") from None
 
 
@@ -151,7 +156,7 @@ def read_policy(path, config_hash):
         threshold = None if raw_thr == "none" else float(raw_thr)
         crossings = int(meta.get("crossings", "0"))
         return Policy(points=pts, u=u, threshold=threshold, crossings=crossings)
-    except (ValueError, IndexError) as exc:
+    except (ValueError, IndexError, InvalidModel) as exc:
         raise CacheMiss(f"artifact {path} is corrupt: {exc}") from None
 
 

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidModel, NonConvergence
+from .protocol import bayes_step
 
 
 @dataclass(frozen=True)
@@ -50,16 +51,24 @@ class Policy:
         object.__setattr__(self, "u", np.asarray(self.u, dtype=int))
         if self.points.shape != self.u.shape:
             raise InvalidModel("points and decisions must align")
+        if np.any(np.diff(self.points) <= 0):
+            raise InvalidModel("grid points must be strictly increasing")
         if not np.all(np.isin(self.u, (1, 2))):
             raise InvalidModel("decisions must be 1 (stop) or 2 (continue)")
 
     def decide(self, pi1):
-        """Decision at an arbitrary belief: by threshold when one exists,
-        otherwise the nearest grid point's decision."""
+        """Decision at arbitrary beliefs, elementwise over an array of pi(1):
+        by threshold when one exists, otherwise the nearest grid point's
+        decision, a tie going to the lower grid index."""
+        x = np.asarray(pi1, dtype=float)
         if self.threshold is not None:
-            return 1 if pi1 >= self.threshold - 1e-12 else 2
-        idx = int(np.argmin(np.abs(self.points - pi1)))
-        return int(self.u[idx])
+            u = np.where(x >= self.threshold - 1e-12, 1, 2)
+        else:
+            pts = self.points
+            lo = np.maximum(np.searchsorted(pts, x) - 1, 0)
+            hi = np.minimum(lo + 1, pts.size - 1)
+            u = self.u[np.where(np.abs(pts[hi] - x) < np.abs(pts[lo] - x), hi, lo)]
+        return int(u) if u.ndim == 0 else u
 
 
 def always_stop_policy(grid):
@@ -67,57 +76,48 @@ def always_stop_policy(grid):
     return Policy(points=pts, u=np.ones(pts.size, dtype=int), threshold=0.0, crossings=0)
 
 
+def _transitions(points, like1, like2, p):
+    """Posterior pi(1) and marginal likelihood for each evidence value (the
+    rows of like1, like2) at each grid point, shape (n_evidence, npts).
+    Impossible evidence gets the prediction as a placeholder posterior; it
+    carries zero weight in the expectation."""
+    pred1, num1, _, sigma = bayes_step(points, 1.0 - points, like1, like2, p)
+    return np.where(sigma > 0, num1 / np.where(sigma > 0, sigma, 1.0), pred1), sigma
+
+
 def _action_transitions(kernel, change):
-    """Per-action posterior pi(1) and marginal likelihood at each grid point.
-
-    Returns (tbar1, sbar) with shape (n_actions, npts). Zero-likelihood
-    actions get the prediction as a placeholder posterior; they carry zero
-    weight in the expectation.
-    """
-    g = kernel.grid.points
-    pred1 = g + change.p * (1.0 - g)
-    pred2 = (1.0 - change.p) * (1.0 - g)
-    num = kernel.table[0] * pred1[:, None]        # (npts, A)
-    den = num + kernel.table[1] * pred2[:, None]
-    safe = den > 0
-    tbar1 = np.where(safe, num / np.where(safe, den, 1.0), pred1[:, None])
-    return tbar1.T, den.T
+    """_transitions for the actions of the kernel."""
+    return _transitions(kernel.grid.points, kernel.table[0].T, kernel.table[1].T, change.p)
 
 
-def _observation_transitions(obs, change, grid):
-    """Same as _action_transitions but for the raw observation channel."""
-    g = grid.points
-    pred1 = g + change.p * (1.0 - g)
-    pred2 = (1.0 - change.p) * (1.0 - g)
-    num = np.outer(obs.B[0], pred1)               # (n_obs, npts)
-    den = num + np.outer(obs.B[1], pred2)
-    safe = den > 0
-    t1 = np.where(safe, num / np.where(safe, den, 1.0), pred1[None, :])
-    return t1, den
-
-
-def _iterate(points, t1, weights, costs, tol, max_iter):
+def _iterate(points, transitions, costs, tol, max_iter, stop_mask=None):
+    """Bellman sweeps on the grid until the sup-norm change is <= tol.
+    Without a stop mask the policy is the greedy one; with a mask it is
+    fixed, stopping exactly where the mask is set. Returns the value table
+    and the greedy policy against it."""
+    t1, weights = transitions
     stop_cost = costs.f * (1.0 - points)
     delay_cost = costs.d * points
-    V = np.zeros_like(points)
+    fixed = stop_mask is not None
+    V = np.where(stop_mask, stop_cost, 0.0) if fixed else np.zeros_like(points)
     delta = np.inf
     for sweep in range(1, max_iter + 1):
-        cont = delay_cost + sum(
-            w * np.interp(t, points, V) for t, w in zip(t1, weights)
-        )
-        Vn = np.minimum(stop_cost, cont)
+        cont = delay_cost + sum(w * np.interp(t, points, V) for t, w in zip(t1, weights))
+        Vn = np.where(stop_mask, stop_cost, cont) if fixed else np.minimum(stop_cost, cont)
         delta = np.abs(Vn - V).max()
         V = Vn
         if delta <= tol:
             break
     else:
-        raise NonConvergence(
-            f"value iteration missed tolerance {tol} after {max_iter} sweeps",
-            last_delta=float(delta),
-        )
+        raise NonConvergence(f"{'policy evaluation' if fixed else 'value iteration'} missed "
+                             f"tolerance {tol} after {max_iter} sweeps", last_delta=float(delta))
     cont = delay_cost + sum(w * np.interp(t, points, V) for t, w in zip(t1, weights))
     u = np.where(stop_cost <= cont, 1, 2)
-    return V, u, sweep
+    threshold, crossings = extract_threshold(points, u)
+    return (
+        ValueTable(points=points, values=V, sweeps=sweep),
+        Policy(points=points, u=u, threshold=threshold, crossings=crossings),
+    )
 
 
 def value_iteration(kernel, change, costs, tol=1e-8, max_iter=10000):
@@ -125,26 +125,15 @@ def value_iteration(kernel, change, costs, tol=1e-8, max_iter=10000):
 
     Returns the value table and the greedy policy with its threshold.
     """
-    points = kernel.grid.points
-    t1, weights = _action_transitions(kernel, change)
-    V, u, sweeps = _iterate(points, t1, weights, costs, tol, max_iter)
-    threshold, crossings = extract_threshold(points, u)
-    return (
-        ValueTable(points=points, values=V, sweeps=sweeps),
-        Policy(points=points, u=u, threshold=threshold, crossings=crossings),
-    )
+    return _iterate(kernel.grid.points, _action_transitions(kernel, change), costs, tol, max_iter)
 
 
 def classical_value_iteration(change, obs, costs, grid, tol=1e-8, max_iter=10000):
-    """Reference solver for a detector that sees the observations directly."""
-    points = grid.points
-    t1, weights = _observation_transitions(obs, change, grid)
-    V, u, sweeps = _iterate(points, t1, weights, costs, tol, max_iter)
-    threshold, crossings = extract_threshold(points, u)
-    return (
-        ValueTable(points=points, values=V, sweeps=sweeps),
-        Policy(points=points, u=u, threshold=threshold, crossings=crossings),
-    )
+    """Reference solver for a detector that sees the observations directly:
+    the same iteration with the observation likelihoods B in place of R."""
+    g = grid.points
+    transitions = _transitions(g, obs.B[0][:, None], obs.B[1][:, None], change.p)
+    return _iterate(g, transitions, costs, tol, max_iter)
 
 
 def extract_threshold(points, u):
@@ -170,22 +159,5 @@ def evaluate_policy(kernel, change, costs, policy, tol=1e-8, max_iter=10000):
     one-step expectation under the same transitions as value_iteration.
     """
     points = kernel.grid.points
-    t1, weights = _action_transitions(kernel, change)
-    stop_cost = costs.f * (1.0 - points)
-    delay_cost = costs.d * points
-    stop_mask = np.array([policy.decide(p) == 1 for p in points])
-    V = np.where(stop_mask, stop_cost, 0.0)
-    delta = np.inf
-    for sweep in range(1, max_iter + 1):
-        cont = delay_cost + sum(
-            w * np.interp(t, points, V) for t, w in zip(t1, weights)
-        )
-        Vn = np.where(stop_mask, stop_cost, cont)
-        delta = np.abs(Vn - V).max()
-        V = Vn
-        if delta <= tol:
-            return ValueTable(points=points, values=V, sweeps=sweep)
-    raise NonConvergence(
-        f"policy evaluation missed tolerance {tol} after {max_iter} sweeps",
-        last_delta=float(delta),
-    )
+    return _iterate(points, _action_transitions(kernel, change), costs, tol, max_iter,
+                    stop_mask=policy.decide(points) == 1)[0]

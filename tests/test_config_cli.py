@@ -215,6 +215,26 @@ def test_kernel_roundtrip_exact(tmp_path, pd_kernel_small):
         read_kernel(path, "000000000000")
 
 
+def test_kernel_read_rejects_missing_or_repeated_cells(tmp_path, pd_kernel_small):
+    path = str(tmp_path / "kernel.csv")
+    write_kernel(path, pd_kernel_small, "cafe01234567")
+    lines = open(path, encoding="utf-8").read().splitlines()
+    header = next(i for i, line in enumerate(lines) if line.startswith("pi1,"))
+    # a row repeated over another: the row count still matches, one cell is empty
+    dup = list(lines)
+    dup[header + 2] = dup[header + 1]
+    (tmp_path / "dup.csv").write_text("\n".join(dup) + "\n", encoding="utf-8")
+    with pytest.raises(CacheMiss, match=r"kernel cell \(x=1, pi1=0.0, a=1\) appears 2 times"):
+        read_kernel(str(tmp_path / "dup.csv"), "cafe01234567")
+    for bad_row in ("0.0,3,1,0.5", "0.0,1,1.5,0.5", "0.0,1,1", "2.0,1,1,0.5", "nan,1,1,0.5",
+                    "0.0,1,1,nan"):
+        bad = list(lines)
+        bad[header + 1] = bad_row
+        (tmp_path / "bad.csv").write_text("\n".join(bad) + "\n", encoding="utf-8")
+        with pytest.raises(CacheMiss, match="is corrupt"):
+            read_kernel(str(tmp_path / "bad.csv"), "cafe01234567")
+
+
 def test_value_policy_roundtrip_exact(tmp_path, pd_kernel_small, pd_change, pd_costs):
     table, policy = value_iteration(pd_kernel_small, pd_change, pd_costs)
     vpath = str(tmp_path / "value.csv")
@@ -237,6 +257,11 @@ def test_policy_roundtrip_no_threshold(tmp_path):
     back = read_policy(path, "cafe01234567")
     assert back.threshold is None
     assert back.crossings == 2
+    text = open(path, encoding="utf-8").read()
+    for bad in (text.replace("\n0.5,2\n", "\n0.5,3\n"), text.replace("\n0.5,2\n", "\n0.0,2\n")):
+        (tmp_path / "bad.csv").write_text(bad, encoding="utf-8")
+        with pytest.raises(CacheMiss, match="is corrupt"):
+            read_policy(str(tmp_path / "bad.csv"), "cafe01234567")
 
 
 def test_episode_trace_csv(
@@ -298,6 +323,20 @@ def test_cli_solve_then_simulate(tmp_path, capsys):
                  "--episodes", "40"]) == 0
     assert open(episodes, "rb").read() == first
     assert "simulate: mean cost" in capsys.readouterr().out
+
+
+def test_cli_simulate_corrupt_kernel_is_cache_miss(tmp_path, capsys):
+    ini = write_ini(tmp_path)
+    out = str(tmp_path / "out")
+    assert main(["--config", ini, "--out", out, "solve"]) == 0
+    path = os.path.join(out, load_config(BASE_INI).hash, "kernel.csv")
+    lines = open(path, encoding="utf-8").read().splitlines()
+    lines[-1] = lines[-2]
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["--config", ini, "--out", out, "simulate", "--episodes", "5"]) == 4
+    assert "kernel cell (x=2, pi1=1.0, a=1) appears 2 times" in capsys.readouterr().err
 
 
 def test_cli_exit_codes(tmp_path, capsys):

@@ -1,6 +1,10 @@
 """Filtering-protocol tests: belief updates, the action-likelihood kernel,
 mixtures, and episode simulation.
 
+The lockstep simulator is checked against the scalar per-episode loop it
+replaced, kept here verbatim as the oracle: records, change and stop times
+and costs must be equal, not close.
+
 The kernel oracle recomputes steady states by long-time evolution at every
 posterior instead of the vertex readout the builder uses; the consistency
 identity ties the public update to the private one through two independently
@@ -16,8 +20,11 @@ from qdetect import (
     BeliefGrid,
     ChangeModel,
     DetectionCosts,
+    EpisodeTrace,
+    ImpossibleAction,
     ImpossibleObservation,
     InvalidModel,
+    NumericalFailure,
     ObservationModel,
     ParameterMixture,
     Policy,
@@ -32,10 +39,11 @@ from qdetect import (
     private_belief_update,
     public_belief_update,
     simulate_episode,
+    simulate_episodes,
     value_iteration,
 )
-from qdetect.protocol import observation_likelihood
-from qdetect.quantum import assemble_lindbladian
+from qdetect.protocol import _draw, observation_likelihood
+from qdetect.quantum import DEFAULT_SOLVER, assemble_lindbladian
 
 
 def test_change_model_matrix_and_prior():
@@ -112,8 +120,10 @@ def test_private_update_frozen_value(pd_change, pd_obs):
 def test_private_update_impossible_observation():
     change = ChangeModel(p=0.95)
     obs = ObservationModel(np.array([[0.5, 0.5, 0.0], [0.2, 0.2, 0.6]]))
-    with pytest.raises(ImpossibleObservation):
+    with pytest.raises(ImpossibleObservation) as info:
         private_belief_update(np.array([1.0, 0.0]), 3, change, obs)
+    assert info.value.observation == 3
+    np.testing.assert_array_equal(info.value.belief, [1.0, 0.0])
 
 
 def test_kernel_rows_sum_and_interpolation(pd_kernel_small):
@@ -387,3 +397,221 @@ def test_estimate_cost_variance_shrinks(
     # quadrupling episodes should roughly halve the standard error
     assert se_big < se_small
     assert 1.3 <= se_small / se_big <= 3.2
+
+
+def _oracle_episode(
+    frame,
+    params,
+    change,
+    obs,
+    policy,
+    kernel,
+    seed,
+    costs=None,
+    action_map=None,
+    step_cap=None,
+    solver=DEFAULT_SOLVER,
+):
+    # the scalar loop simulate_episode ran before the lockstep simulator
+    rng = np.random.default_rng(seed)
+    amap = action_map if action_map is not None else ActionMap(frame, params, solver)
+    if step_cap is None:
+        step_cap = int(10 * change.mean_change_time + 1000)
+    f = costs.f if costs is not None else 0.0
+    d = costs.d if costs is not None else 0.0
+
+    tau0 = int(rng.geometric(change.p))
+    pi = change.pi0
+    records = []
+    n = 0
+    while True:
+        n += 1
+        if n > step_cap:
+            raise RunawayEpisode(f"no stop after {step_cap} steps")
+        x = 1 if n >= tau0 else 2
+        y = int(rng.choice(obs.n_obs, p=obs.B[x - 1])) + 1
+        eta = private_belief_update(pi, y, change, obs)
+        gamma = amap(eta)
+        a = int(rng.choice(gamma.size, p=gamma)) + 1
+        pi, _ = public_belief_update(pi, a, change, kernel)
+        u = policy.decide(pi[0])
+        records.append((n, x, y, float(eta[0]), a, float(pi[0]), u))
+        if u == 1:
+            break
+    tau = n
+    cost = d * max(tau - tau0, 0) + (f if tau < tau0 else 0.0)
+    return EpisodeTrace(
+        change_time=tau0, stop_time=tau, records=tuple(records), cost=float(cost)
+    )
+
+
+@pytest.fixture(scope="module")
+def slow_change():
+    # the benchmark's long-episode model: change after 50 steps on average
+    return ChangeModel(p=0.02)
+
+
+@pytest.fixture(scope="module")
+def slow_kernel(pd_frame, pd_params, slow_change, pd_obs):
+    return build_action_kernel(pd_frame, pd_params, slow_change, pd_obs, BeliefGrid(200))
+
+
+@pytest.fixture(scope="module")
+def slow_policy(slow_kernel, slow_change):
+    _, policy = value_iteration(slow_kernel, slow_change, DetectionCosts(f=50.0, d=1.0))
+    assert policy.threshold is not None
+    return policy
+
+
+def _assert_matches_oracle(frame, params, change, obs, policy, kernel, costs, seed,
+                           n=200):
+    seeds = np.random.SeedSequence(seed).spawn(n)
+    amap = ActionMap(frame, params)
+    batch = simulate_episodes(frame, params, change, obs, policy, kernel, seeds,
+                              costs=costs, action_map=amap)
+    traces = batch.traces()
+    assert len(traces) == n
+    for s, trace in zip(seeds, traces):
+        want = _oracle_episode(frame, params, change, obs, policy, kernel, s,
+                               costs=costs, action_map=amap)
+        assert trace == want
+        assert all(type(v) is type(w) for r, q in zip(trace.records, want.records)
+                   for v, w in zip(r, q))
+    return traces
+
+
+def test_lockstep_matches_oracle_threshold_policy(
+    pd_frame, pd_params, slow_change, pd_obs, slow_kernel, slow_policy
+):
+    traces = _assert_matches_oracle(
+        pd_frame, pd_params, slow_change, pd_obs, slow_policy, slow_kernel,
+        DetectionCosts(f=50.0, d=1.0), seed=2024,
+    )
+    # the batch mixes stop times, false alarms and detections
+    taus = [t.stop_time for t in traces]
+    assert min(taus) < max(taus)
+    assert any(t.stop_time < t.change_time for t in traces)
+    assert any(t.stop_time >= t.change_time for t in traces)
+
+
+def test_lockstep_matches_oracle_nearest_grid_policy(
+    pd_frame, pd_params, slow_change, pd_obs, slow_kernel
+):
+    pts = slow_kernel.grid.points
+    u = np.where(((pts >= 0.3) & (pts <= 0.35)) | (pts >= 0.8), 1, 2)
+    patchy = Policy(points=pts, u=u, threshold=None, crossings=3)
+    _assert_matches_oracle(
+        pd_frame, pd_params, slow_change, pd_obs, patchy, slow_kernel,
+        DetectionCosts(f=50.0, d=1.0), seed=7,
+    )
+
+
+def test_lockstep_matches_oracle_always_stop(
+    pd_frame, pd_params, pd_change, pd_obs, pd_kernel_small, pd_costs
+):
+    _assert_matches_oracle(
+        pd_frame, pd_params, pd_change, pd_obs,
+        always_stop_policy(pd_kernel_small.grid), pd_kernel_small, pd_costs, seed=3,
+    )
+
+
+def test_lockstep_matches_oracle_immediate_change(pd_frame, pd_params, pd_obs, pd_costs):
+    change = ChangeModel(p=1.0)
+    kernel = build_action_kernel(pd_frame, pd_params, change, pd_obs, BeliefGrid(50))
+    _, policy = value_iteration(kernel, change, pd_costs)
+    traces = _assert_matches_oracle(
+        pd_frame, pd_params, change, pd_obs, policy, kernel, pd_costs, seed=11,
+    )
+    assert all(t.change_time == 1 for t in traces)
+
+
+def test_lockstep_matches_oracle_readme_model(
+    pd_frame, pd_params, pd_change, pd_obs, pd_kernel_full, pd_costs
+):
+    _, policy = value_iteration(pd_kernel_full, pd_change, pd_costs)
+    _assert_matches_oracle(
+        pd_frame, pd_params, pd_change, pd_obs, policy, pd_kernel_full, pd_costs,
+        seed=11,
+    )
+
+
+def test_estimate_cost_equals_oracle(
+    pd_frame, pd_params, slow_change, pd_obs, slow_kernel, slow_policy
+):
+    costs = DetectionCosts(f=50.0, d=1.0)
+    n = 200
+    realized = np.array([
+        _oracle_episode(pd_frame, pd_params, slow_change, pd_obs, slow_policy,
+                        slow_kernel, s, costs=costs).cost
+        for s in np.random.SeedSequence(5).spawn(n)
+    ])
+    want = (float(realized.mean()), float(realized.std(ddof=1) / np.sqrt(n)))
+    got = estimate_cost(pd_frame, pd_params, slow_change, pd_obs, slow_policy,
+                        slow_kernel, costs, n_episodes=n, seed=5)
+    assert got == want
+
+
+def test_lockstep_impossible_action(pd_frame, pd_params, pd_change, pd_obs, pd_action_map):
+    # the kernel says action 2 never happens, but the agent plays it
+    grid = BeliefGrid(20)
+    table = np.zeros((2, grid.size, 2))
+    table[:, :, 0] = 1.0
+    kernel = ActionKernel(grid=grid, table=table)
+    pts = grid.points
+    never_stop = Policy(points=pts, u=np.full(pts.size, 2), threshold=None, crossings=0)
+    seeds = list(range(30))
+    first = []
+    for i, seed in enumerate(seeds):
+        with pytest.raises(ImpossibleAction) as alone:
+            simulate_episode(pd_frame, pd_params, pd_change, pd_obs, never_stop,
+                             kernel, seed, action_map=pd_action_map)
+        assert alone.value.episode == 0
+        first.append((alone.value.step, i))
+    with pytest.raises(ImpossibleAction) as info:
+        simulate_episodes(pd_frame, pd_params, pd_change, pd_obs, never_stop,
+                          kernel, seeds, action_map=pd_action_map)
+    err = info.value
+    assert (err.step, err.episode) == min(first)
+    assert max(first)[0] > 1               # some episodes fail later than others
+    assert err.action == 2
+    assert err.belief.shape == (2,) and abs(err.belief.sum() - 1.0) <= 1e-12
+
+
+def test_lockstep_one_runaway_episode(
+    pd_frame, pd_params, slow_change, pd_obs, slow_kernel, slow_policy
+):
+    seeds = list(range(40))
+    taus = simulate_episodes(pd_frame, pd_params, slow_change, pd_obs,
+                             slow_policy, slow_kernel, seeds).stop_time
+    longest = int(np.argmax(taus))
+    cap = int(taus[longest]) - 1
+    # one episode that outlasts the cap, placed among episodes that stop in time
+    batch = [s for s, t in zip(seeds, taus) if t <= cap]
+    batch.insert(3, seeds[longest])
+    assert len(batch) > 10
+    with pytest.raises(RunawayEpisode) as info:
+        simulate_episodes(pd_frame, pd_params, slow_change, pd_obs, slow_policy,
+                          slow_kernel, batch, step_cap=cap)
+    assert info.value.episode == 3
+    assert info.value.step_cap == cap
+    with pytest.raises(RunawayEpisode):
+        _oracle_episode(pd_frame, pd_params, slow_change, pd_obs, slow_policy,
+                        slow_kernel, seeds[longest], step_cap=cap)
+    del batch[3]
+    simulate_episodes(pd_frame, pd_params, slow_change, pd_obs, slow_policy,
+                      slow_kernel, batch, step_cap=cap)
+
+
+def test_draw_rule_and_checks():
+    # choice's rule: the count of normalized cdf entries <= u
+    probs = np.array([[0.2, 0.3, 0.5], [0.2, 0.3, 0.5], [1.0, 0.0, 0.0]])
+    np.testing.assert_array_equal(
+        _draw(probs, np.array([0.2, 0.49, 0.99]), np.arange(3)), [1, 1, 0]
+    )
+    with pytest.raises(NumericalFailure) as info:
+        _draw(np.array([[0.5, 0.5], [0.5, 0.6]]), np.array([0.1, 0.1]), np.array([4, 9]))
+    assert abs(info.value.residual - 0.1) <= 1e-12
+    assert "episode 9" in str(info.value)
+    for bad in ([[1.5, -0.5]], [[np.nan, 1.0]], [[np.inf, 0.0]]):
+        with pytest.raises(NumericalFailure):
+            _draw(np.array(bad), np.array([0.1]), np.array([0]))

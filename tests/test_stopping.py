@@ -14,6 +14,7 @@ from qdetect import (
     BeliefGrid,
     ChangeModel,
     DetectionCosts,
+    InvalidModel,
     NonConvergence,
     ObservationModel,
     Policy,
@@ -131,6 +132,26 @@ def test_policy_decide(pd_kernel_full, pd_change, pd_costs):
     assert patchy.decide(0.1) == 1              # nearest grid point
     assert patchy.decide(0.6) == 2
     assert patchy.decide(0.9) == 1
+
+
+def test_policy_decide_ties_and_arrays():
+    pts = np.array([0.0, 0.5, 1.0])
+    patchy = Policy(points=pts, u=np.array([1, 2, 1]), threshold=None, crossings=2)
+    # a belief halfway between two grid points takes the lower index's decision
+    assert patchy.decide(0.25) == 1
+    assert patchy.decide(0.75) == 2
+    # the array form agrees with the nearest-point rule of argmin, which
+    # returns the first of equal distances
+    x = np.concatenate([np.random.default_rng(0).random(500),
+                        [-0.1, 0.0, 0.25, 0.5, 0.75, 1.0, 1.2]])
+    want = [int(patchy.u[np.argmin(np.abs(pts - v))]) for v in x]
+    np.testing.assert_array_equal(patchy.decide(x), want)
+    assert [patchy.decide(v) for v in x] == want
+    thr = Policy(points=pts, u=np.array([2, 1, 1]), threshold=0.5, crossings=1)
+    np.testing.assert_array_equal(thr.decide(np.array([0.5 - 1e-13, 0.49, 0.7])), [1, 2, 1])
+    with pytest.raises(InvalidModel):
+        Policy(points=np.array([0.0, 0.5, 0.5]), u=np.array([1, 2, 1]),
+               threshold=None, crossings=2)
 
 
 def test_evaluate_always_stop_exact(pd_kernel_small, pd_change, pd_costs):
