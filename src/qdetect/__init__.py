@@ -18,7 +18,6 @@ from .quantum import (
     ActionMap,
     DecisionFrame,
     PsychParams,
-    SolverConfig,
     assemble_lindbladian,
     belief_matrix,
     cognitive_matrix,

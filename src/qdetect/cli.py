@@ -25,7 +25,7 @@ from .errors import (
     RunawayEpisode,
 )
 from .protocol import DetectionCosts, build_action_kernel, simulate_episodes
-from .quantum import DEFAULT_SOLVER, ActionMap, PsychParams
+from .quantum import ActionMap, PsychParams
 from .stopping import classical_value_iteration, value_iteration
 
 
@@ -33,7 +33,7 @@ def _cache_dir(config):
     return os.path.join(config.out_dir, config.hash)
 
 
-def sweep_stp(frame, params, n_phi=101, solver=None):
+def sweep_stp(frame, params, n_phi=101):
     """Certain-belief and uniform-belief action rates across the coupling
     sweep, with a total-probability violation flag per row.
 
@@ -41,12 +41,11 @@ def sweep_stp(frame, params, n_phi=101, solver=None):
     For the standard two-state frame the second action is defection and the
     second state is the defecting opponent.
     """
-    solver = solver or DEFAULT_SOLVER
     etas = np.array([[0.0, 1.0], [1.0, 0.0], [0.5, 0.5]])
     rows = []
     for phi in np.linspace(0.0, 1.0, n_phi):
         p = PsychParams(alpha=params.alpha, lam=params.lam, phi=float(phi))
-        gam = ActionMap(frame, p, solver).batch(etas)
+        gam = ActionMap(frame, p).batch(etas)
         p_def, p_coop, p_unknown = gam[0, -1], gam[1, -1], gam[2, -1]
         lo, hi = min(p_def, p_coop), max(p_def, p_coop)
         violation = bool(p_unknown < lo - 1e-12 or p_unknown > hi + 1e-12)

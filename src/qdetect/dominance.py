@@ -16,7 +16,7 @@ from scipy.optimize import linprog
 
 from .errors import InvalidModel
 from .protocol import _channel_family, build_action_kernel, build_mismatched_kernel
-from .quantum import DEFAULT_SOLVER, PsychParams
+from .quantum import PsychParams
 from .stopping import evaluate_policy, value_iteration
 
 
@@ -225,7 +225,6 @@ def interpolation_betweenness_check(
     eps_values=None,
     pi_values=None,
     tol=1e-6,
-    solver=DEFAULT_SOLVER,
 ):
     """Check that steady action distributions interpolate between endpoints.
 
@@ -236,17 +235,15 @@ def interpolation_betweenness_check(
         eps_values = np.linspace(0.1, 0.9, 9)
     if pi_values is None:
         pi_values = np.linspace(0.0, 1.0, 11)
-    fam1 = _channel_family(frame, p1, change, obs, pi_values, solver)
-    fam2 = _channel_family(frame, p2, change, obs, pi_values, solver)
+    fam1 = _channel_family(frame, p1, change, obs, pi_values)
+    fam2 = _channel_family(frame, p2, change, obs, pi_values)
     lo = np.minimum(fam1, fam2)
     hi = np.maximum(fam1, fam2)
     checks = 0
     violations = 0
     worst = np.inf
     for eps in np.asarray(eps_values, dtype=float):
-        fam3 = _channel_family(
-            frame, _mix_params(p1, p2, eps), change, obs, pi_values, solver
-        )
+        fam3 = _channel_family(frame, _mix_params(p1, p2, eps), change, obs, pi_values)
         margin = np.minimum(fam3 - lo, hi - fam3)
         checks += margin.size
         violations += int(np.count_nonzero(margin < -tol))
@@ -285,7 +282,6 @@ def sensitivity_bound_check(
     grid,
     tol=1e-8,
     max_iter=10000,
-    solver=DEFAULT_SOLVER,
 ):
     """Robustness bound for running the mismatched-model policy on the truth.
 
@@ -293,8 +289,8 @@ def sensitivity_bound_check(
     under the true kernel; rhs = true optimal cost + 2 K distance with
     K = max(f, d) / p.
     """
-    kernel = build_action_kernel(frame, params_true, change, obs, grid, solver)
-    kernel_hat = build_mismatched_kernel(frame, mixture, change, obs, grid, solver)
+    kernel = build_action_kernel(frame, params_true, change, obs, grid)
+    kernel_hat = build_mismatched_kernel(frame, mixture, change, obs, grid)
     V_true, _ = value_iteration(kernel, change, costs, tol=tol, max_iter=max_iter)
     _, pol_hat = value_iteration(kernel_hat, change, costs, tol=tol, max_iter=max_iter)
     lhs = evaluate_policy(kernel, change, costs, pol_hat, tol=tol, max_iter=max_iter)
@@ -344,7 +340,6 @@ def region_scan(
     eps=1e-6,
     tol=1e-8,
     max_iter=10000,
-    solver=DEFAULT_SOLVER,
 ):
     """Pairwise dominance scan between two sampled parameter regions.
 
@@ -360,8 +355,8 @@ def region_scan(
     def prep(points):
         out = []
         for p in points:
-            fam = _channel_family(frame, p, change, obs, pi_values, solver)
-            kernel = build_action_kernel(frame, p, change, obs, grid, solver)
+            fam = _channel_family(frame, p, change, obs, pi_values)
+            kernel = build_action_kernel(frame, p, change, obs, grid)
             V, _ = value_iteration(kernel, change, costs, tol=tol, max_iter=max_iter)
             out.append((p, fam, V.values))
         return out

@@ -23,7 +23,7 @@ from .errors import (
     NumericalFailure,
     RunawayEpisode,
 )
-from .quantum import DEFAULT_SOLVER, ActionMap, check_belief
+from .quantum import ActionMap, check_belief
 
 
 @dataclass(frozen=True)
@@ -65,9 +65,9 @@ class ObservationModel:
         object.__setattr__(self, "B", B)
         if B.ndim != 2 or B.shape[0] != 2:
             raise InvalidModel(f"B must be 2 x n_obs, got {B.shape}")
-        if np.any(B < 0):
-            raise InvalidModel("observation likelihoods must be >= 0")
-        if np.abs(B.sum(axis=1) - 1.0).max() > 1e-12:
+        if not np.all(B >= 0):                      # NaN fails here
+            raise InvalidModel(f"observation likelihoods must be >= 0, got {B.tolist()}")
+        if not np.all(np.abs(B.sum(axis=1) - 1.0) <= 1e-12):
             raise InvalidModel("each row of B must sum to 1")
 
     @property
@@ -120,9 +120,9 @@ class ParameterMixture:
         if not atoms:
             raise InvalidModel("mixture needs at least one atom")
         w = np.array([weight for _, weight in atoms], dtype=float)
-        if np.any(w < 0):
-            raise InvalidModel("mixture weights must be >= 0")
-        if abs(w.sum() - 1.0) > 1e-12:
+        if not np.all(w >= 0):                      # NaN fails here
+            raise InvalidModel(f"mixture weights must be >= 0, got {w.tolist()}")
+        if not abs(w.sum() - 1.0) <= 1e-12:
             raise InvalidModel(f"mixture weights must sum to 1, got {w.sum()!r}")
 
 
@@ -167,6 +167,15 @@ def bayes_step(pi1, pi2, like1, like2, p):
     return pred1, num1, num2, num1 + num2
 
 
+def _transitions(points, like1, like2, p):
+    """Posterior pi(1) and marginal likelihood for each evidence value (the
+    rows of like1, like2) at each grid point, shape (n_evidence, npts).
+    Impossible evidence gets the prediction as a placeholder posterior; it
+    carries zero weight in the expectation."""
+    pred1, num1, _, sigma = bayes_step(points, 1.0 - points, like1, like2, p)
+    return np.where(sigma > 0, num1 / np.where(sigma > 0, sigma, 1.0), pred1), sigma
+
+
 def private_belief_update(pi, y, change, obs):
     """Bayes update of the sensor's belief after observation y (1-based):
     T(pi, y) = B_y P' pi / sigma(pi, y)."""
@@ -184,37 +193,29 @@ def observation_likelihood(pi, y, change, obs):
     return float(obs.B[:, y - 1] @ pred)
 
 
-def _private_posteriors(grid_points, change, obs):
-    """Posterior pi(1) values T(pi, y) for every grid point and observation,
-    shape (npts, n_obs). Where an observation is impossible the prediction
-    stands in; such entries carry zero weight in any kernel row."""
-    g = np.asarray(grid_points, dtype=float)[:, None]
-    pred1, num1, _, sigma = bayes_step(g, 1.0 - g, obs.B[0], obs.B[1], change.p)
-    return np.where(sigma > 0, num1 / np.where(sigma > 0, sigma, 1.0), pred1)
-
-
-def _channel_family(frame, params, change, obs, pi_values, solver=DEFAULT_SOLVER):
+def _channel_family(frame, params, change, obs, pi_values):
     """Steady action distributions Gamma(T(pi, y)) at the sensor's posterior
     for each belief pi(1) and observation y, shape (n_pi, n_obs, A)."""
-    e1 = _private_posteriors(pi_values, change, obs).reshape(-1)
-    gammas = ActionMap(frame, params, solver).batch(np.stack([e1, 1.0 - e1], axis=1))
+    pi = np.asarray(pi_values, dtype=float)
+    e1 = _transitions(pi, obs.B[0][:, None], obs.B[1][:, None], change.p)[0].T.reshape(-1)
+    gammas = ActionMap(frame, params).batch(np.stack([e1, 1.0 - e1], axis=1))
     return gammas.reshape(len(pi_values), obs.n_obs, -1)
 
 
-def build_action_kernel(frame, params, change, obs, grid, solver=DEFAULT_SOLVER):
+def build_action_kernel(frame, params, change, obs, grid):
     """Detector-side action likelihoods on the belief grid:
     R_{x,pi}(a) = sum_y Gamma(T(pi, y))(a) B_{x,y}, with Gamma the steady-state
     action distribution at the sensor's posterior."""
-    gammas = _channel_family(frame, params, change, obs, grid.points, solver)
+    gammas = _channel_family(frame, params, change, obs, grid.points)
     return ActionKernel(grid=grid, table=np.einsum("iya,xy->xia", gammas, obs.B))
 
 
-def build_mismatched_kernel(frame, mixture, change, obs, grid, solver=DEFAULT_SOLVER):
+def build_mismatched_kernel(frame, mixture, change, obs, grid):
     """Kernel under parameter uncertainty: the mixture-weighted sum of
     per-atom kernels. A single-atom mixture reduces to build_action_kernel."""
     table = None
     for params, weight in mixture.atoms:
-        k = build_action_kernel(frame, params, change, obs, grid, solver)
+        k = build_action_kernel(frame, params, change, obs, grid)
         table = weight * k.table if table is None else table + weight * k.table
     return ActionKernel(grid=grid, table=table)
 
@@ -290,7 +291,7 @@ def _raise_impossible(sigma, error, kind, values, episodes, n, pi):
 
 
 def simulate_episodes(frame, params, change, obs, policy, kernel, seeds, costs=None,
-                      action_map=None, step_cap=None, solver=DEFAULT_SOLVER):
+                      step_cap=None):
     """Run the protocol once per seed, every running episode advancing one
     step per iteration on arrays: the chain may jump, the sensor observes y
     and updates its private belief, the agent draws an action from the steady
@@ -307,7 +308,7 @@ def simulate_episodes(frame, params, change, obs, policy, kernel, seeds, costs=N
     rngs = [np.random.default_rng(s) for s in seeds]
     if not rngs:
         raise InvalidModel("need at least one episode")
-    amap = action_map if action_map is not None else ActionMap(frame, params, solver)
+    amap = ActionMap(frame, params)
     if step_cap is None:
         step_cap = int(10 * change.mean_change_time + 1000)
     f, d = (costs.f, costs.d) if costs is not None else (0.0, 0.0)
@@ -350,20 +351,17 @@ def simulate_episodes(frame, params, change, obs, policy, kernel, seeds, costs=N
 
 
 def simulate_episode(frame, params, change, obs, policy, kernel, seed, costs=None,
-                     action_map=None, step_cap=None, solver=DEFAULT_SOLVER):
+                     step_cap=None):
     """Run the protocol once with all randomness drawn from the seed (simulate_episodes)."""
-    return simulate_episodes(
-        frame, params, change, obs, policy, kernel, [seed], costs=costs,
-        action_map=action_map, step_cap=step_cap, solver=solver,
-    ).traces()[0]
+    return simulate_episodes(frame, params, change, obs, policy, kernel, [seed], costs=costs,
+                             step_cap=step_cap).traces()[0]
 
 
-def estimate_cost(frame, params, change, obs, policy, kernel, costs, n_episodes, seed,
-                  solver=DEFAULT_SOLVER):
+def estimate_cost(frame, params, change, obs, policy, kernel, costs, n_episodes, seed):
     """Mean realized cost and its standard error over independent episodes,
     one per child of SeedSequence(seed)."""
     realized = simulate_episodes(frame, params, change, obs, policy, kernel,
                                  np.random.SeedSequence(seed).spawn(n_episodes),
-                                 costs=costs, solver=solver).cost
+                                 costs=costs).cost
     stderr = float(realized.std(ddof=1) / np.sqrt(n_episodes)) if n_episodes > 1 else 0.0
     return float(realized.mean()), stderr

@@ -38,7 +38,7 @@ populations, pi_x = p(. | x) for the choice rates and q for the action marginal:
    constant map on the simplex equals sum_x eta_x Gamma(e_x).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import expm
@@ -96,45 +96,42 @@ class DecisionFrame:
         return self.n_states * self.n_actions
 
 
-@dataclass(frozen=True)
-class SolverConfig:
-    """Tolerances for the steady-state solver and density checks."""
-
-    null_tol: float = 1e-9
-    probe_t0: float = 50.0
-    probe_tol: float = 1e-8
-    max_probe_doublings: int = 20
-    herm_tol: float = 1e-10
-    trace_tol: float = 1e-10
-    psd_tol: float = 1e-9
-
-
-DEFAULT_SOLVER = SolverConfig()
+# Tolerances of the steady-state solver and the density checks.
+NULL_TOL = 1e-9                 # |eigenvalue| counted as zero
+PROBE_T0 = 50.0                 # first long-time probe
+PROBE_TOL = 1e-8                # probes at t and 2t must agree to this
+MAX_PROBE_DOUBLINGS = 20
+HERM_TOL = 1e-10
+TRACE_TOL = 1e-10
+PSD_TOL = 1e-9
 
 
 def check_belief(eta, n):
-    """Validate a length-n belief vector or a stack of them (nonnegative, sums to 1)."""
+    """Validate a length-n belief vector or a stack of them, shape (m, n):
+    each row nonnegative (to -1e-12) and summing to 1 within 1e-12. NaN fails.
+    Returns the beliefs clipped at 0."""
     eta = np.asarray(eta, dtype=float)
     if eta.ndim not in (1, 2) or eta.shape[-1] != n:
         raise InvalidModel(f"belief must have length {n}, got shape {eta.shape}")
-    if np.any(eta < -1e-12):
-        raise InvalidModel(f"belief has negative entries: {eta}")
-    if np.any(np.abs(eta.sum(axis=-1) - 1.0) > 1e-12):
-        raise InvalidModel(f"belief must sum to 1, got {eta.sum(axis=-1)!r}")
+    rows = eta.reshape(-1, n)
+    ok = (rows >= -1e-12).all(axis=1) & (np.abs(rows.sum(axis=1) - 1.0) <= 1e-12)
+    if not ok.all():
+        row = int(np.argmin(ok))
+        raise InvalidModel(f"belief row {row} is not a distribution: {rows[row]}")
     return np.clip(eta, 0.0, None)
 
 
-def check_density(rho, solver=DEFAULT_SOLVER):
+def check_density(rho):
     """Validate a density operator: Hermitian, unit trace, PSD up to tolerance."""
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise InvalidModel(f"density operator must be square, got {rho.shape}")
-    if np.abs(rho - rho.conj().T).max() > solver.herm_tol:
+    if np.abs(rho - rho.conj().T).max() > HERM_TOL:
         raise InvalidModel("density operator is not Hermitian")
-    if abs(np.trace(rho).real - 1.0) > solver.trace_tol or abs(np.trace(rho).imag) > solver.trace_tol:
+    if abs(np.trace(rho).real - 1.0) > TRACE_TOL or abs(np.trace(rho).imag) > TRACE_TOL:
         raise InvalidModel(f"density operator trace is {np.trace(rho)}, not 1")
     w = np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))
-    if w.min() < -solver.psd_tol:
+    if w.min() < -PSD_TOL:
         raise InvalidModel(f"density operator has eigenvalue {w.min()} < 0")
     return rho
 
@@ -224,7 +221,7 @@ def apply_superoperator(superop, rho):
     return (superop @ rho.reshape(-1)).reshape(d, d)
 
 
-def evolve(superop, rho0, t, solver=DEFAULT_SOLVER):
+def evolve(superop, rho0, t):
     """Propagate rho0 for time t >= 0 under the generator."""
     if t < 0:
         raise InvalidModel(f"time must be >= 0, got {t}")
@@ -253,16 +250,16 @@ def _finalize_distribution(probs):
     return probs / total
 
 
-def _steady_rho_from_probes(superop, frame, solver):
+def _steady_rho_from_probes(superop, frame):
     """Long-time evolution fallback from the maximally mixed start; probes at
     t and 2t must agree elementwise before the result is accepted."""
     d = frame.dim
     v = maximally_mixed(frame).reshape(-1)
-    t = solver.probe_t0
+    t = PROBE_T0
     probe = (expm(superop * t) @ v).reshape(d, d)
-    for _ in range(solver.max_probe_doublings):
+    for _ in range(MAX_PROBE_DOUBLINGS):
         probe2 = (expm(superop * (2 * t)) @ v).reshape(d, d)
-        if np.abs(probe - probe2).max() <= solver.probe_tol:
+        if np.abs(probe - probe2).max() <= PROBE_TOL:
             rho = 0.5 * (probe2 + probe2.conj().T)
             return rho / np.trace(rho).real
         probe, t = probe2, 2 * t
@@ -272,12 +269,12 @@ def _steady_rho_from_probes(superop, frame, solver):
     )
 
 
-def _steady_batch(gens, frame, solver):
+def _steady_batch(gens, frame):
     """Steady-state action distributions of a stack of generators: one batched
     eigendecomposition, with long-time evolution where the null space is
     degenerate or empty at tolerance."""
     w, V = np.linalg.eig(gens)
-    null_counts = (np.abs(w) <= solver.null_tol).sum(axis=1)
+    null_counts = (np.abs(w) <= NULL_TOL).sum(axis=1)
     d = frame.dim
     out = np.empty((gens.shape[0], frame.n_actions))
     simple = null_counts == 1
@@ -294,12 +291,12 @@ def _steady_batch(gens, frame, solver):
         probs = diags.reshape(-1, frame.n_states, frame.n_actions).sum(axis=1)
         out[simple] = np.stack([_finalize_distribution(p) for p in probs])
     for i in np.flatnonzero(~simple):
-        rho = _steady_rho_from_probes(gens[i], frame, solver)
+        rho = _steady_rho_from_probes(gens[i], frame)
         out[i] = action_marginal(rho, frame)
     return out
 
 
-def steady_state_distribution(frame, params, eta, solver=DEFAULT_SOLVER):
+def steady_state_distribution(frame, params, eta):
     """Long-run action distribution of the evolution at belief eta.
 
     Primary method: eigendecomposition of the generator, selecting the
@@ -310,7 +307,7 @@ def steady_state_distribution(frame, params, eta, solver=DEFAULT_SOLVER):
         raise UnsupportedParameter(
             "steady state requires alpha > 0 (purely coherent evolution does not settle)"
         )
-    return _steady_batch(assemble_lindbladian(frame, params, eta)[None], frame, solver)[0]
+    return _steady_batch(assemble_lindbladian(frame, params, eta)[None], frame)[0]
 
 
 class ActionMap:
@@ -324,12 +321,11 @@ class ActionMap:
     the vertex mean by more than 1e-9 raises NumericalFailure.
     """
 
-    def __init__(self, frame, params, solver=DEFAULT_SOLVER):
+    def __init__(self, frame, params):
         if params.alpha <= 0.0:
             raise UnsupportedParameter("ActionMap requires alpha > 0")
         self.frame = frame
         self.params = params
-        self.solver = solver
         d, n = frame.dim, frame.n_states
         H = hamiltonian(frame)
         Pi = subjective_choice_matrix(frame, params.lam)
@@ -338,7 +334,7 @@ class ActionMap:
         parts = np.stack([params.alpha * _dissipator(params.phi * belief_matrix(frame, e).T)
                           for e in np.eye(n)])
         etas = np.vstack([np.eye(n), np.full(n, 1.0 / n)])
-        gammas = _steady_batch(base + np.tensordot(etas, parts, axes=(1, 0)), frame, solver)
+        gammas = _steady_batch(base + np.tensordot(etas, parts, axes=(1, 0)), frame)
         self.vertices = gammas[:n]
         residual = float(np.abs(gammas[n] - self.vertices.mean(axis=0)).max())
         if residual > 1e-9:
@@ -355,10 +351,6 @@ class ActionMap:
         """Steady-state distributions for a stack of beliefs, shape (m, n)."""
         etas = np.asarray(etas, dtype=float)
         n = self.frame.n_states
-        if etas.ndim != 2 or etas.shape[1] != n:
+        if etas.ndim != 2:
             raise InvalidModel(f"beliefs must have shape (m, {n}), got {etas.shape}")
-        ok = (etas >= -1e-12).all(axis=1) & (np.abs(etas.sum(axis=1) - 1.0) <= 1e-12)
-        if not ok.all():
-            row = int(np.argmin(ok))
-            raise InvalidModel(f"belief row {row} is not a distribution: {etas[row]}")
-        return np.clip(etas, 0.0, None) @ self.vertices
+        return check_belief(etas, n) @ self.vertices

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidModel, NonConvergence
-from .protocol import bayes_step
+from .protocol import _transitions
 
 
 @dataclass(frozen=True)
@@ -74,15 +74,6 @@ class Policy:
 def always_stop_policy(grid):
     pts = grid.points
     return Policy(points=pts, u=np.ones(pts.size, dtype=int), threshold=0.0, crossings=0)
-
-
-def _transitions(points, like1, like2, p):
-    """Posterior pi(1) and marginal likelihood for each evidence value (the
-    rows of like1, like2) at each grid point, shape (n_evidence, npts).
-    Impossible evidence gets the prediction as a placeholder posterior; it
-    carries zero weight in the expectation."""
-    pred1, num1, _, sigma = bayes_step(points, 1.0 - points, like1, like2, p)
-    return np.where(sigma > 0, num1 / np.where(sigma > 0, sigma, 1.0), pred1), sigma
 
 
 def _action_transitions(kernel, change):

@@ -175,6 +175,11 @@ def test_load_config_bad_values():
         load_config("[frame]\nn_states = 2\n")     # missing keys
     with pytest.raises(ConfigError):
         load_config("not ini at all [[[")
+    # NaN compares false with everything, so each check must fail on it
+    with pytest.raises(ConfigError, match="observation likelihoods"):
+        load_config(BASE_INI.replace("b = 0.6 0.25 0.15 ; 0.15 0.25 0.6", "b = nan 0.5; 0.5 0.5"))
+    with pytest.raises(ConfigError, match="mixture weights"):
+        load_config(BASE_INI + "\n[mixture]\natom1 = 0.5 10 0.3 nan\n")
 
 
 def test_write_csv_layout(tmp_path):
@@ -266,14 +271,14 @@ def test_policy_roundtrip_no_threshold(tmp_path):
 
 def test_episode_trace_csv(
     tmp_path, pd_frame, pd_params, pd_change, pd_obs, pd_kernel_small,
-    pd_costs, pd_action_map,
+    pd_costs,
 ):
     from qdetect import always_stop_policy, simulate_episode
 
     trace = simulate_episode(
         pd_frame, pd_params, pd_change, pd_obs,
         always_stop_policy(pd_kernel_small.grid), pd_kernel_small, 3,
-        costs=pd_costs, action_map=pd_action_map,
+        costs=pd_costs,
     )
     path = str(tmp_path / "trace.csv")
     write_episode_trace(path, trace, "cafe01234567")
@@ -347,6 +352,11 @@ def test_cli_exit_codes(tmp_path, capsys):
     ini = write_ini(tmp_path, no_costs, "nocosts.ini")
     assert main(["--config", ini, "--out", str(tmp_path / "o"), "solve"]) == 2
     assert "error [config]" in capsys.readouterr().err
+
+    nan_obs = BASE_INI.replace("b = 0.6 0.25 0.15 ; 0.15 0.25 0.6", "b = nan 0.5; 0.5 0.5")
+    ini = write_ini(tmp_path, nan_obs, "nanobs.ini")
+    assert main(["--config", ini, "--out", str(tmp_path / "o"), "solve"]) == 2
+    assert "observation likelihoods" in capsys.readouterr().err
 
     ini = write_ini(tmp_path)
     out = str(tmp_path / "out2")

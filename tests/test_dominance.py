@@ -31,7 +31,6 @@ from qdetect import (
     value_iteration,
 )
 from qdetect.dominance import _channel_family, _mix_params
-from qdetect.quantum import DEFAULT_SOLVER
 
 PAIR_HI = PsychParams(0.9, 50.0, 0.3)    # dominating side of the test pair
 PAIR_LO = PsychParams(0.2, 50.0, 0.3)
@@ -40,7 +39,7 @@ LAM_LO = PsychParams(0.9, 10.0, 0.3)
 
 
 def family_at(frame, params, change, obs, pi1):
-    return _channel_family(frame, params, change, obs, [pi1], DEFAULT_SOLVER)[0]
+    return _channel_family(frame, params, change, obs, [pi1])[0]
 
 
 def random_stochastic(rng, rows, cols):
@@ -185,9 +184,9 @@ def test_betweenness_degenerate_pair(pd_frame, pd_change, pd_obs):
     assert _mix_params(p, PsychParams(0.1, 5.0, 0.9), 1.0) == p
     fam_mix = _channel_family(
         pd_frame, _mix_params(p, PsychParams(0.1, 5.0, 0.9), 1.0),
-        pd_change, pd_obs, [0.3], DEFAULT_SOLVER,
+        pd_change, pd_obs, [0.3],
     )
-    fam_p = _channel_family(pd_frame, p, pd_change, pd_obs, [0.3], DEFAULT_SOLVER)
+    fam_p = _channel_family(pd_frame, p, pd_change, pd_obs, [0.3])
     np.testing.assert_array_equal(fam_mix, fam_p)
 
 

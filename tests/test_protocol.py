@@ -43,7 +43,7 @@ from qdetect import (
     value_iteration,
 )
 from qdetect.protocol import _draw, observation_likelihood
-from qdetect.quantum import DEFAULT_SOLVER, assemble_lindbladian
+from qdetect.quantum import assemble_lindbladian
 
 
 def test_change_model_matrix_and_prior():
@@ -72,6 +72,10 @@ def test_observation_model_validation():
         ObservationModel(np.array([[0.5, 0.4], [0.5, 0.5]]))
     with pytest.raises(InvalidModel):
         ObservationModel(np.array([[1.1, -0.1], [0.5, 0.5]]))
+    with pytest.raises(InvalidModel, match=">= 0"):
+        ObservationModel(np.array([[np.nan, 0.5], [0.5, 0.5]]))
+    with pytest.raises(InvalidModel, match="sum to 1"):
+        ObservationModel(np.array([[np.inf, 0.5], [0.5, 0.5]]))
 
 
 def test_costs_validation():
@@ -217,6 +221,10 @@ def test_mixture_validation(pd_params):
         ParameterMixture(((pd_params, 0.6), (pd_params, 0.6)))
     with pytest.raises(InvalidModel):
         ParameterMixture(((pd_params, -0.2), (pd_params, 1.2)))
+    with pytest.raises(InvalidModel, match=">= 0"):
+        ParameterMixture(((pd_params, np.nan), (pd_params, 1.0)))
+    with pytest.raises(InvalidModel, match="sum to 1"):
+        ParameterMixture(((pd_params, np.inf), (pd_params, 1.0)))
     with pytest.raises(InvalidModel):
         ParameterMixture(())
 
@@ -286,7 +294,6 @@ def test_public_update_martingale_drift(pd_change, pd_kernel_small):
 
 def test_simulate_always_stop(
     pd_frame, pd_params, pd_change, pd_obs, pd_kernel_small, pd_costs,
-    pd_action_map,
 ):
     policy = always_stop_policy(pd_kernel_small.grid)
     alarms = 0
@@ -294,7 +301,7 @@ def test_simulate_always_stop(
     for seed in range(n):
         trace = simulate_episode(
             pd_frame, pd_params, pd_change, pd_obs, policy, pd_kernel_small,
-            seed, costs=pd_costs, action_map=pd_action_map,
+            seed, costs=pd_costs,
         )
         assert trace.stop_time == 1
         assert len(trace.records) == 1
@@ -307,9 +314,7 @@ def test_simulate_always_stop(
     assert abs(rate - 0.05) <= 3 * np.sqrt(0.05 * 0.95 / n)
 
 
-def test_simulate_runaway(
-    pd_frame, pd_params, pd_change, pd_obs, pd_kernel_small, pd_action_map
-):
+def test_simulate_runaway(pd_frame, pd_params, pd_change, pd_obs, pd_kernel_small):
     pts = pd_kernel_small.grid.points
     never_stop = Policy(
         points=pts, u=np.full(pts.size, 2), threshold=None, crossings=0
@@ -317,12 +322,12 @@ def test_simulate_runaway(
     with pytest.raises(RunawayEpisode):
         simulate_episode(
             pd_frame, pd_params, pd_change, pd_obs, never_stop,
-            pd_kernel_small, 1, action_map=pd_action_map, step_cap=25,
+            pd_kernel_small, 1, step_cap=25,
         )
 
 
 def test_simulate_forced_immediate_change(
-    pd_frame, pd_params, pd_obs, pd_kernel_small, pd_costs, pd_action_map
+    pd_frame, pd_params, pd_obs, pd_kernel_small, pd_costs
 ):
     # p = 1 forces tau0 = 1, so stopping immediately never false-alarms
     change = ChangeModel(p=1.0)
@@ -330,7 +335,7 @@ def test_simulate_forced_immediate_change(
     for seed in range(50):
         trace = simulate_episode(
             pd_frame, pd_params, change, pd_obs, policy, pd_kernel_small,
-            seed, costs=pd_costs, action_map=pd_action_map,
+            seed, costs=pd_costs,
         )
         assert trace.change_time == 1
         assert trace.cost == 0.0
@@ -338,12 +343,11 @@ def test_simulate_forced_immediate_change(
 
 def test_simulate_trace_bookkeeping(
     pd_frame, pd_params, pd_change, pd_obs, pd_kernel_small, pd_costs,
-    pd_action_map,
 ):
     _, policy = value_iteration(pd_kernel_small, pd_change, pd_costs)
     trace = simulate_episode(
         pd_frame, pd_params, pd_change, pd_obs, policy, pd_kernel_small,
-        12345, costs=pd_costs, action_map=pd_action_map,
+        12345, costs=pd_costs,
     )
     steps = [r[0] for r in trace.records]
     assert steps == list(range(1, trace.stop_time + 1))
@@ -410,11 +414,10 @@ def _oracle_episode(
     costs=None,
     action_map=None,
     step_cap=None,
-    solver=DEFAULT_SOLVER,
 ):
     # the scalar loop simulate_episode ran before the lockstep simulator
     rng = np.random.default_rng(seed)
-    amap = action_map if action_map is not None else ActionMap(frame, params, solver)
+    amap = action_map if action_map is not None else ActionMap(frame, params)
     if step_cap is None:
         step_cap = int(10 * change.mean_change_time + 1000)
     f = costs.f if costs is not None else 0.0
@@ -467,8 +470,7 @@ def _assert_matches_oracle(frame, params, change, obs, policy, kernel, costs, se
                            n=200):
     seeds = np.random.SeedSequence(seed).spawn(n)
     amap = ActionMap(frame, params)
-    batch = simulate_episodes(frame, params, change, obs, policy, kernel, seeds,
-                              costs=costs, action_map=amap)
+    batch = simulate_episodes(frame, params, change, obs, policy, kernel, seeds, costs=costs)
     traces = batch.traces()
     assert len(traces) == n
     for s, trace in zip(seeds, traces):
@@ -551,7 +553,7 @@ def test_estimate_cost_equals_oracle(
     assert got == want
 
 
-def test_lockstep_impossible_action(pd_frame, pd_params, pd_change, pd_obs, pd_action_map):
+def test_lockstep_impossible_action(pd_frame, pd_params, pd_change, pd_obs):
     # the kernel says action 2 never happens, but the agent plays it
     grid = BeliefGrid(20)
     table = np.zeros((2, grid.size, 2))
@@ -564,12 +566,12 @@ def test_lockstep_impossible_action(pd_frame, pd_params, pd_change, pd_obs, pd_a
     for i, seed in enumerate(seeds):
         with pytest.raises(ImpossibleAction) as alone:
             simulate_episode(pd_frame, pd_params, pd_change, pd_obs, never_stop,
-                             kernel, seed, action_map=pd_action_map)
+                             kernel, seed)
         assert alone.value.episode == 0
         first.append((alone.value.step, i))
     with pytest.raises(ImpossibleAction) as info:
         simulate_episodes(pd_frame, pd_params, pd_change, pd_obs, never_stop,
-                          kernel, seeds, action_map=pd_action_map)
+                          kernel, seeds)
     err = info.value
     assert (err.step, err.episode) == min(first)
     assert max(first)[0] > 1               # some episodes fail later than others

@@ -27,7 +27,7 @@ from qdetect import (
     subjective_choice_matrix,
 )
 from qdetect import quantum
-from qdetect.quantum import apply_superoperator, check_density
+from qdetect.quantum import apply_superoperator, check_belief, check_density
 
 
 def direct_choice_probs(utility, lam):
@@ -127,6 +127,10 @@ def test_belief_matrix_rejects_bad_beliefs(pd_frame):
         belief_matrix(pd_frame, np.array([1.2, -0.2]))
     with pytest.raises(InvalidModel):
         belief_matrix(pd_frame, np.array([1.0]))
+    with pytest.raises(InvalidModel, match="row 0"):       # NaN compares false
+        check_belief([np.nan, np.nan], 2)
+    with pytest.raises(InvalidModel, match="row 1"):
+        check_belief([[0.5, 0.5], [np.nan, 1.0]], 2)
 
 
 def test_cognitive_matrix_blend_endpoints(pd_frame):
@@ -320,6 +324,8 @@ def test_action_map_rejects_off_simplex_beliefs(pd_action_map):
         pd_action_map(np.array([1.5, -0.5]))
     with pytest.raises(InvalidModel, match="row 0"):
         pd_action_map(np.array([0.6, 0.6]))
+    with pytest.raises(InvalidModel, match="row 1"):
+        pd_action_map.batch(np.array([[0.5, 0.5], [np.nan, np.nan]]))
     with pytest.raises(InvalidModel, match="shape"):
         pd_action_map(np.array([0.2, 0.3, 0.5]))
     with pytest.raises(InvalidModel, match="shape"):
@@ -329,8 +335,8 @@ def test_action_map_rejects_off_simplex_beliefs(pd_action_map):
 def test_action_map_guards_the_affine_identity(pd_frame, pd_params, monkeypatch):
     solve = quantum._steady_batch
 
-    def bent(gens, frame, solver):
-        out = solve(gens, frame, solver)
+    def bent(gens, frame):
+        out = solve(gens, frame)
         out[-1] += np.array([1e-6, -1e-6])     # barycenter off the vertex mean
         return out
 
