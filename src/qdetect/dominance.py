@@ -12,12 +12,19 @@ KL-based robustness bound used by the sensitivity harness.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .errors import InvalidModel
 from .protocol import _channel_family, build_action_kernel, build_mismatched_kernel
 from .quantum import PsychParams
 from .stopping import evaluate_policy, value_iteration
+
+
+def linprog(*args, **kwargs):
+    """``scipy.optimize.linprog``, imported on first call: scipy.optimize
+    takes about a quarter second to import, and only the LP path needs it."""
+    from scipy.optimize import linprog as scipy_linprog
+
+    return scipy_linprog(*args, **kwargs)
 
 
 @dataclass(frozen=True)

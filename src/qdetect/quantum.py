@@ -41,7 +41,6 @@ populations, pi_x = p(. | x) for the choice rates and q for the action marginal:
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import (
     InvalidModel,
@@ -225,6 +224,8 @@ def evolve(superop, rho0, t):
     """Propagate rho0 for time t >= 0 under the generator."""
     if t < 0:
         raise InvalidModel(f"time must be >= 0, got {t}")
+    from scipy.linalg import expm
+
     rho0 = np.asarray(rho0, dtype=complex)
     d = rho0.shape[0]
     rho_t = (expm(superop * t) @ rho0.reshape(-1)).reshape(d, d)
@@ -253,6 +254,8 @@ def _finalize_distribution(probs):
 def _steady_rho_from_probes(superop, frame):
     """Long-time evolution fallback from the maximally mixed start; probes at
     t and 2t must agree elementwise before the result is accepted."""
+    from scipy.linalg import expm
+
     d = frame.dim
     v = maximally_mixed(frame).reshape(-1)
     t = PROBE_T0

@@ -1,11 +1,15 @@
 """Config parsing, CSV cache, and end-to-end CLI runs (in process)."""
 
 import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qdetect import (
+    ActionKernel,
+    BeliefGrid,
     CacheMiss,
     ConfigError,
     Policy,
@@ -252,6 +256,39 @@ def test_value_policy_roundtrip_exact(tmp_path, pd_kernel_small, pd_change, pd_c
     np.testing.assert_array_equal(pback.u, policy.u)
     assert pback.threshold == policy.threshold
     assert pback.crossings == policy.crossings
+
+
+@settings(max_examples=30)
+@given(st.integers(1, 30), st.integers(1, 4), st.floats(0.01, 10.0), st.integers(0, 2**32 - 1))
+def test_kernel_roundtrip_exact_on_random_tables(n_cells, A, concentration, seed):
+    # small concentrations give exact zeros and entries far below 1e-100
+    grid = BeliefGrid(n_cells)
+    rng = np.random.default_rng(seed)
+    table = rng.dirichlet(np.full(A, concentration), size=(2, grid.size))
+    kernel = ActionKernel(grid=grid, table=table)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "kernel.csv")
+        write_kernel(path, kernel, "cafe01234567")
+        back = read_kernel(path, "cafe01234567")
+    assert back.grid == grid
+    np.testing.assert_array_equal(back.table, table)
+
+
+@settings(max_examples=30)
+@given(st.integers(1, 30), st.integers(0, 2**32 - 1),
+       st.none() | st.floats(0.0, 1.0), st.integers(0, 30))
+def test_policy_roundtrip_exact_on_random_policies(n_cells, seed, threshold, crossings):
+    pts = BeliefGrid(n_cells).points
+    u = np.random.default_rng(seed).integers(1, 3, size=pts.size)
+    policy = Policy(points=pts, u=u, threshold=threshold, crossings=crossings)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "policy.csv")
+        write_policy(path, policy, "cafe01234567")
+        back = read_policy(path, "cafe01234567")
+    np.testing.assert_array_equal(back.points, pts)
+    np.testing.assert_array_equal(back.u, u)
+    assert back.threshold == threshold
+    assert back.crossings == crossings
 
 
 def test_policy_roundtrip_no_threshold(tmp_path):

@@ -13,12 +13,14 @@ computed sides.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qdetect import (
     ActionKernel,
     ActionMap,
     BeliefGrid,
     ChangeModel,
+    DecisionFrame,
     DetectionCosts,
     EpisodeTrace,
     ImpossibleAction,
@@ -42,7 +44,7 @@ from qdetect import (
     simulate_episodes,
     value_iteration,
 )
-from qdetect.protocol import _draw, observation_likelihood
+from qdetect.protocol import _draw, _transitions, bayes_step, observation_likelihood
 from qdetect.quantum import assemble_lindbladian
 
 
@@ -141,6 +143,52 @@ def test_kernel_rows_sum_and_interpolation(pd_kernel_small):
         pd_kernel_small.at(mid), 0.5 * (table[:, 7, :] + table[:, 8, :]),
         atol=1e-12,
     )
+
+
+@st.composite
+def kernel_models(draw):
+    # the change model has two states, so the frame does too; actions and
+    # observations range up to 4, phi as in the quantum oracle property
+    A = draw(st.integers(1, 4))
+    u = draw(st.lists(st.floats(1.0, 30.0), min_size=2 * A, max_size=2 * A))
+    params = PsychParams(
+        alpha=draw(st.floats(0.05, 1.0, exclude_min=True)),
+        lam=draw(st.floats(0.0, 50.0)),
+        phi=draw(st.sampled_from([0.0, 1.0]) | st.floats(1e-3, 1.0 - 1e-3)),
+    )
+    m = draw(st.integers(1, 4))
+    B = np.reshape(draw(st.lists(st.floats(0.0, 1.0), min_size=2 * m, max_size=2 * m)), (2, m))
+    B[:, 0] += 1e-3                         # every row keeps some mass
+    return (DecisionFrame(2, A, np.reshape(u, (A, 2))), params,
+            ChangeModel(draw(st.floats(1e-3, 1.0))),
+            ObservationModel(B / B.sum(axis=1, keepdims=True)),
+            BeliefGrid(draw(st.integers(1, 30))))
+
+
+@settings(max_examples=25)
+@given(kernel_models())
+def test_kernel_rows_stochastic_on_random_frames(model):
+    frame, params, change, obs, grid = model
+    table = build_action_kernel(frame, params, change, obs, grid).table
+    assert table.shape == (2, grid.size, frame.n_actions)
+    assert table.min() >= 0.0
+    assert np.abs(table.sum(axis=2) - 1.0).max() <= 1e-12
+
+
+UNIT = st.floats(0.0, 1.0)
+
+
+@settings(max_examples=200)
+@given(UNIT, UNIT, UNIT, st.floats(0.0, 1.0, exclude_min=True))
+def test_bayes_step_posteriors_stay_in_unit_interval(pi1, like1, like2, p):
+    pred1, num1, num2, sigma = bayes_step(pi1, 1.0 - pi1, like1, like2, p)
+    assert 0.0 <= pred1 <= 1.0
+    if sigma > 0:
+        assert 0.0 <= num1 / sigma <= 1.0
+        assert 0.0 <= num2 / sigma <= 1.0
+    post, marginal = _transitions(np.array([pi1]), np.array([[like1]]), np.array([[like2]]), p)
+    assert 0.0 <= post[0, 0] <= 1.0
+    assert marginal[0, 0] == sigma
 
 
 def test_kernel_belief_free_when_uncoupled(pd_frame, pd_change, pd_obs):

@@ -346,6 +346,16 @@ def test_action_map_guards_the_affine_identity(pd_frame, pd_params, monkeypatch)
     assert abs(exc.value.residual - 1e-6) <= 1e-12
 
 
+def test_action_map_guard_near_phi_one_is_a_typed_error(pd_frame):
+    # a valid config whose near-degenerate null space costs the eigensolve
+    # digits: the barycenter misses the vertex mean by about 3.2e-9, and the
+    # guard reports it instead of handing out distributions
+    with pytest.raises(NumericalFailure, match="barycenter") as exc:
+        ActionMap(pd_frame, PsychParams(alpha=1.0, lam=10.495, phi=1.0 - 1e-8))
+    assert np.isfinite(exc.value.residual)
+    assert exc.value.residual > 1e-9
+
+
 def test_frame_validation():
     with pytest.raises(InvalidModel):
         DecisionFrame(2, 2, np.array([[20.0, 5.0], [25.0, 0.0]]))
