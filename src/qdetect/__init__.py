@@ -60,14 +60,11 @@ from .dominance import (
     ParameterRegion,
     best_transform,
     box_grid,
-    convex_mixture_matrix,
     find_dominance_matrix,
     interpolation_betweenness_check,
-    inverse_stochasticity_report,
     model_distance,
     region_scan,
     sensitivity_bound_check,
-    stochasticity_defect,
 )
 from .config import ExperimentConfig, config_hash, load_config, load_config_file
 

@@ -290,6 +290,10 @@ def main(argv=None):
     if args.tol is not None:
         overrides["solver.vi_tol"] = args.tol
     try:
+        for name in ("phi_points", "episodes", "points_per_axis", "pi_samples"):
+            if getattr(args, name, 1) < 1:
+                raise ConfigError(f"--{name.replace('_', '-')} must be at least 1, "
+                                  f"got {getattr(args, name)}")
         config = load_config_file(args.config, overrides)
         if args.command == "stp-sweep":
             cmd_stp_sweep(config, n_phi=args.phi_points)

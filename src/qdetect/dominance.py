@@ -36,14 +36,6 @@ class DominanceCertificate:
 
 
 @dataclass(frozen=True)
-class StochasticityDefect:
-    """How far a matrix is from row-stochastic."""
-
-    row_sum_dev: float
-    negativity: float
-
-
-@dataclass(frozen=True)
 class KLBoundReport:
     """Per-grid-point check of the mismatch robustness bound."""
 
@@ -74,13 +66,6 @@ class ParameterRegion:
     phi: tuple
     classification: str
     witnesses: tuple
-
-
-def stochasticity_defect(M):
-    M = np.asarray(M, dtype=float)
-    row_sum_dev = float(np.abs(M.sum(axis=1) - 1.0).max())
-    negativity = float(max(0.0, -M.min()))
-    return StochasticityDefect(row_sum_dev=row_sum_dev, negativity=negativity)
 
 
 def _check_families(gamma_hat, gamma):
@@ -179,40 +164,6 @@ def find_dominance_matrix(gamma_hat, gamma, eps=1e-6):
     if resid <= eps:
         return DominanceCertificate(M=M, residual=resid)
     return None
-
-
-def convex_mixture_matrix(M1, M2, gammas):
-    """Column-weighted mixture M3[:, a] = gammas[a] M1[:, a] + (1-gammas[a]) M2[:, a].
-
-    Returns (M3, defect). The mixture preserves the garbling identity exactly
-    but can break row sums, so the stochasticity defect is reported rather
-    than assumed away.
-    """
-    M1 = np.asarray(M1, dtype=float)
-    M2 = np.asarray(M2, dtype=float)
-    w = np.asarray(gammas, dtype=float)
-    if M1.shape != M2.shape:
-        raise InvalidModel(f"matrix shapes differ: {M1.shape} vs {M2.shape}")
-    if w.shape != (M1.shape[1],):
-        raise InvalidModel("need one weight per action column")
-    if np.any(w < 0) or np.any(w > 1):
-        raise InvalidModel("mixture weights must lie in [0,1]")
-    M3 = w[None, :] * M1 + (1.0 - w[None, :]) * M2
-    return M3, stochasticity_defect(M3)
-
-
-def inverse_stochasticity_report(M):
-    """Invert M and report how close the inverse is to having unit row and
-    column sums. Observational only; nothing downstream assumes it."""
-    M = np.asarray(M, dtype=float)
-    if M.shape[0] != M.shape[1] or np.linalg.matrix_rank(M) < M.shape[0]:
-        return {"invertible": False}
-    inv = np.linalg.inv(M)
-    return {
-        "invertible": True,
-        "inverse_row_sum_dev": float(np.abs(inv.sum(axis=1) - 1.0).max()),
-        "inverse_col_sum_dev": float(np.abs(inv.sum(axis=0) - 1.0).max()),
-    }
 
 
 def _mix_params(p1, p2, eps):

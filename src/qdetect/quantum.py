@@ -214,12 +214,6 @@ def assemble_lindbladian(frame, params, eta):
     return coh + params.alpha * _dissipator(gamma)
 
 
-def apply_superoperator(superop, rho):
-    """Apply a vectorized generator to a density operator."""
-    d = rho.shape[0]
-    return (superop @ rho.reshape(-1)).reshape(d, d)
-
-
 def evolve(superop, rho0, t):
     """Propagate rho0 for time t >= 0 under the generator."""
     if t < 0:
@@ -232,13 +226,6 @@ def evolve(superop, rho0, t):
     if not np.all(np.isfinite(rho_t)):
         raise NumericalFailure(f"evolution produced non-finite entries at t={t}")
     return 0.5 * (rho_t + rho_t.conj().T)
-
-
-def action_marginal(rho, frame):
-    """Probabilities of each action: diagonal populations summed over states."""
-    diag = np.real(np.diag(rho))
-    probs = diag.reshape(frame.n_states, frame.n_actions).sum(axis=0)
-    return _finalize_distribution(probs)
 
 
 def _finalize_distribution(probs):
@@ -275,28 +262,22 @@ def _steady_rho_from_probes(superop, frame):
 def _steady_batch(gens, frame):
     """Steady-state action distributions of a stack of generators: one batched
     eigendecomposition, with long-time evolution where the null space is
-    degenerate or empty at tolerance."""
+    degenerate or empty at tolerance. Either way the density operator's
+    populations, summed over states, give the action distribution."""
     w, V = np.linalg.eig(gens)
-    null_counts = (np.abs(w) <= NULL_TOL).sum(axis=1)
+    simple = (np.abs(w) <= NULL_TOL).sum(axis=1) == 1
     d = frame.dim
-    out = np.empty((gens.shape[0], frame.n_actions))
-    simple = null_counts == 1
-    if simple.any():
-        pick = np.argmin(np.abs(w[simple]), axis=1)
-        vecs = np.take_along_axis(V[simple], pick[:, None, None], axis=2)[:, :, 0]
-        rhos = vecs.reshape(-1, d, d)
-        rhos = 0.5 * (rhos + np.conj(np.swapaxes(rhos, 1, 2)))
-        traces = np.trace(rhos, axis1=1, axis2=2).real
-        if np.any(np.abs(traces) < 1e-14):
-            raise NumericalFailure("null-space candidate has zero trace")
-        rhos /= traces[:, None, None]
-        diags = np.real(np.diagonal(rhos, axis1=1, axis2=2))
-        probs = diags.reshape(-1, frame.n_states, frame.n_actions).sum(axis=1)
-        out[simple] = np.stack([_finalize_distribution(p) for p in probs])
+    rhos = V[np.arange(len(V)), :, np.argmin(np.abs(w), axis=1)].reshape(-1, d, d)
+    rhos = 0.5 * (rhos + np.conj(np.swapaxes(rhos, 1, 2)))
+    traces = np.trace(rhos, axis1=1, axis2=2).real[simple]
+    if np.any(np.abs(traces) < 1e-14):
+        raise NumericalFailure("null-space candidate has zero trace")
+    rhos[simple] /= traces[:, None, None]
     for i in np.flatnonzero(~simple):
-        rho = _steady_rho_from_probes(gens[i], frame)
-        out[i] = action_marginal(rho, frame)
-    return out
+        rhos[i] = _steady_rho_from_probes(gens[i], frame)
+    diags = np.real(np.diagonal(rhos, axis1=1, axis2=2))
+    probs = diags.reshape(-1, frame.n_states, frame.n_actions).sum(axis=1)
+    return np.stack([_finalize_distribution(p) for p in probs])
 
 
 def steady_state_distribution(frame, params, eta):

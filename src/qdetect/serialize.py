@@ -13,7 +13,7 @@ import tempfile
 import numpy as np
 
 from .errors import CacheMiss, InvalidModel
-from .protocol import ActionKernel, BeliefGrid
+from .protocol import RECORD_FIELDS, ActionKernel, BeliefGrid
 from .stopping import Policy, ValueTable
 
 
@@ -164,7 +164,7 @@ def write_episode_trace(path, trace, config_hash):
     """Per-step log of one episode: n, x, y, eta1, a, pi1, u."""
     write_csv(
         path,
-        ("n", "x", "y", "eta1", "a", "pi1", "u"),
+        RECORD_FIELDS,
         trace.records,
         config_hash,
         meta={"change_time": trace.change_time, "stop_time": trace.stop_time,

@@ -13,6 +13,7 @@ from qdetect import (
     CacheMiss,
     ConfigError,
     Policy,
+    ValueTable,
     config_hash,
     load_config,
     value_iteration,
@@ -291,6 +292,21 @@ def test_policy_roundtrip_exact_on_random_policies(n_cells, seed, threshold, cro
     assert back.crossings == crossings
 
 
+@settings(max_examples=30)
+@given(st.integers(1, 30), st.integers(0, 2**32 - 1), st.integers(-290, 290))
+def test_value_roundtrip_exact_on_random_tables(n_cells, seed, exponent):
+    # signed values spread over many decades around 10**exponent
+    pts = BeliefGrid(n_cells).points
+    rng = np.random.default_rng(seed)
+    values = rng.standard_normal(pts.size) * 10.0 ** (exponent + rng.integers(-8, 9, pts.size))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "value.csv")
+        write_value(path, ValueTable(points=pts, values=values), "cafe01234567")
+        back = read_value(path, "cafe01234567")
+    np.testing.assert_array_equal(back.points, pts)
+    np.testing.assert_array_equal(back.values, values)
+
+
 def test_policy_roundtrip_no_threshold(tmp_path):
     pts = np.array([0.0, 0.5, 1.0])
     policy = Policy(points=pts, u=np.array([1, 2, 1]), threshold=None, crossings=2)
@@ -324,6 +340,27 @@ def test_episode_trace_csv(
     assert len(rows) == len(trace.records)
     assert meta["stop_time"] == "1"
     assert float(meta["cost"]) == trace.cost
+
+
+def test_episode_trace_round_trip(
+    tmp_path, pd_frame, pd_params, pd_change, pd_obs, pd_kernel_small,
+    pd_costs,
+):
+    from qdetect import simulate_episode
+
+    _, policy = value_iteration(pd_kernel_small, pd_change, pd_costs)
+    parse = (int, int, int, float, int, float, int)     # n, x, y, eta1, a, pi1, u
+    for seed in (0, 3, 17):
+        trace = simulate_episode(pd_frame, pd_params, pd_change, pd_obs,
+                                 policy, pd_kernel_small, seed, costs=pd_costs)
+        path = str(tmp_path / f"trace{seed}.csv")
+        write_episode_trace(path, trace, "cafe01234567")
+        meta, columns, rows = read_csv(path)
+        assert columns == ["n", "x", "y", "eta1", "a", "pi1", "u"]
+        assert [tuple(f(v) for f, v in zip(parse, r)) for r in rows] == list(trace.records)
+        assert int(meta["change_time"]) == trace.change_time
+        assert int(meta["stop_time"]) == trace.stop_time
+        assert float(meta["cost"]) == trace.cost
 
 
 def test_atomic_write(tmp_path):
@@ -407,6 +444,20 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert main(["--config", ini, "--out", str(tmp_path / "o3"),
                  "--tol", "1e-15", "solve"]) == 3
     assert "error [numerical]" in capsys.readouterr().err
+
+    # counts below 1 are config errors naming the flag, and write nothing
+    ini = write_ini(tmp_path)
+    out = str(tmp_path / "o4")
+    for argv in (["simulate", "--episodes", "-1"],
+                 ["simulate", "--episodes", "0"],
+                 ["region-scan", "--points-per-axis", "0"],
+                 ["region-scan", "--pi-samples", "0"],
+                 ["stp-sweep", "--phi-points", "-3"],
+                 ["stp-sweep", "--phi-points", "0"]):
+        assert main(["--config", ini, "--out", out, *argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error [config]: " + argv[1] + " must be at least 1")
+    assert not os.path.exists(out)
 
 
 def test_cli_cache_keyed_by_hash(tmp_path, capsys):

@@ -1,5 +1,5 @@
-"""Channel-comparison tests: garbling certificates, mixture algebra,
-betweenness, kernel distance, the robustness bound, and region scans.
+"""Channel-comparison tests: garbling certificates, betweenness, kernel
+distance, the robustness bound, and region scans.
 
 The LP certifier is cross-checked by an exhaustive grid scan over all 2x2
 row-stochastic matrices at 1e-4 resolution; the scan can only overshoot the
@@ -7,24 +7,20 @@ true minimax residual, and by at most the grid's Lipschitz slack.
 """
 
 import numpy as np
-import pytest
 
 from qdetect import (
     ActionKernel,
     BeliefGrid,
     ChangeModel,
     DetectionCosts,
-    InvalidModel,
     ParameterMixture,
     PsychParams,
     best_transform,
     box_grid,
     build_action_kernel,
     build_mismatched_kernel,
-    convex_mixture_matrix,
     find_dominance_matrix,
     interpolation_betweenness_check,
-    inverse_stochasticity_report,
     model_distance,
     region_scan,
     sensitivity_bound_check,
@@ -128,47 +124,6 @@ def test_certificate_soundness_lp_path():
         assert np.abs(ghat @ cert.M - g).max() <= 1e-6
         assert np.abs(cert.M.sum(axis=1) - 1.0).max() <= 1e-9
         assert cert.M.min() >= -1e-9
-
-
-def test_mixture_matrix_algebra():
-    rng = np.random.default_rng(11)
-    M1 = random_stochastic(rng, 3, 3)
-    M2 = random_stochastic(rng, 3, 3)
-
-    exact, _ = convex_mixture_matrix(M1, M2, np.ones(3))
-    np.testing.assert_array_equal(exact, M1)
-    exact, _ = convex_mixture_matrix(M1, M2, np.zeros(3))
-    np.testing.assert_array_equal(exact, M2)
-
-    ghat = random_stochastic(rng, 6, 3)
-    w = np.array([0.2, 0.7, 0.5])
-    M3, defect = convex_mixture_matrix(M1, M2, w)
-    lhs = ghat @ M3
-    rhs = w[None, :] * (ghat @ M1) + (1.0 - w[None, :]) * (ghat @ M2)
-    np.testing.assert_allclose(lhs, rhs, atol=1e-12)
-    assert abs(defect.row_sum_dev - np.abs(M3.sum(axis=1) - 1.0).max()) <= 1e-15
-    assert defect.negativity == 0.0
-
-    with pytest.raises(InvalidModel):
-        convex_mixture_matrix(M1, M2, np.array([0.5, 0.5]))
-    with pytest.raises(InvalidModel):
-        convex_mixture_matrix(M1, M2, np.array([0.5, 0.5, 1.5]))
-
-
-def test_mixture_of_belief_certificates(pd_frame, pd_change, pd_obs):
-    # certificates taken at two beliefs mix into a near-stochastic matrix
-    M = {}
-    for pi1 in (0.4, 0.6):
-        fs = family_at(pd_frame, PAIR_HI, pd_change, pd_obs, pi1)
-        fd = family_at(pd_frame, PAIR_LO, pd_change, pd_obs, pi1)
-        cert = find_dominance_matrix(fs, fd, eps=1e-6)
-        assert cert is not None
-        M[pi1] = cert.M
-    M3, defect = convex_mixture_matrix(M[0.4], M[0.6], np.array([0.5, 0.5]))
-    assert defect.row_sum_dev <= 1e-9
-    assert defect.negativity <= 1e-12
-    assert M3.min() >= -1e-12
-    assert M3.max() <= 1.0 + 1e-12
 
 
 def test_betweenness_degenerate_pair(pd_frame, pd_change, pd_obs):
@@ -352,16 +307,6 @@ def test_region_scan_asymmetric_pair(
     assert regions[1].classification == "dominated"
     assert len(regions[0].witnesses) == 1
     assert regions[1].witnesses == ()
-
-
-def test_inverse_stochasticity_report():
-    got = inverse_stochasticity_report(np.array([[0.3, 0.7], [0.6, 0.4]]))
-    assert got["invertible"]
-    assert got["inverse_row_sum_dev"] <= 1e-12
-    assert got["inverse_col_sum_dev"] > 0.1    # column sums are not preserved
-    assert inverse_stochasticity_report(np.full((2, 2), 0.5)) == {
-        "invertible": False
-    }
 
 
 def test_box_grid_counts():

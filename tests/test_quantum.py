@@ -27,7 +27,8 @@ from qdetect import (
     subjective_choice_matrix,
 )
 from qdetect import quantum
-from qdetect.quantum import apply_superoperator, check_belief, check_density
+from qdetect.cli import sweep_stp
+from qdetect.quantum import check_belief, check_density
 
 
 def direct_choice_probs(utility, lam):
@@ -163,7 +164,7 @@ def test_generator_is_trace_free(pd_frame):
             pd_frame, PsychParams(alpha, 10.495, 0.6), np.array([0.4, 0.6])
         )
         rho = random_density(rng, 4)
-        drho = apply_superoperator(L, rho)
+        drho = (L @ rho.reshape(-1)).reshape(4, 4)
         assert abs(np.trace(drho)) <= 1e-12
 
 
@@ -172,7 +173,7 @@ def test_generator_coherent_part_fixes_mixed_state(pd_frame):
     L = assemble_lindbladian(
         pd_frame, PsychParams(0.0, 10.495, 0.6), np.array([0.4, 0.6])
     )
-    drho = apply_superoperator(L, maximally_mixed(pd_frame))
+    drho = (L @ maximally_mixed(pd_frame).reshape(-1)).reshape(4, 4)
     assert np.abs(drho).max() <= 1e-14
 
 
@@ -288,6 +289,27 @@ def test_degenerate_generator_uses_fallback(pd_frame):
     gammas = amap.batch(etas)
     assert np.abs(gammas - gammas[0]).max() <= 1e-8
     assert abs(gammas[0, 1] - 0.8753214409) <= 1e-6
+
+
+def test_steady_readout_pinned_on_both_branches(pd_frame, monkeypatch):
+    # the phi = 0 row comes from the long-time fallback (its three vertex
+    # generators coincide and are degenerate), the phi = 0.5 and phi = 1 rows
+    # from the eigensolve; both readouts must keep these exact bits
+    probes = quantum._steady_rho_from_probes
+    calls = []
+
+    def counted(superop, frame):
+        calls.append(superop)
+        return probes(superop, frame)
+
+    monkeypatch.setattr(quantum, "_steady_rho_from_probes", counted)
+    rows = sweep_stp(pd_frame, PsychParams(0.812, 10.495, 0.9), n_phi=3)
+    assert rows == [
+        (0.0, 0.8753214409471435, 0.8753214409471435, 0.8753214409471435, False),
+        (0.5, 0.8494499883822174, 0.7885473796040529, 0.8189986839931351, False),
+        (1.0, 0.49999999999999994, 0.5000000000000001, 0.5, False),
+    ]
+    assert len(calls) == 3
 
 
 @st.composite
