@@ -137,8 +137,6 @@ def cmd_simulate(config, n_episodes, out=None):
                               kernel, np.random.SeedSequence(config.seed).spawn(n_episodes),
                               costs=config.costs)
     tau0, tau, costs = (v.tolist() for v in (batch.change_time, batch.stop_time, batch.cost))
-    rows = [(i, t0, t, max(t - t0, 0), t < t0, c)
-            for i, (t0, t, c) in enumerate(zip(tau0, tau, costs))]
     delays = [t - t0 for t0, t in zip(tau0, tau) if t >= t0]
     costs_sum = costs_sq = 0.0
     for c in costs:                      # in order: the printed statistics depend on it
@@ -146,7 +144,11 @@ def cmd_simulate(config, n_episodes, out=None):
         costs_sq += c**2
     path = out or os.path.join(cache, "episodes.csv")
     serialize.write_csv(path, ("episode", "tau0", "tau", "delay", "false_alarm", "cost"),
-                        rows, config.hash)
+                        serialize.Columns((np.arange(n_episodes), batch.change_time,
+                                           batch.stop_time,
+                                           np.maximum(batch.stop_time - batch.change_time, 0),
+                                           batch.stop_time < batch.change_time, batch.cost)),
+                        config.hash)
     mean = costs_sum / n_episodes
     var = max(costs_sq / n_episodes - mean**2, 0.0)
     stderr = (var * n_episodes / max(n_episodes - 1, 1)) ** 0.5 / n_episodes**0.5

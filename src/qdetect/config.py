@@ -8,7 +8,7 @@ Sections and keys:
     [change]       p
     [observation]  B (rows ';'-separated)
     [costs]        f, d
-    [solver]       grid_n, vi_tol, max_iter, seed
+    [solver]       grid_n, vi_tol (finite, > 0), max_iter (>= 1), seed (>= 0)
     [output]       dir
 
 Only [frame] and [params] are universally required; each command validates
@@ -174,6 +174,16 @@ def load_config(text, overrides=None):
     except Exception as exc:
         # model-level validation failures surface as config errors
         raise ConfigError(str(exc)) from None
+    vi_tol = _get(sections, "solver", "vi_tol", float, 1e-8)
+    max_iter = _get(sections, "solver", "max_iter", int, 10000)
+    seed = _get(sections, "solver", "seed", int)
+    for key, value, ok, rule in (
+        ("vi_tol", vi_tol, np.isfinite(vi_tol) and vi_tol > 0, "finite and > 0"),
+        ("max_iter", max_iter, max_iter >= 1, ">= 1"),
+        ("seed", seed, seed is None or seed >= 0, ">= 0"),
+    ):
+        if not ok:
+            raise ConfigError(f"[solver] {key} = {value!r} must be {rule}")
 
     return ExperimentConfig(
         frame=frame,
@@ -183,9 +193,9 @@ def load_config(text, overrides=None):
         obs=obs,
         costs=costs,
         grid=grid,
-        vi_tol=_get(sections, "solver", "vi_tol", float, 1e-8),
-        max_iter=_get(sections, "solver", "max_iter", int, 10000),
-        seed=_get(sections, "solver", "seed", int),
+        vi_tol=vi_tol,
+        max_iter=max_iter,
+        seed=seed,
         out_dir=_get(sections, "output", "dir", str, "out"),
         hash=config_hash(sections),
     )

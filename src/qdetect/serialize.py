@@ -27,6 +27,21 @@ def _fmt(value):
     return str(value)
 
 
+def _format_column(values):
+    """The _fmt strings of one column; an int, float or bool ndarray is
+    formatted from its .tolist() scalars by dtype kind, to the same strings."""
+    if isinstance(values, np.ndarray) and values.dtype.kind in "biuf":
+        items = values.tolist()
+        if values.dtype.kind == "b":
+            return ["1" if v else "0" for v in items]
+        return list(map(repr if values.dtype.kind == "f" else str, items))
+    return [_fmt(v) for v in values]
+
+
+class Columns(tuple):
+    """Table data for write_csv given column by column, one sequence each."""
+
+
 def atomic_write_text(path, text):
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
@@ -42,12 +57,15 @@ def atomic_write_text(path, text):
 
 
 def write_csv(path, columns, rows, config_hash, meta=None):
+    """Header comments, the column names and one line per row. rows is a
+    sequence of row tuples, or a Columns holding one sequence per column."""
+    cols = rows
+    if not isinstance(rows, Columns):
+        cols = tuple(zip(*rows, strict=True)) or ((),) * len(columns)
     lines = [f"# config={config_hash}"]
-    for key, value in (meta or {}).items():
-        lines.append(f"# {key}={_fmt(value)}")
+    lines += [f"# {key}={_fmt(value)}" for key, value in (meta or {}).items()]
     lines.append(",".join(columns))
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
+    lines += map(",".join, zip(*map(_format_column, cols), strict=True))
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
@@ -85,14 +103,12 @@ def _require_hash(meta, config_hash, path):
 
 
 def write_kernel(path, kernel, config_hash):
-    rows = []
-    pts = kernel.grid.points
-    for x in range(2):
-        for i, pi1 in enumerate(pts):
-            for a in range(kernel.n_actions):
-                rows.append((pi1, x + 1, a + 1, kernel.table[x, i, a]))
+    """One row per (x, pi1, a) cell, in that order."""
+    pts, A = kernel.grid.points, kernel.n_actions
+    columns = Columns((np.tile(np.repeat(pts, A), 2), np.repeat([1, 2], pts.size * A),
+                       np.tile(np.arange(1, A + 1), 2 * pts.size), kernel.table.reshape(-1)))
     write_csv(
-        path, ("pi1", "x", "a", "R"), rows, config_hash,
+        path, ("pi1", "x", "a", "R"), columns, config_hash,
         meta={"grid_n": kernel.grid.n_cells, "n_actions": kernel.n_actions},
     )
 
@@ -122,8 +138,7 @@ def read_kernel(path, config_hash):
 
 
 def write_value(path, table, config_hash):
-    rows = list(zip(table.points, table.values))
-    write_csv(path, ("pi1", "V"), rows, config_hash)
+    write_csv(path, ("pi1", "V"), Columns((table.points, table.values)), config_hash)
 
 
 def read_value(path, config_hash):
@@ -142,8 +157,7 @@ def write_policy(path, policy, config_hash):
         "threshold": "none" if policy.threshold is None else repr(policy.threshold),
         "crossings": policy.crossings,
     }
-    rows = list(zip(policy.points, policy.u))
-    write_csv(path, ("pi1", "u"), rows, config_hash, meta=meta)
+    write_csv(path, ("pi1", "u"), Columns((policy.points, policy.u)), config_hash, meta=meta)
 
 
 def read_policy(path, config_hash):

@@ -87,13 +87,19 @@ def _iterate(points, transitions, costs, tol, max_iter, stop_mask=None):
     fixed, stopping exactly where the mask is set. Returns the value table
     and the greedy policy against it."""
     t1, weights = transitions
+    queries = t1.reshape(-1)
     stop_cost = costs.f * (1.0 - points)
     delay_cost = costs.d * points
+
+    def continuation(V):
+        # one interp over every posterior; the rows add in evidence order from 0
+        return delay_cost + sum(weights * np.interp(queries, points, V).reshape(t1.shape))
+
     fixed = stop_mask is not None
     V = np.where(stop_mask, stop_cost, 0.0) if fixed else np.zeros_like(points)
     delta = np.inf
     for sweep in range(1, max_iter + 1):
-        cont = delay_cost + sum(w * np.interp(t, points, V) for t, w in zip(t1, weights))
+        cont = continuation(V)
         Vn = np.where(stop_mask, stop_cost, cont) if fixed else np.minimum(stop_cost, cont)
         delta = np.abs(Vn - V).max()
         V = Vn
@@ -102,7 +108,7 @@ def _iterate(points, transitions, costs, tol, max_iter, stop_mask=None):
     else:
         raise NonConvergence(f"{'policy evaluation' if fixed else 'value iteration'} missed "
                              f"tolerance {tol} after {max_iter} sweeps", last_delta=float(delta))
-    cont = delay_cost + sum(w * np.interp(t, points, V) for t, w in zip(t1, weights))
+    cont = continuation(V)
     u = np.where(stop_cost <= cont, 1, 2)
     threshold, crossings = extract_threshold(points, u)
     return (

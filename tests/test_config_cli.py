@@ -6,6 +6,7 @@ import tempfile
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from qdetect import (
     ActionKernel,
@@ -20,6 +21,7 @@ from qdetect import (
 )
 from qdetect.cli import _parse_box, _parse_f_values, main
 from qdetect.serialize import (
+    Columns,
     atomic_write_text,
     read_csv,
     read_kernel,
@@ -185,6 +187,15 @@ def test_load_config_bad_values():
         load_config(BASE_INI.replace("b = 0.6 0.25 0.15 ; 0.15 0.25 0.6", "b = nan 0.5; 0.5 0.5"))
     with pytest.raises(ConfigError, match="mixture weights"):
         load_config(BASE_INI + "\n[mixture]\natom1 = 0.5 10 0.3 nan\n")
+    # [solver] values that no run can use: the error names the key and the value
+    for line, match in (("seed = -1", r"seed = -1 must be >= 0"),
+                        ("seed = 11\nvi_tol = -1", r"vi_tol = -1\.0 must be finite and > 0"),
+                        ("seed = 11\nvi_tol = 0", r"vi_tol = 0\.0 must be"),
+                        ("seed = 11\nvi_tol = nan", r"vi_tol = nan must be"),
+                        ("seed = 11\nvi_tol = inf", r"vi_tol = inf must be"),
+                        ("seed = 11\nmax_iter = 0", r"max_iter = 0 must be >= 1")):
+        with pytest.raises(ConfigError, match=r"\[solver\] " + match):
+            load_config(BASE_INI.replace("seed = 11", line))
 
 
 def test_write_csv_layout(tmp_path):
@@ -204,6 +215,72 @@ def test_write_csv_layout(tmp_path):
     assert meta == {"config": "deadbeef0123", "note": "7"}
     assert columns == ["a", "b"]
     assert rows == [["1", "1"], ["0.5", "0"]]
+
+
+def oracle_fmt(value):
+    # the per-value formatter every artifact used before column-wise writes
+    if isinstance(value, (bool, np.bool_)):
+        return "1" if value else "0"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
+    return str(value)
+
+
+def oracle_csv_text(columns, rows, config_hash, meta):
+    lines = [f"# config={config_hash}"]
+    lines += [f"# {key}={oracle_fmt(value)}" for key, value in meta.items()]
+    lines.append(",".join(columns))
+    lines += [",".join(oracle_fmt(v) for v in row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+EDGE_FLOATS = st.sampled_from([0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -2.2250738585072e-308,
+                               1e-300, -1e300, 1.7976931348623157e308])
+FLOAT_VALUES = EDGE_FLOATS | st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
+
+
+@st.composite
+def csv_tables(draw):
+    n = draw(st.integers(0, 12))
+    kinds = draw(st.lists(st.sampled_from(["f8", "f4", "i8", "u1", "bool", "list"]),
+                          min_size=1, max_size=5))
+    columns = []
+    for kind in kinds:
+        if kind == "f8":
+            columns.append(draw(hnp.arrays(np.float64, n, elements=FLOAT_VALUES)))
+        elif kind == "f4":
+            columns.append(draw(hnp.arrays(np.float32, n, elements=st.floats(width=32))))
+        elif kind == "list":                # plain Python values take the _fmt path
+            columns.append(draw(st.lists(st.integers(-10**20, 10**20) | FLOAT_VALUES
+                                         | st.booleans() | st.text("ab", max_size=2),
+                                         min_size=n, max_size=n)))
+        else:
+            columns.append(draw(hnp.arrays(np.dtype(kind), n)))
+    meta = {"m_float": draw(FLOAT_VALUES), "m_int": draw(st.integers()),
+            "m_np": np.int32(draw(st.integers(-5, 5))), "m_flag": draw(st.booleans())}
+    return [f"c{i}" for i in range(len(columns))], columns, meta
+
+
+@settings(max_examples=100)
+@given(csv_tables())
+def test_write_csv_columns_match_per_row_oracle(table):
+    names, columns, meta = table
+    expected = oracle_csv_text(names, zip(*columns), "feed01234567", meta)
+    with tempfile.TemporaryDirectory() as tmp:
+        for i, data in enumerate((Columns(columns), list(zip(*columns)))):
+            path = os.path.join(tmp, f"t{i}.csv")
+            write_csv(path, names, data, "feed01234567", meta=meta)
+            with open(path, encoding="utf-8", newline="") as fh:
+                assert fh.read() == expected
+
+
+def test_write_csv_zero_rows_writes_header_only(tmp_path):
+    for i, data in enumerate(([], Columns((np.zeros(0), np.zeros(0, dtype=int))))):
+        path = tmp_path / f"empty{i}.csv"
+        write_csv(str(path), ("a", "b"), data, "feed01234567")
+        assert path.read_text(encoding="utf-8") == "# config=feed01234567\na,b\n"
 
 
 def test_read_csv_misses(tmp_path):
@@ -457,6 +534,18 @@ def test_cli_exit_codes(tmp_path, capsys):
         assert main(["--config", ini, "--out", out, *argv]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error [config]: " + argv[1] + " must be at least 1")
+    assert not os.path.exists(out)
+
+    # impossible [solver] values exit 2 at load, before anything is written
+    zero_iter = write_ini(tmp_path, BASE_INI.replace("seed = 11", "seed = 11\nmax_iter = 0"),
+                          "zeroiter.ini")
+    for cfg, argv, key in ((ini, ["--seed", "-1", "simulate"], "seed"),
+                           (ini, ["--seed", "-1", "solve"], "seed"),
+                           (ini, ["--tol", "-1", "solve"], "vi_tol"),
+                           (ini, ["--tol", "nan", "threshold-sweep"], "vi_tol"),
+                           (zero_iter, ["solve"], "max_iter")):
+        assert main(["--config", cfg, "--out", out, *argv]) == 2
+        assert capsys.readouterr().err.startswith(f"error [config]: [solver] {key} = ")
     assert not os.path.exists(out)
 
 

@@ -9,8 +9,10 @@ first grid point at or above pi*, independent of the action channel.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qdetect import (
+    ActionKernel,
     BeliefGrid,
     ChangeModel,
     DetectionCosts,
@@ -25,7 +27,8 @@ from qdetect import (
     extract_threshold,
     value_iteration,
 )
-from qdetect.stopping import _action_transitions
+from qdetect.protocol import _transitions
+from qdetect.stopping import _action_transitions, _iterate
 
 
 def one_step_crossing(costs, change):
@@ -226,3 +229,81 @@ def test_nonconvergence_reports_delta(pd_kernel_small, pd_change, pd_costs):
             pd_kernel_small, pd_change, pd_costs, tol=1e-15, max_iter=1
         )
     assert exc.value.last_delta > 0.0
+
+
+def oracle_iterate(points, transitions, costs, tol, max_iter, stop_mask=None):
+    # the Bellman loop with one np.interp per evidence value, summed in Python
+    t1, weights = transitions
+    stop_cost = costs.f * (1.0 - points)
+    delay_cost = costs.d * points
+    fixed = stop_mask is not None
+    V = np.where(stop_mask, stop_cost, 0.0) if fixed else np.zeros_like(points)
+    for sweep in range(1, max_iter + 1):
+        cont = delay_cost + sum(w * np.interp(t, points, V) for t, w in zip(t1, weights))
+        Vn = np.where(stop_mask, stop_cost, cont) if fixed else np.minimum(stop_cost, cont)
+        delta = np.abs(Vn - V).max()
+        V = Vn
+        if delta <= tol:
+            break
+    else:
+        return None, float(delta)
+    cont = delay_cost + sum(w * np.interp(t, points, V) for t, w in zip(t1, weights))
+    u = np.where(stop_cost <= cont, 1, 2)
+    return (V, sweep, u, *extract_threshold(points, u)), None
+
+
+def assert_matches_oracle(solve, oracle):
+    # solve returns (table, policy), or the table alone for a fixed policy
+    expected, missed = oracle
+    if expected is None:
+        with pytest.raises(NonConvergence) as exc:
+            solve()
+        assert exc.value.last_delta == missed
+        return
+    V, sweeps, u, threshold, crossings = expected
+    result = solve()
+    table, policy = result if isinstance(result, tuple) else (result, None)
+    assert table.values.tobytes() == V.tobytes()
+    assert table.sweeps == sweeps
+    if policy is not None:
+        np.testing.assert_array_equal(policy.u, u)
+        assert policy.threshold == threshold
+        assert policy.crossings == crossings
+
+
+def stochastic_rows(draw, shape, concentration):
+    seed = draw(st.integers(0, 2**32 - 1))
+    return np.random.default_rng(seed).dirichlet(np.full(shape[-1], concentration), shape[:-1])
+
+
+@settings(max_examples=40)
+@given(st.data())
+def test_iterate_matches_per_evidence_oracle(data):
+    # small concentrations give exact zeros: impossible evidence and flat rows
+    draw = data.draw
+    grid = BeliefGrid(draw(st.integers(1, 40)))
+    pts = grid.points
+    A, n_obs = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    concentration = draw(st.sampled_from([0.05, 1.0, 20.0]))
+    kernel = ActionKernel(grid=grid, table=stochastic_rows(draw, (2, grid.size, A), concentration))
+    obs = ObservationModel(stochastic_rows(draw, (2, n_obs), concentration))
+    change = ChangeModel(draw(st.floats(0.0, 1.0, exclude_min=True)))
+    costs = DetectionCosts(f=draw(st.floats(0.0, 100.0)), d=draw(st.floats(0.0, 10.0)))
+    tol, max_iter = 1e-8, 300                  # slow changes may miss it: both must then raise
+
+    actions = _action_transitions(kernel, change)
+    assert_matches_oracle(lambda: value_iteration(kernel, change, costs, tol, max_iter),
+                          oracle_iterate(pts, actions, costs, tol, max_iter))
+    observations = _transitions(pts, obs.B[0][:, None], obs.B[1][:, None], change.p)
+    assert_matches_oracle(
+        lambda: classical_value_iteration(change, obs, costs, grid, tol, max_iter),
+        oracle_iterate(pts, observations, costs, tol, max_iter))
+
+    u = draw(st.lists(st.sampled_from([1, 2]), min_size=grid.size, max_size=grid.size))
+    policy = Policy(points=pts, u=u, threshold=None, crossings=0)
+    mask = policy.decide(pts) == 1
+    oracle = oracle_iterate(pts, actions, costs, tol, max_iter, stop_mask=mask)
+    assert_matches_oracle(lambda: _iterate(pts, actions, costs, tol, max_iter, stop_mask=mask),
+                          oracle)
+    assert_matches_oracle(lambda: evaluate_policy(kernel, change, costs, policy, tol, max_iter),
+                          oracle)
