@@ -55,12 +55,10 @@ from .stopping import (
 )
 from .dominance import (
     BetweennessReport,
-    DominanceCertificate,
     KLBoundReport,
     ParameterRegion,
     best_transform,
     box_grid,
-    find_dominance_matrix,
     interpolation_betweenness_check,
     model_distance,
     region_scan,

@@ -33,7 +33,7 @@ def _cache_dir(config):
     return os.path.join(config.out_dir, config.hash)
 
 
-def sweep_stp(frame, params, n_phi=101):
+def sweep_stp(frame, params, n_phi):
     """Certain-belief and uniform-belief action rates across the coupling
     sweep, with a total-probability violation flag per row.
 
@@ -62,9 +62,9 @@ def violation_onset(rows):
     return None
 
 
-def cmd_stp_sweep(config, n_phi=101, out=None):
-    rows = sweep_stp(config.frame, config.params, n_phi)
-    path = out or os.path.join(_cache_dir(config), "stp_sweep.csv")
+def cmd_stp_sweep(config, args):
+    rows = sweep_stp(config.frame, config.params, args.phi_points)
+    path = os.path.join(_cache_dir(config), "stp_sweep.csv")
     serialize.write_csv(
         path,
         ("phi", "p_defect_given_defect", "p_defect_given_coop",
@@ -76,10 +76,9 @@ def cmd_stp_sweep(config, n_phi=101, out=None):
     print(f"stp-sweep: {len(rows)} rows -> {path}")
     print(f"stp-sweep: violation onset "
           f"{'none' if onset is None else f'{onset:.4g}'}")
-    return path, rows
 
 
-def cmd_solve(config, out=None):
+def cmd_solve(config, args):
     config.require("change", "obs", "costs")
     kernel = build_action_kernel(
         config.frame, config.params, config.change, config.obs, config.grid
@@ -88,17 +87,33 @@ def cmd_solve(config, out=None):
         kernel, config.change, config.costs,
         tol=config.vi_tol, max_iter=config.max_iter,
     )
-    cache = out or _cache_dir(config)
+    cache = _cache_dir(config)
     serialize.write_kernel(os.path.join(cache, "kernel.csv"), kernel, config.hash)
     serialize.write_value(os.path.join(cache, "value.csv"), table, config.hash)
     serialize.write_policy(os.path.join(cache, "policy.csv"), policy, config.hash)
     thr = "none" if policy.threshold is None else f"{policy.threshold:.6g}"
     print(f"solve: threshold {thr} ({policy.crossings} crossings), "
           f"{table.sweeps} sweeps -> {cache}")
-    return cache, table, policy
 
 
-def cmd_threshold_sweep(config, f_values, out=None):
+def _parse_f_values(text):
+    values = []
+    try:
+        for seg in text.split(","):
+            if ":" in seg:
+                lo, hi = seg.split(":")
+                values.extend(range(int(lo), int(hi) + 1))
+            else:
+                values.append(float(seg))
+    except ValueError as exc:
+        raise ConfigError(f"bad f values {text!r}: {exc}") from None
+    if not values:
+        raise ConfigError("empty f value list")
+    return [float(v) for v in values]
+
+
+def cmd_threshold_sweep(config, args):
+    f_values = _parse_f_values(args.f_values)
     config.require("change", "obs", "costs")
     kernel = build_action_kernel(
         config.frame, config.params, config.change, config.obs, config.grid
@@ -117,15 +132,15 @@ def cmd_threshold_sweep(config, f_values, out=None):
         thr_q = np.nan if pol_q.threshold is None else pol_q.threshold
         thr_c = np.nan if pol_c.threshold is None else pol_c.threshold
         rows.append((float(f), float(thr_q), float(thr_c)))
-    path = out or os.path.join(_cache_dir(config), "thresholds.csv")
+    path = os.path.join(_cache_dir(config), "thresholds.csv")
     serialize.write_csv(
         path, ("f", "thr_quantum", "thr_classical"), rows, config.hash
     )
     print(f"threshold-sweep: {len(rows)} rows -> {path}")
-    return path, rows
 
 
-def cmd_simulate(config, n_episodes, out=None):
+def cmd_simulate(config, args):
+    n_episodes = args.episodes
     config.require("change", "obs", "costs", "seed")
     cache = _cache_dir(config)
     try:
@@ -142,7 +157,7 @@ def cmd_simulate(config, n_episodes, out=None):
     for c in costs:                      # in order: the printed statistics depend on it
         costs_sum += c
         costs_sq += c**2
-    path = out or os.path.join(cache, "episodes.csv")
+    path = os.path.join(cache, "episodes.csv")
     serialize.write_csv(path, ("episode", "tau0", "tau", "delay", "false_alarm", "cost"),
                         serialize.Columns((np.arange(n_episodes), batch.change_time,
                                            batch.stop_time,
@@ -157,10 +172,9 @@ def cmd_simulate(config, n_episodes, out=None):
     print(f"simulate: {n_episodes} episodes -> {path}")
     print(f"simulate: mean cost {mean:.6g} +- {stderr:.3g}, "
           f"P(false alarm) {p_fa:.4g}, mean delay | detection {mean_delay:.4g}")
-    return path, mean, stderr, p_fa, mean_delay
 
 
-def cmd_sensitivity(config, out=None):
+def cmd_sensitivity(config, args):
     config.require("change", "obs", "costs", "mixture")
     report = sensitivity_bound_check(
         config.frame, config.params, config.mixture, config.change,
@@ -171,14 +185,13 @@ def cmd_sensitivity(config, out=None):
         (pi1, lhs, rhs, rhs - lhs)
         for pi1, lhs, rhs in zip(report.points, report.lhs, report.rhs)
     ]
-    path = out or os.path.join(_cache_dir(config), "sensitivity.csv")
+    path = os.path.join(_cache_dir(config), "sensitivity.csv")
     serialize.write_csv(
         path, ("pi1", "lhs", "rhs", "slack"), rows, config.hash,
         meta={"K": report.K, "distance": report.distance},
     )
     print(f"sensitivity: K {report.K:.6g}, distance {report.distance:.6g}, "
           f"worst slack {report.worst_slack:.6g} -> {path}")
-    return path, report
 
 
 def _parse_box(text):
@@ -186,19 +199,23 @@ def _parse_box(text):
         parts = [seg.split(":") for seg in text.split(",")]
         if len(parts) != 3 or any(len(p) != 2 for p in parts):
             raise ValueError("expected lo:hi,lo:hi,lo:hi for alpha,lambda,phi")
-        return tuple((float(lo), float(hi)) for lo, hi in parts)
+        box = tuple((float(lo), float(hi)) for lo, hi in parts)
+        for axis, (lo, hi) in zip(("alpha", "lambda", "phi"), box):
+            if not lo <= hi:
+                raise ValueError(f"{axis} needs lo <= hi, got {lo!r}:{hi!r}")
+        return box
     except ValueError as exc:
         raise ConfigError(f"bad box {text!r}: {exc}") from None
 
 
-def cmd_region_scan(config, ref_box, test_box, points_per_axis=5,
-                    pi_samples=11, out=None):
+def cmd_region_scan(config, args):
+    ref_box, test_box = _parse_box(args.ref_box), _parse_box(args.test_box)
     config.require("change", "obs", "costs")
-    ref_points = box_grid(*ref_box, points_per_axis=points_per_axis)
-    test_points = box_grid(*test_box, points_per_axis=points_per_axis)
+    ref_points = box_grid(*ref_box, args.points_per_axis)
+    test_points = box_grid(*test_box, args.points_per_axis)
     regions, rows = region_scan(
         config.frame, ref_points, test_points, config.change, config.obs,
-        config.costs, config.grid, pi_samples=pi_samples,
+        config.costs, config.grid, pi_samples=args.pi_samples,
         tol=config.vi_tol, max_iter=config.max_iter,
     )
     csv_rows = [
@@ -207,7 +224,7 @@ def cmd_region_scan(config, ref_box, test_box, points_per_axis=5,
          r.direction, r.certified, r.residual, r.worst_V_margin)
         for r in rows
     ]
-    path = out or os.path.join(_cache_dir(config), "region_scan.csv")
+    path = os.path.join(_cache_dir(config), "region_scan.csv")
     serialize.write_csv(
         path,
         ("alpha_ref", "lambda_ref", "phi_ref",
@@ -227,23 +244,15 @@ def cmd_region_scan(config, ref_box, test_box, points_per_axis=5,
           f"test box {test_r.classification}; "
           f"alpha-separated dominating/dominated pair certified: "
           f"{'yes' if separated else 'no'}")
-    return path, regions, rows
 
 
-def _parse_f_values(text):
-    values = []
-    try:
-        for seg in text.split(","):
-            if ":" in seg:
-                lo, hi = seg.split(":")
-                values.extend(range(int(lo), int(hi) + 1))
-            else:
-                values.append(float(seg))
-    except ValueError as exc:
-        raise ConfigError(f"bad f values {text!r}: {exc}") from None
-    if not values:
-        raise ConfigError("empty f value list")
-    return [float(v) for v in values]
+# (global flag, type, help, the dotted config key it overrides)
+_OVERRIDES = (
+    ("out", str, "output directory (overrides config)", "output.dir"),
+    ("seed", int, "seed override", "solver.seed"),
+    ("grid", int, "belief grid cells override", "solver.grid_n"),
+    ("tol", float, "value iteration tolerance override", "solver.vi_tol"),
+)
 
 
 def build_parser():
@@ -252,24 +261,27 @@ def build_parser():
         description="Quantum-decision change detection experiments",
     )
     parser.add_argument("--config", required=True, help="INI config path")
-    parser.add_argument("--out", help="output directory (overrides config)")
-    parser.add_argument("--seed", type=int, help="seed override")
-    parser.add_argument("--grid", type=int, help="belief grid cells override")
-    parser.add_argument("--tol", type=float, help="value iteration tolerance override")
+    for flag, cast, text, _ in _OVERRIDES:
+        parser.add_argument(f"--{flag}", type=cast, help=text)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("stp-sweep", help="coupling sweep with violation flags")
     p.add_argument("--phi-points", type=int, default=101)
+    p.set_defaults(run=cmd_stp_sweep)
 
-    sub.add_parser("solve", help="build kernel, solve stopping problem, cache")
+    p = sub.add_parser("solve", help="build kernel, solve stopping problem, cache")
+    p.set_defaults(run=cmd_solve)
 
     p = sub.add_parser("threshold-sweep", help="quantum vs classical thresholds")
     p.add_argument("--f-values", default="1:10", help="comma list and lo:hi ranges")
+    p.set_defaults(run=cmd_threshold_sweep)
 
     p = sub.add_parser("simulate", help="episodes under the cached policy")
     p.add_argument("--episodes", type=int, default=1000)
+    p.set_defaults(run=cmd_simulate)
 
-    sub.add_parser("sensitivity", help="mismatch robustness bound report")
+    p = sub.add_parser("sensitivity", help="mismatch robustness bound report")
+    p.set_defaults(run=cmd_sensitivity)
 
     p = sub.add_parser("region-scan", help="pairwise dominance over two boxes")
     p.add_argument("--ref-box", default="0.8:1.0,10:100,0.1:0.5",
@@ -277,54 +289,27 @@ def build_parser():
     p.add_argument("--test-box", default="0.1:0.5,10:100,0.1:0.5")
     p.add_argument("--points-per-axis", type=int, default=5)
     p.add_argument("--pi-samples", type=int, default=11)
+    p.set_defaults(run=cmd_region_scan)
     return parser
 
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    overrides = {}
-    if args.out is not None:
-        overrides["output.dir"] = args.out
-    if args.seed is not None:
-        overrides["solver.seed"] = args.seed
-    if args.grid is not None:
-        overrides["solver.grid_n"] = args.grid
-    if args.tol is not None:
-        overrides["solver.vi_tol"] = args.tol
+    overrides = {key: getattr(args, flag) for flag, _, _, key in _OVERRIDES
+                 if getattr(args, flag) is not None}
     try:
         for name in ("phi_points", "episodes", "points_per_axis", "pi_samples"):
             if getattr(args, name, 1) < 1:
                 raise ConfigError(f"--{name.replace('_', '-')} must be at least 1, "
                                   f"got {getattr(args, name)}")
-        config = load_config_file(args.config, overrides)
-        if args.command == "stp-sweep":
-            cmd_stp_sweep(config, n_phi=args.phi_points)
-        elif args.command == "solve":
-            cmd_solve(config)
-        elif args.command == "threshold-sweep":
-            cmd_threshold_sweep(config, _parse_f_values(args.f_values))
-        elif args.command == "simulate":
-            cmd_simulate(config, args.episodes)
-        elif args.command == "sensitivity":
-            cmd_sensitivity(config)
-        elif args.command == "region-scan":
-            cmd_region_scan(
-                config,
-                _parse_box(args.ref_box),
-                _parse_box(args.test_box),
-                points_per_axis=args.points_per_axis,
-                pi_samples=args.pi_samples,
-            )
-    except ConfigError as exc:
-        print(f"error [config]: {exc}", file=sys.stderr)
-        return 2
+        args.run(load_config_file(args.config, overrides), args)
     except (NumericalFailure, NonConvergence, RunawayEpisode) as exc:
         print(f"error [numerical]: {exc}", file=sys.stderr)
         return 3
     except CacheMiss as exc:
         print(f"error [cache-miss]: {exc}", file=sys.stderr)
         return 4
-    except QDetectError as exc:
+    except QDetectError as exc:                 # ConfigError and the model errors
         print(f"error [config]: {exc}", file=sys.stderr)
         return 2
     return 0

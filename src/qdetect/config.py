@@ -2,7 +2,7 @@
 
 Sections and keys:
 
-    [frame]        n_states, n_actions, utility (rows ';'-separated)
+    [frame]        n_states (= 2), n_actions, utility (rows ';'-separated)
     [params]       alpha, lambda, phi
     [mixture]      atom<k> = alpha lambda phi weight   (optional)
     [change]       p
@@ -32,6 +32,7 @@ from .protocol import (
     ParameterMixture,
 )
 from .quantum import DecisionFrame, PsychParams
+from .stopping import MAX_ITER, VI_TOL
 
 
 def _parse_matrix(text, what):
@@ -131,6 +132,9 @@ def load_config(text, overrides=None):
         sections.setdefault(section, {})[key] = str(value)
 
     n_states = _get(sections, "frame", "n_states", int, required=True)
+    if n_states != 2:
+        raise ConfigError(f"[frame] n_states = {n_states} must be 2: the change model "
+                          "and both filters are two-state")
     n_actions = _get(sections, "frame", "n_actions", int, required=True)
     utility = _get(
         sections, "frame", "utility", lambda t: _parse_matrix(t, "utility"),
@@ -174,8 +178,8 @@ def load_config(text, overrides=None):
     except Exception as exc:
         # model-level validation failures surface as config errors
         raise ConfigError(str(exc)) from None
-    vi_tol = _get(sections, "solver", "vi_tol", float, 1e-8)
-    max_iter = _get(sections, "solver", "max_iter", int, 10000)
+    vi_tol = _get(sections, "solver", "vi_tol", float, VI_TOL)
+    max_iter = _get(sections, "solver", "max_iter", int, MAX_ITER)
     seed = _get(sections, "solver", "seed", int)
     for key, value, ok, rule in (
         ("vi_tol", vi_tol, np.isfinite(vi_tol) and vi_tol > 0, "finite and > 0"),

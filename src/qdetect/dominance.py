@@ -16,7 +16,7 @@ import numpy as np
 from .errors import InvalidModel
 from .protocol import _channel_family, build_action_kernel, build_mismatched_kernel
 from .quantum import PsychParams
-from .stopping import evaluate_policy, value_iteration
+from .stopping import MAX_ITER, VI_TOL, evaluate_policy, value_iteration
 
 
 def linprog(*args, **kwargs):
@@ -25,14 +25,6 @@ def linprog(*args, **kwargs):
     from scipy.optimize import linprog as scipy_linprog
 
     return scipy_linprog(*args, **kwargs)
-
-
-@dataclass(frozen=True)
-class DominanceCertificate:
-    """Row-stochastic M with gamma_hat @ M = gamma within residual."""
-
-    M: np.ndarray
-    residual: float
 
 
 @dataclass(frozen=True)
@@ -154,18 +146,6 @@ def _transform_linprog(ghat, g):
     return M, resid
 
 
-def find_dominance_matrix(gamma_hat, gamma, eps=1e-6):
-    """Certificate that gamma is a garbling of gamma_hat, or None.
-
-    Searches for one row-stochastic M with gamma_hat_y @ M = gamma_y for all
-    y simultaneously, within eps in the worst entry.
-    """
-    M, resid = best_transform(gamma_hat, gamma, eps=eps)
-    if resid <= eps:
-        return DominanceCertificate(M=M, residual=resid)
-    return None
-
-
 def _mix_params(p1, p2, eps):
     return PsychParams(
         alpha=eps * p1.alpha + (1.0 - eps) * p2.alpha,
@@ -238,8 +218,8 @@ def sensitivity_bound_check(
     obs,
     costs,
     grid,
-    tol=1e-8,
-    max_iter=10000,
+    tol=VI_TOL,
+    max_iter=MAX_ITER,
 ):
     """Robustness bound for running the mismatched-model policy on the truth.
 
@@ -260,7 +240,7 @@ def sensitivity_bound_check(
     )
 
 
-def box_grid(alpha, lam, phi, points_per_axis=5):
+def box_grid(alpha, lam, phi, points_per_axis):
     """Cartesian sample of a parameter box, points_per_axis per axis."""
     axes = [
         np.linspace(lo, hi, points_per_axis) if hi > lo else np.array([lo])
@@ -296,8 +276,8 @@ def region_scan(
     grid,
     pi_samples=11,
     eps=1e-6,
-    tol=1e-8,
-    max_iter=10000,
+    tol=VI_TOL,
+    max_iter=MAX_ITER,
 ):
     """Pairwise dominance scan between two sampled parameter regions.
 

@@ -94,12 +94,27 @@ def read_csv(path):
     return meta, columns, rows
 
 
-def _require_hash(meta, config_hash, path):
+def _read_table(path, config_hash, columns, build):
+    """build(meta, *columns) over the float columns of a typed artifact whose
+    config hash and header match; a table that fails to parse or to build is
+    a CacheMiss naming the file as corrupt."""
+    meta, header, rows = read_csv(path)
     if meta.get("config") != config_hash:
         raise CacheMiss(
             f"artifact {path} was built for config {meta.get('config')}, "
             f"current config is {config_hash}"
         )
+    try:
+        if header != list(columns):
+            raise ValueError(f"header {','.join(header)!r}, expected {','.join(columns)!r}")
+        return build(meta, *np.array(rows, dtype=float).reshape(len(rows), len(columns)).T)
+    except (KeyError, ValueError, IndexError, InvalidModel) as exc:
+        raise CacheMiss(f"artifact {path} is corrupt: {exc}") from None
+
+
+_KERNEL_COLUMNS = ("pi1", "x", "a", "R")
+_VALUE_COLUMNS = ("pi1", "V")
+_POLICY_COLUMNS = ("pi1", "u")
 
 
 def write_kernel(path, kernel, config_hash):
@@ -108,48 +123,45 @@ def write_kernel(path, kernel, config_hash):
     columns = Columns((np.tile(np.repeat(pts, A), 2), np.repeat([1, 2], pts.size * A),
                        np.tile(np.arange(1, A + 1), 2 * pts.size), kernel.table.reshape(-1)))
     write_csv(
-        path, ("pi1", "x", "a", "R"), columns, config_hash,
+        path, _KERNEL_COLUMNS, columns, config_hash,
         meta={"grid_n": kernel.grid.n_cells, "n_actions": kernel.n_actions},
     )
 
 
+def _kernel(meta, pi1, x, a, R):
+    grid = BeliefGrid(n_cells=int(meta["grid_n"]))
+    shape = (2, grid.size, int(meta["n_actions"]))
+    cells = np.stack([x - 1, np.rint(pi1 * grid.n_cells), a - 1])
+    if not np.all(np.isfinite(cells) & (cells == np.round(cells))):
+        raise ValueError("non-integer state, action or grid index")
+    flat = np.ravel_multi_index(cells.astype(int), shape)
+    off = np.flatnonzero(grid.points[cells[1].astype(int)] != pi1)
+    if off.size:
+        raise ValueError(f"pi1={float(pi1[off[0]])!r} is not a point of the "
+                         f"{grid.n_cells}-cell grid")
+    counts = np.bincount(flat, minlength=np.prod(shape))
+    if np.any(counts != 1):
+        k = int(np.argmax(counts != 1))
+        xk, ik, ak = np.unravel_index(k, shape)
+        raise ValueError(f"kernel cell (x={xk + 1}, pi1={float(grid.points[ik])!r}, "
+                         f"a={ak + 1}) appears {counts[k]} times")
+    return ActionKernel(grid=grid, table=R[np.argsort(flat)].reshape(shape))
+
+
 def read_kernel(path, config_hash):
     """Kernel table from its CSV; every (x, pi1, a) cell must appear exactly
-    once, otherwise CacheMiss names the first cell that does not."""
-    meta, columns, rows = read_csv(path)
-    _require_hash(meta, config_hash, path)
-    try:
-        grid = BeliefGrid(n_cells=int(meta["grid_n"]))
-        shape = (2, grid.size, int(meta["n_actions"]))
-        pi1, x, a, R = np.array(rows, dtype=float).T
-        cells = np.stack([x - 1, np.rint(pi1 * grid.n_cells), a - 1])
-        if not np.all(np.isfinite(cells) & (cells == np.round(cells))):
-            raise ValueError("non-integer state, action or grid index")
-        flat = np.ravel_multi_index(cells.astype(int), shape)
-        counts = np.bincount(flat, minlength=np.prod(shape))
-        if np.any(counts != 1):
-            k = int(np.argmax(counts != 1))
-            xk, ik, ak = np.unravel_index(k, shape)
-            raise ValueError(f"kernel cell (x={xk + 1}, pi1={float(grid.points[ik])!r}, "
-                             f"a={ak + 1}) appears {counts[k]} times")
-        return ActionKernel(grid=grid, table=R[np.argsort(flat)].reshape(shape))
-    except (KeyError, ValueError, IndexError, InvalidModel) as exc:
-        raise CacheMiss(f"artifact {path} is corrupt: {exc}") from None
+    once and every pi1 must be its grid point, otherwise CacheMiss names the
+    first cell or value that is not."""
+    return _read_table(path, config_hash, _KERNEL_COLUMNS, _kernel)
 
 
 def write_value(path, table, config_hash):
-    write_csv(path, ("pi1", "V"), Columns((table.points, table.values)), config_hash)
+    write_csv(path, _VALUE_COLUMNS, Columns((table.points, table.values)), config_hash)
 
 
 def read_value(path, config_hash):
-    meta, columns, rows = read_csv(path)
-    _require_hash(meta, config_hash, path)
-    try:
-        pts = np.array([float(r[0]) for r in rows])
-        vals = np.array([float(r[1]) for r in rows])
-        return ValueTable(points=pts, values=vals)
-    except (ValueError, IndexError) as exc:
-        raise CacheMiss(f"artifact {path} is corrupt: {exc}") from None
+    return _read_table(path, config_hash, _VALUE_COLUMNS,
+                       lambda meta, pts, values: ValueTable(points=pts, values=values))
 
 
 def write_policy(path, policy, config_hash):
@@ -157,21 +169,17 @@ def write_policy(path, policy, config_hash):
         "threshold": "none" if policy.threshold is None else repr(policy.threshold),
         "crossings": policy.crossings,
     }
-    write_csv(path, ("pi1", "u"), Columns((policy.points, policy.u)), config_hash, meta=meta)
+    write_csv(path, _POLICY_COLUMNS, Columns((policy.points, policy.u)), config_hash, meta=meta)
+
+
+def _policy(meta, pts, u):
+    threshold = meta.get("threshold", "none")
+    return Policy(points=pts, u=u, threshold=None if threshold == "none" else float(threshold),
+                  crossings=int(meta.get("crossings", "0")))
 
 
 def read_policy(path, config_hash):
-    meta, columns, rows = read_csv(path)
-    _require_hash(meta, config_hash, path)
-    try:
-        pts = np.array([float(r[0]) for r in rows])
-        u = np.array([int(r[1]) for r in rows])
-        raw_thr = meta.get("threshold", "none")
-        threshold = None if raw_thr == "none" else float(raw_thr)
-        crossings = int(meta.get("crossings", "0"))
-        return Policy(points=pts, u=u, threshold=threshold, crossings=crossings)
-    except (ValueError, IndexError, InvalidModel) as exc:
-        raise CacheMiss(f"artifact {path} is corrupt: {exc}") from None
+    return _read_table(path, config_hash, _POLICY_COLUMNS, _policy)
 
 
 def write_episode_trace(path, trace, config_hash):

@@ -17,6 +17,10 @@ import numpy as np
 from .errors import InvalidModel, NonConvergence
 from .protocol import _transitions
 
+# Default stopping rule of every Bellman loop: sup-norm change and sweep budget.
+VI_TOL = 1e-8
+MAX_ITER = 10000
+
 
 @dataclass(frozen=True)
 class ValueTable:
@@ -48,13 +52,14 @@ class Policy:
 
     def __post_init__(self):
         object.__setattr__(self, "points", np.asarray(self.points, dtype=float))
-        object.__setattr__(self, "u", np.asarray(self.u, dtype=int))
-        if self.points.shape != self.u.shape:
+        u = np.asarray(self.u)
+        if self.points.shape != u.shape:
             raise InvalidModel("points and decisions must align")
         if np.any(np.diff(self.points) <= 0):
             raise InvalidModel("grid points must be strictly increasing")
-        if not np.all(np.isin(self.u, (1, 2))):
+        if not np.all(np.isin(u, (1, 2))):          # before the int cast truncates 1.5 to 1
             raise InvalidModel("decisions must be 1 (stop) or 2 (continue)")
+        object.__setattr__(self, "u", u.astype(int))
 
     def decide(self, pi1):
         """Decision at arbitrary beliefs, elementwise over an array of pi(1):
@@ -117,7 +122,7 @@ def _iterate(points, transitions, costs, tol, max_iter, stop_mask=None):
     )
 
 
-def value_iteration(kernel, change, costs, tol=1e-8, max_iter=10000):
+def value_iteration(kernel, change, costs, tol=VI_TOL, max_iter=MAX_ITER):
     """Solve the detector's stopping problem on the kernel's grid.
 
     Returns the value table and the greedy policy with its threshold.
@@ -125,7 +130,7 @@ def value_iteration(kernel, change, costs, tol=1e-8, max_iter=10000):
     return _iterate(kernel.grid.points, _action_transitions(kernel, change), costs, tol, max_iter)
 
 
-def classical_value_iteration(change, obs, costs, grid, tol=1e-8, max_iter=10000):
+def classical_value_iteration(change, obs, costs, grid, tol=VI_TOL, max_iter=MAX_ITER):
     """Reference solver for a detector that sees the observations directly:
     the same iteration with the observation likelihoods B in place of R."""
     g = grid.points
@@ -149,7 +154,7 @@ def extract_threshold(points, u):
     return None, crossings
 
 
-def evaluate_policy(kernel, change, costs, policy, tol=1e-8, max_iter=10000):
+def evaluate_policy(kernel, change, costs, policy, tol=VI_TOL, max_iter=MAX_ITER):
     """Expected cost of a fixed policy on the kernel's grid.
 
     Stop points carry exactly f (1 - pi); continuation points take the

@@ -187,6 +187,9 @@ def test_load_config_bad_values():
         load_config(BASE_INI.replace("b = 0.6 0.25 0.15 ; 0.15 0.25 0.6", "b = nan 0.5; 0.5 0.5"))
     with pytest.raises(ConfigError, match="mixture weights"):
         load_config(BASE_INI + "\n[mixture]\natom1 = 0.5 10 0.3 nan\n")
+    # the change model and both filters are two-state
+    with pytest.raises(ConfigError, match=r"\[frame\] n_states = 3 must be 2: the change model"):
+        load_config(BASE_INI.replace("n_states = 2", "n_states = 3"))
     # [solver] values that no run can use: the error names the key and the value
     for line, match in (("seed = -1", r"seed = -1 must be >= 0"),
                         ("seed = 11\nvi_tol = -1", r"vi_tol = -1\.0 must be finite and > 0"),
@@ -320,6 +323,27 @@ def test_kernel_read_rejects_missing_or_repeated_cells(tmp_path, pd_kernel_small
         (tmp_path / "bad.csv").write_text("\n".join(bad) + "\n", encoding="utf-8")
         with pytest.raises(CacheMiss, match="is corrupt"):
             read_kernel(str(tmp_path / "bad.csv"), "cafe01234567")
+    # a pi1 off its grid point (cells are 0.005 wide) would round onto it
+    bad = list(lines)
+    bad[header + 1] = "0.001,1,1" + lines[header + 1][len("0.0,1,1"):]
+    (tmp_path / "bad.csv").write_text("\n".join(bad) + "\n", encoding="utf-8")
+    with pytest.raises(CacheMiss, match="pi1=0.001 is not a point of the 200-cell grid"):
+        read_kernel(str(tmp_path / "bad.csv"), "cafe01234567")
+
+
+def test_typed_readers_check_the_header(tmp_path, pd_kernel_small, pd_change, pd_costs):
+    table, policy = value_iteration(pd_kernel_small, pd_change, pd_costs)
+    for name, write, read, obj, header, wrong in (
+            ("kernel", write_kernel, read_kernel, pd_kernel_small, "pi1,x,a,R", "a,b,c,d"),
+            ("value", write_value, read_value, table, "pi1,V", "pi1,W"),
+            ("policy", write_policy, read_policy, policy, "pi1,u", "u,pi1")):
+        path = tmp_path / f"{name}.csv"
+        write(str(path), obj, "cafe01234567")
+        text = path.read_text(encoding="utf-8")
+        assert f"\n{header}\n" in text
+        path.write_text(text.replace(f"\n{header}\n", f"\n{wrong}\n"), encoding="utf-8")
+        with pytest.raises(CacheMiss, match=f"is corrupt: header '{wrong}', expected '{header}'"):
+            read(str(path), "cafe01234567")
 
 
 def test_value_policy_roundtrip_exact(tmp_path, pd_kernel_small, pd_change, pd_costs):
@@ -393,7 +417,8 @@ def test_policy_roundtrip_no_threshold(tmp_path):
     assert back.threshold is None
     assert back.crossings == 2
     text = open(path, encoding="utf-8").read()
-    for bad in (text.replace("\n0.5,2\n", "\n0.5,3\n"), text.replace("\n0.5,2\n", "\n0.0,2\n")):
+    for bad in (text.replace("\n0.5,2\n", "\n0.5,3\n"), text.replace("\n0.5,2\n", "\n0.0,2\n"),
+                text.replace("\n0.5,2\n", "\n0.5,1.5\n")):
         (tmp_path / "bad.csv").write_text(bad, encoding="utf-8")
         with pytest.raises(CacheMiss, match="is corrupt"):
             read_policy(str(tmp_path / "bad.csv"), "cafe01234567")
@@ -459,6 +484,8 @@ def test_parse_helpers():
     )
     with pytest.raises(ConfigError):
         _parse_box("0.1:0.5,10:100")
+    with pytest.raises(ConfigError, match=r"lambda needs lo <= hi, got 100\.0:10\.0"):
+        _parse_box("0.1:0.5,100:10,0.2:0.2")
 
 
 def test_cli_solve_then_simulate(tmp_path, capsys):
@@ -534,6 +561,10 @@ def test_cli_exit_codes(tmp_path, capsys):
         assert main(["--config", ini, "--out", out, *argv]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error [config]: " + argv[1] + " must be at least 1")
+    # a reversed box would collapse its axis to one point
+    assert main(["--config", ini, "--out", out, "region-scan", "--ref-box",
+                 "1.0:0.8,100:10,0.5:0.1", "--points-per-axis", "2"]) == 2
+    assert capsys.readouterr().err.startswith("error [config]: bad box '1.0:0.8,")
     assert not os.path.exists(out)
 
     # impossible [solver] values exit 2 at load, before anything is written

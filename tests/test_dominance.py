@@ -19,7 +19,6 @@ from qdetect import (
     box_grid,
     build_action_kernel,
     build_mismatched_kernel,
-    find_dominance_matrix,
     interpolation_betweenness_check,
     model_distance,
     region_scan,
@@ -66,10 +65,9 @@ def scan_min_residual(ghat, g, step=1e-4):
 
 def test_identity_family_certifies(pd_frame, pd_change, pd_obs):
     fam = family_at(pd_frame, PAIR_HI, pd_change, pd_obs, 0.5)
-    cert = find_dominance_matrix(fam, fam, eps=1e-6)
-    assert cert is not None
-    assert cert.residual <= 1e-9
-    np.testing.assert_allclose(fam @ cert.M, fam, atol=1e-9)
+    M, resid = best_transform(fam, fam, eps=1e-6)
+    assert resid <= 1e-9
+    np.testing.assert_allclose(fam @ M, fam, atol=1e-9)
 
 
 def test_degenerate_source_forces_row():
@@ -107,10 +105,9 @@ def test_saturated_pair_one_way(pd_frame, pd_change, pd_obs):
     fd = family_at(pd_frame, LAM_LO, pd_change, pd_obs, 0.5)
     _, resid = best_transform(fs, fd, eps=None)
     assert abs(resid - 0.003884773831369648) <= 1e-9
-    assert find_dominance_matrix(fs, fd, eps=1e-6) is None
-    back = find_dominance_matrix(fd, fs, eps=1e-6)
-    assert back is not None
-    assert back.residual <= 1e-9
+    assert best_transform(fs, fd, eps=1e-6)[1] > 1e-6
+    _, back = best_transform(fd, fs, eps=1e-6)
+    assert back <= 1e-9
 
 
 def test_certificate_soundness_lp_path():
@@ -119,11 +116,11 @@ def test_certificate_soundness_lp_path():
         ghat = random_stochastic(rng, 5, 3)
         M_true = random_stochastic(rng, 3, 3)
         g = ghat @ M_true
-        cert = find_dominance_matrix(ghat, g, eps=1e-6)
-        assert cert is not None
-        assert np.abs(ghat @ cert.M - g).max() <= 1e-6
-        assert np.abs(cert.M.sum(axis=1) - 1.0).max() <= 1e-9
-        assert cert.M.min() >= -1e-9
+        M, resid = best_transform(ghat, g, eps=1e-6)
+        assert resid <= 1e-6
+        assert np.abs(ghat @ M - g).max() <= 1e-6
+        assert np.abs(M.sum(axis=1) - 1.0).max() <= 1e-9
+        assert M.min() >= -1e-9
 
 
 def test_betweenness_degenerate_pair(pd_frame, pd_change, pd_obs):

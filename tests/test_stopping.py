@@ -157,6 +157,16 @@ def test_policy_decide_ties_and_arrays():
                threshold=None, crossings=2)
 
 
+def test_policy_rejects_fractional_decisions():
+    pts = np.array([0.0, 0.5, 1.0])
+    for u in ([1.5, 2, 1], [1.7, 2.2, 1.0], [1, 2, np.nan]):
+        with pytest.raises(InvalidModel, match="decisions must be 1"):
+            Policy(points=pts, u=np.array(u), threshold=None, crossings=2)
+    whole = Policy(points=pts, u=np.array([1.0, 2.0, 1.0]), threshold=None, crossings=2)
+    assert whole.u.dtype.kind == "i"
+    assert whole.u.tolist() == [1, 2, 1]
+
+
 def test_evaluate_always_stop_exact(pd_kernel_small, pd_change, pd_costs):
     policy = always_stop_policy(pd_kernel_small.grid)
     table = evaluate_policy(pd_kernel_small, pd_change, pd_costs, policy)
