@@ -5,7 +5,7 @@ Sections and keys:
     [frame]        n_states (= 2), n_actions, utility (rows ';'-separated)
     [params]       alpha, lambda, phi
     [mixture]      atom<k> = alpha lambda phi weight   (optional)
-    [change]       p
+    [change]       p (in (0, 1], with 1/p finite)
     [observation]  B (rows ';'-separated)
     [costs]        f, d
     [solver]       grid_n, vi_tol (finite, > 0), max_iter (>= 1), seed (>= 0)
@@ -163,6 +163,9 @@ def load_config(text, overrides=None):
             mixture = ParameterMixture(atoms=tuple(atoms))
         p = _get(sections, "change", "p", float)
         change = ChangeModel(p=p) if p is not None else None
+        if change is not None and not np.isfinite(change.mean_change_time):
+            # a subnormal p passes (0, 1] but its mean change time overflows
+            raise ConfigError(f"[change] p = {p!r} must have a finite 1/p")
         B = _get(
             sections, "observation", "b", lambda t: _parse_matrix(t, "observation")
         )

@@ -9,7 +9,10 @@ properties the comparisons rely on, and turns kernel mismatch into the
 KL-based robustness bound used by the sensitivity harness.
 """
 
+import math
+import os
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -266,6 +269,44 @@ class ScanRow:
     worst_V_margin: float     # min over grid of V(garbled) - V(source)
 
 
+def _row_verdict(src_fam, dst_fam, eps):
+    """(certified, worst residual) of one pair direction: a garbling search
+    at every sampled belief, in belief order."""
+    worst_resid = 0.0
+    ok = True
+    for i in range(len(src_fam)):
+        _, resid = best_transform(src_fam[i], dst_fam[i], eps=eps)
+        worst_resid = max(worst_resid, resid)
+        if resid > eps:
+            ok = False
+    return ok, worst_resid
+
+
+def _map_rows(src_fams, dst_fams, eps):
+    """_row_verdict over the rows, in order, on one forked worker per CPU this
+    process may run on; serially in this process on one CPU or without
+    os.sched_getaffinity. A worker's exception is raised here."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    workers = min(len(affinity(0)), len(src_fams)) if affinity else 1
+    if workers < 2:
+        return list(map(_row_verdict, src_fams, dst_fams, repeat(eps)))
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    # the forked workers inherit the loaded module, so the import inside the
+    # linprog forwarder is a lookup in each of them, not a quarter second
+    import scipy.optimize  # noqa: F401
+
+    # fork, not spawn: a spawned worker would import numpy and scipy anew and
+    # would not see a patched dominance.linprog. The executor forks every
+    # worker before it starts its own manager thread.
+    context = multiprocessing.get_context("fork")
+    chunk = math.ceil(len(src_fams) / (4 * workers))
+    with ProcessPoolExecutor(workers, mp_context=context) as pool:
+        return list(pool.map(_row_verdict, src_fams, dst_fams, repeat(eps),
+                             chunksize=chunk))
+
+
 def region_scan(
     frame,
     ref_points,
@@ -286,6 +327,12 @@ def region_scan(
     every belief admits one. Certified directions also record the value
     ordering margin (garbled side should cost at least as much everywhere).
 
+    The channel families, kernels and value functions are built here, in
+    order. The garbling searches of each pair direction are one job; the jobs
+    run on one forked worker process per CPU this process may use (serially
+    here when that is one, e.g. under ``taskset -c 0``). Every search has the
+    same inputs either way, so the rows are the same to the bit.
+
     Returns (regions, rows): two ParameterRegion tags and all pair records.
     """
     pi_values = np.linspace(0.0, 1.0, pi_samples)
@@ -302,31 +349,28 @@ def region_scan(
     ref_data = prep(ref_points)
     test_data = prep(test_points)
 
-    rows = []
+    keys, src_fams, dst_fams = [], [], []
     for p_ref, fam_ref, V_ref in ref_data:
         for p_test, fam_test, V_test in test_data:
             for direction, src_fam, dst_fam, V_src, V_dst in (
                 ("ref_to_test", fam_ref, fam_test, V_ref, V_test),
                 ("test_to_ref", fam_test, fam_ref, V_test, V_ref),
             ):
-                worst_resid = 0.0
-                ok = True
-                for i in range(pi_values.size):
-                    _, resid = best_transform(src_fam[i], dst_fam[i], eps=eps)
-                    worst_resid = max(worst_resid, resid)
-                    if resid > eps:
-                        ok = False
-                margin = float(np.min(V_dst - V_src))
-                rows.append(
-                    ScanRow(
-                        ref=p_ref,
-                        test=p_test,
-                        direction=direction,
-                        certified=ok,
-                        residual=float(worst_resid),
-                        worst_V_margin=margin,
-                    )
-                )
+                keys.append((p_ref, p_test, direction, float(np.min(V_dst - V_src))))
+                src_fams.append(src_fam)
+                dst_fams.append(dst_fam)
+    rows = [
+        ScanRow(
+            ref=p_ref,
+            test=p_test,
+            direction=direction,
+            certified=ok,
+            residual=float(worst_resid),
+            worst_V_margin=margin,
+        )
+        for (p_ref, p_test, direction, margin), (ok, worst_resid)
+        in zip(keys, _map_rows(src_fams, dst_fams, eps))
+    ]
 
     def bounds(points):
         al = [p.alpha for p in points]

@@ -199,6 +199,9 @@ def test_load_config_bad_values():
                         ("seed = 11\nmax_iter = 0", r"max_iter = 0 must be >= 1")):
         with pytest.raises(ConfigError, match=r"\[solver\] " + match):
             load_config(BASE_INI.replace("seed = 11", line))
+    # a subnormal p lies in (0, 1], but the mean change time 1/p overflows
+    with pytest.raises(ConfigError, match=r"\[change\] p = 1e-310 must have a finite 1/p"):
+        load_config(BASE_INI.replace("p = 0.95", "p = 1e-310"))
 
 
 def test_write_csv_layout(tmp_path):
@@ -577,6 +580,13 @@ def test_cli_exit_codes(tmp_path, capsys):
                            (zero_iter, ["solve"], "max_iter")):
         assert main(["--config", cfg, "--out", out, *argv]) == 2
         assert capsys.readouterr().err.startswith(f"error [config]: [solver] {key} = ")
+    assert not os.path.exists(out)
+
+    # so is a p whose 1/p overflows: simulate's step cap is a multiple of 1/p
+    tiny_p = write_ini(tmp_path, BASE_INI.replace("p = 0.95", "p = 1e-310"), "tinyp.ini")
+    for command in ("solve", "simulate"):
+        assert main(["--config", tiny_p, "--out", out, command]) == 2
+        assert capsys.readouterr().err.startswith("error [config]: [change] p = 1e-310 ")
     assert not os.path.exists(out)
 
 

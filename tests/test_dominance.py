@@ -6,7 +6,13 @@ row-stochastic matrices at 1e-4 resolution; the scan can only overshoot the
 true minimax residual, and by at most the grid's Lipschitz slack.
 """
 
+import faulthandler
+import os
+import pickle
+from types import SimpleNamespace
+
 import numpy as np
+import pytest
 
 from qdetect import (
     ActionKernel,
@@ -25,7 +31,9 @@ from qdetect import (
     sensitivity_bound_check,
     value_iteration,
 )
+from qdetect import dominance
 from qdetect.dominance import _channel_family, _mix_params
+from qdetect.errors import InvalidModel, QDetectError
 
 PAIR_HI = PsychParams(0.9, 50.0, 0.3)    # dominating side of the test pair
 PAIR_LO = PsychParams(0.2, 50.0, 0.3)
@@ -316,3 +324,82 @@ def test_box_grid_counts():
     assert len(pts) == 27
     assert len(flat) == 4
     assert all(p.alpha == 0.3 and p.phi == 0.2 for p in flat)
+
+
+def default_box_scan(pd_frame, pd_change, pd_obs, pd_costs):
+    """region_scan over the CLI's default boxes, 2 points per axis, grid_n 100."""
+    ref = box_grid((0.8, 1.0), (10.0, 100.0), (0.1, 0.5), points_per_axis=2)
+    test = box_grid((0.1, 0.5), (10.0, 100.0), (0.1, 0.5), points_per_axis=2)
+    return region_scan(pd_frame, ref, test, pd_change, pd_obs, pd_costs,
+                       BeliefGrid(n_cells=100))
+
+
+def row_bits(row):
+    return (row.ref, row.test, row.direction, row.certified,
+            row.residual.hex(), row.worst_V_margin.hex())
+
+
+def test_region_scan_pool_matches_serial(
+    pd_frame, pd_change, pd_obs, pd_costs, monkeypatch, tmp_path
+):
+    # each garbling search appends the pid it ran in, so the test sees which
+    # path ran; two CPUs force the pool even on a one-CPU host
+    pid_log = tmp_path / "pids"
+    search = dominance.best_transform
+
+    def logged(*args, **kwargs):
+        with open(pid_log, "a", encoding="utf-8") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(dominance, "best_transform", logged)
+    scans = {}
+    for cpus in ({0, 1}, {0}):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
+        pid_log.write_text("", encoding="utf-8")
+        scans[len(cpus)] = default_box_scan(pd_frame, pd_change, pd_obs, pd_costs)
+        pids = set(pid_log.read_text(encoding="utf-8").split())
+        assert (str(os.getpid()) in pids) == (len(cpus) == 1)
+        assert len(pids) >= 1
+    (pool_regions, pool_rows), (serial_regions, serial_rows) = scans[2], scans[1]
+    assert len(pool_rows) == 128
+    assert [row_bits(r) for r in pool_rows] == [row_bits(r) for r in serial_rows]
+    for pooled, serial in zip(pool_regions, serial_regions, strict=True):
+        assert (pooled.alpha, pooled.lam, pooled.phi, pooled.classification) == (
+            serial.alpha, serial.lam, serial.phi, serial.classification)
+        assert [row_bits(r) for r in pooled.witnesses] == [
+            row_bits(r) for r in serial.witnesses]
+
+
+def test_region_scan_worker_error_reaches_caller(
+    pd_frame, pd_change, pd_obs, pd_costs, monkeypatch
+):
+    # the forked workers inherit the patched forwarder; the typed error raised
+    # in a worker is pickled back and raised here, not a pickling error
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(dominance, "linprog", lambda *args, **kwargs: SimpleNamespace(
+        success=False, message="patched solver failure"))
+    faulthandler.dump_traceback_later(120, exit=True)     # a hang fails loudly
+    try:
+        with pytest.raises(InvalidModel,
+                           match="transform search failed: patched solver failure"):
+            default_box_scan(pd_frame, pd_change, pd_obs, pd_costs)
+    finally:
+        faulthandler.cancel_dump_traceback_later()
+
+
+@pytest.mark.parametrize("cls", [QDetectError, *QDetectError.__subclasses__()])
+def test_errors_keep_message_and_quantities_through_pickle(cls):
+    # a region-scan worker's error reaches the parent pickled; the declared
+    # quantities (NumericalFailure.residual, ImpossibleAction.episode and
+    # .step, ...) and any other keyword must survive the trip
+    declared = [k for k in vars(cls) if not k.startswith("_")]
+    quantities = {k: 0.5 + i for i, k in enumerate(declared)}
+    quantities["belief_hint"] = np.array([0.25, 0.75])
+    back = pickle.loads(pickle.dumps(cls("it failed", **quantities)))
+    assert type(back) is cls
+    assert str(back) == "it failed"
+    assert back.args == ("it failed",)
+    for key, value in quantities.items():
+        np.testing.assert_array_equal(getattr(back, key), value)
+

@@ -1,5 +1,5 @@
-"""Start-up cost: scipy stays off the import path and off the commands that
-do not need it.
+"""Start-up cost: scipy and the process-pool modules stay off the import path
+and off the commands that do not need them.
 
 `scipy.linalg` (about 0.3 s to import) serves only `evolve` and the
 steady-state probe fallback, and `scipy.optimize` (about 0.25 s) only the
@@ -78,6 +78,28 @@ print(json.dumps({{"codes": codes, "loaded": {LOADED}}}))
 """
     got = run_fresh(code, str(ini), str(tmp_path / "out"))
     assert got == {"codes": [0, 0], "loaded": {m: False for m in LAZY}}
+
+
+POOL = ("multiprocessing", "concurrent.futures")
+
+
+def test_import_solve_and_simulate_start_no_pool_machinery(tmp_path):
+    # only region-scan's garbling searches run on worker processes
+    ini = tmp_path / "exp.ini"
+    ini.write_text(README_INI, encoding="utf-8")
+    code = f"""
+import json, sys
+import qdetect.cli
+pool = {POOL!r}
+after_import = [m for m in pool if m in sys.modules]
+ini, out = sys.argv[1:]
+codes = [qdetect.cli.main(["--config", ini, "--out", out, "solve"]),
+         qdetect.cli.main(["--config", ini, "--out", out, "simulate", "--episodes", "20"])]
+print(json.dumps({{"codes": codes, "after_import": after_import,
+                  "after_commands": [m for m in pool if m in sys.modules]}}))
+"""
+    got = run_fresh(code, str(ini), str(tmp_path / "out"))
+    assert got == {"codes": [0, 0], "after_import": [], "after_commands": []}
 
 
 def test_stp_sweep_imports_expm_lazily_with_identical_output(tmp_path):
