@@ -33,7 +33,6 @@ from .protocol import (
     ChangeModel,
     DetectionCosts,
     EpisodeBatch,
-    EpisodeTrace,
     ObservationModel,
     ParameterMixture,
     build_action_kernel,

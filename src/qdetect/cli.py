@@ -69,7 +69,7 @@ def cmd_stp_sweep(config, args):
         path,
         ("phi", "p_defect_given_defect", "p_defect_given_coop",
          "p_defect_unknown", "violation"),
-        rows,
+        tuple(zip(*rows)),
         config.hash,
     )
     onset = violation_onset(rows)
@@ -134,7 +134,7 @@ def cmd_threshold_sweep(config, args):
         rows.append((float(f), float(thr_q), float(thr_c)))
     path = os.path.join(_cache_dir(config), "thresholds.csv")
     serialize.write_csv(
-        path, ("f", "thr_quantum", "thr_classical"), rows, config.hash
+        path, ("f", "thr_quantum", "thr_classical"), tuple(zip(*rows)), config.hash
     )
     print(f"threshold-sweep: {len(rows)} rows -> {path}")
 
@@ -159,10 +159,9 @@ def cmd_simulate(config, args):
         costs_sq += c**2
     path = os.path.join(cache, "episodes.csv")
     serialize.write_csv(path, ("episode", "tau0", "tau", "delay", "false_alarm", "cost"),
-                        serialize.Columns((np.arange(n_episodes), batch.change_time,
-                                           batch.stop_time,
-                                           np.maximum(batch.stop_time - batch.change_time, 0),
-                                           batch.stop_time < batch.change_time, batch.cost)),
+                        (np.arange(n_episodes), batch.change_time, batch.stop_time,
+                         np.maximum(batch.stop_time - batch.change_time, 0),
+                         batch.stop_time < batch.change_time, batch.cost),
                         config.hash)
     mean = costs_sum / n_episodes
     var = max(costs_sq / n_episodes - mean**2, 0.0)
@@ -181,13 +180,10 @@ def cmd_sensitivity(config, args):
         config.obs, config.costs, config.grid,
         tol=config.vi_tol, max_iter=config.max_iter,
     )
-    rows = [
-        (pi1, lhs, rhs, rhs - lhs)
-        for pi1, lhs, rhs in zip(report.points, report.lhs, report.rhs)
-    ]
     path = os.path.join(_cache_dir(config), "sensitivity.csv")
     serialize.write_csv(
-        path, ("pi1", "lhs", "rhs", "slack"), rows, config.hash,
+        path, ("pi1", "lhs", "rhs", "slack"),
+        (report.points, report.lhs, report.rhs, report.rhs - report.lhs), config.hash,
         meta={"K": report.K, "distance": report.distance},
     )
     print(f"sensitivity: K {report.K:.6g}, distance {report.distance:.6g}, "
@@ -201,6 +197,8 @@ def _parse_box(text):
             raise ValueError("expected lo:hi,lo:hi,lo:hi for alpha,lambda,phi")
         box = tuple((float(lo), float(hi)) for lo, hi in parts)
         for axis, (lo, hi) in zip(("alpha", "lambda", "phi"), box):
+            if not (np.isfinite(lo) and np.isfinite(hi)):
+                raise ValueError(f"{axis} needs finite ends, got {lo!r}:{hi!r}")
             if not lo <= hi:
                 raise ValueError(f"{axis} needs lo <= hi, got {lo!r}:{hi!r}")
         return box
@@ -230,7 +228,7 @@ def cmd_region_scan(config, args):
         ("alpha_ref", "lambda_ref", "phi_ref",
          "alpha_test", "lambda_test", "phi_test",
          "direction", "certified", "residual", "worst_V_margin"),
-        csv_rows,
+        tuple(zip(*csv_rows)),
         config.hash,
     )
     ref_r, test_r = regions

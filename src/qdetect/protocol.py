@@ -233,38 +233,20 @@ def public_belief_update(pi, a, change, kernel):
     return np.array([num1, num2]) / sigma_bar, float(sigma_bar)
 
 
-@dataclass(frozen=True)
-class EpisodeTrace:
-    """One simulated episode: the change time, the stop time, per-step records
-    (n, x, y, eta1, a, pi1, u), and the realized cost."""
-
-    change_time: int
-    stop_time: int
-    records: tuple
-    cost: float
-
-
 RECORD_FIELDS = ("n", "x", "y", "eta1", "a", "pi1", "u")
 
 
 @dataclass(frozen=True)
 class EpisodeBatch:
-    """Episodes run in lockstep: per-episode change and stop times and costs,
-    and the step-ordered log, one array per RECORD_FIELDS name plus "episode"."""
+    """The episode record of simulate_episodes: per-episode change and stop
+    times and realized costs, one entry per seed, and the per-step log, one
+    array per RECORD_FIELDS name plus "episode" (the episode's index), in
+    step order and by episode index within a step."""
 
     change_time: np.ndarray
     stop_time: np.ndarray
     cost: np.ndarray
     log: dict
-
-    def traces(self):
-        """One EpisodeTrace per episode, with plain int and float records."""
-        order = np.argsort(self.log["episode"], kind="stable")
-        records = list(zip(*(self.log[k][order].tolist() for k in RECORD_FIELDS)))
-        ends = np.cumsum(self.stop_time).tolist()
-        return [EpisodeTrace(tau0, tau, tuple(records[end - tau:end]), cost)
-                for tau0, tau, cost, end in zip(self.change_time.tolist(),
-                                                self.stop_time.tolist(), self.cost.tolist(), ends)]
 
 
 def _draw(probs, uniforms, episodes):
@@ -352,9 +334,9 @@ def simulate_episodes(frame, params, change, obs, policy, kernel, seeds, costs=N
 
 def simulate_episode(frame, params, change, obs, policy, kernel, seed, costs=None,
                      step_cap=None):
-    """Run the protocol once with all randomness drawn from the seed (simulate_episodes)."""
+    """One run of the protocol from one seed: a one-episode EpisodeBatch."""
     return simulate_episodes(frame, params, change, obs, policy, kernel, [seed], costs=costs,
-                             step_cap=step_cap).traces()[0]
+                             step_cap=step_cap)
 
 
 def estimate_cost(frame, params, change, obs, policy, kernel, costs, n_episodes, seed):

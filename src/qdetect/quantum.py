@@ -64,8 +64,8 @@ class PsychParams:
             raise InvalidModel(f"alpha must be in [0,1], got {self.alpha}")
         if not (0.0 <= self.phi <= 1.0):
             raise InvalidModel(f"phi must be in [0,1], got {self.phi}")
-        if not (self.lam >= 0.0):
-            raise InvalidModel(f"lam must be >= 0, got {self.lam}")
+        if not (0.0 <= self.lam < np.inf):
+            raise InvalidModel(f"lam must be finite and >= 0, got {self.lam}")
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""CSV persistence for kernels, value tables, policies, and episode logs.
+"""CSV persistence for kernels, value tables, policies and command tables.
 
 Dialect: comma separator, dot decimal, LF line endings, one header row.
 Every file starts with comment lines carrying the config hash (and any
@@ -13,7 +13,7 @@ import tempfile
 import numpy as np
 
 from .errors import CacheMiss, InvalidModel
-from .protocol import RECORD_FIELDS, ActionKernel, BeliefGrid
+from .protocol import ActionKernel, BeliefGrid
 from .stopping import Policy, ValueTable
 
 
@@ -38,10 +38,6 @@ def _format_column(values):
     return [_fmt(v) for v in values]
 
 
-class Columns(tuple):
-    """Table data for write_csv given column by column, one sequence each."""
-
-
 def atomic_write_text(path, text):
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
@@ -56,16 +52,13 @@ def atomic_write_text(path, text):
         raise
 
 
-def write_csv(path, columns, rows, config_hash, meta=None):
-    """Header comments, the column names and one line per row. rows is a
-    sequence of row tuples, or a Columns holding one sequence per column."""
-    cols = rows
-    if not isinstance(rows, Columns):
-        cols = tuple(zip(*rows, strict=True)) or ((),) * len(columns)
+def write_csv(path, columns, data, config_hash, meta=None):
+    """Header comments, the column names and one line per row. data holds
+    one sequence per column, all of one length."""
     lines = [f"# config={config_hash}"]
     lines += [f"# {key}={_fmt(value)}" for key, value in (meta or {}).items()]
     lines.append(",".join(columns))
-    lines += map(",".join, zip(*map(_format_column, cols), strict=True))
+    lines += map(",".join, zip(*map(_format_column, data), strict=True))
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
@@ -120,8 +113,8 @@ _POLICY_COLUMNS = ("pi1", "u")
 def write_kernel(path, kernel, config_hash):
     """One row per (x, pi1, a) cell, in that order."""
     pts, A = kernel.grid.points, kernel.n_actions
-    columns = Columns((np.tile(np.repeat(pts, A), 2), np.repeat([1, 2], pts.size * A),
-                       np.tile(np.arange(1, A + 1), 2 * pts.size), kernel.table.reshape(-1)))
+    columns = (np.tile(np.repeat(pts, A), 2), np.repeat([1, 2], pts.size * A),
+               np.tile(np.arange(1, A + 1), 2 * pts.size), kernel.table.reshape(-1))
     write_csv(
         path, _KERNEL_COLUMNS, columns, config_hash,
         meta={"grid_n": kernel.grid.n_cells, "n_actions": kernel.n_actions},
@@ -156,7 +149,7 @@ def read_kernel(path, config_hash):
 
 
 def write_value(path, table, config_hash):
-    write_csv(path, _VALUE_COLUMNS, Columns((table.points, table.values)), config_hash)
+    write_csv(path, _VALUE_COLUMNS, (table.points, table.values), config_hash)
 
 
 def read_value(path, config_hash):
@@ -169,7 +162,7 @@ def write_policy(path, policy, config_hash):
         "threshold": "none" if policy.threshold is None else repr(policy.threshold),
         "crossings": policy.crossings,
     }
-    write_csv(path, _POLICY_COLUMNS, Columns((policy.points, policy.u)), config_hash, meta=meta)
+    write_csv(path, _POLICY_COLUMNS, (policy.points, policy.u), config_hash, meta=meta)
 
 
 def _policy(meta, pts, u):
@@ -181,14 +174,3 @@ def _policy(meta, pts, u):
 def read_policy(path, config_hash):
     return _read_table(path, config_hash, _POLICY_COLUMNS, _policy)
 
-
-def write_episode_trace(path, trace, config_hash):
-    """Per-step log of one episode: n, x, y, eta1, a, pi1, u."""
-    write_csv(
-        path,
-        RECORD_FIELDS,
-        trace.records,
-        config_hash,
-        meta={"change_time": trace.change_time, "stop_time": trace.stop_time,
-              "cost": trace.cost},
-    )

@@ -21,14 +21,12 @@ from qdetect import (
 )
 from qdetect.cli import _parse_box, _parse_f_values, main
 from qdetect.serialize import (
-    Columns,
     atomic_write_text,
     read_csv,
     read_kernel,
     read_policy,
     read_value,
     write_csv,
-    write_episode_trace,
     write_kernel,
     write_policy,
     write_value,
@@ -176,6 +174,11 @@ def test_load_config_bad_values():
         load_config(BASE_INI.replace("lambda = 10.495", "lambda = brr"))
     with pytest.raises(ConfigError):
         load_config(BASE_INI.replace("p = 0.95", "p = -0.2"))
+    # an infinite lambda would pass lam >= 0, then fail the steady state
+    with pytest.raises(ConfigError, match="lam must be finite and >= 0, got inf"):
+        load_config(BASE_INI.replace("lambda = 10.495", "lambda = inf"))
+    with pytest.raises(ConfigError, match="lam must be finite and >= 0, got inf"):
+        load_config(BASE_INI + "\n[mixture]\natom1 = 0.5 inf 0.3 1\n")
     with pytest.raises(ConfigError, match="both f and d"):
         load_config(BASE_INI.replace("d = 1\n", ""))
     with pytest.raises(ConfigError):
@@ -207,7 +210,7 @@ def test_load_config_bad_values():
 def test_write_csv_layout(tmp_path):
     path = str(tmp_path / "t.csv")
     write_csv(
-        path, ("a", "b"), [(1, True), (0.5, False)], "deadbeef0123",
+        path, ("a", "b"), ((1, 0.5), (True, False)), "deadbeef0123",
         meta={"note": 7},
     )
     lines = open(path, encoding="utf-8").read().splitlines()
@@ -275,15 +278,14 @@ def test_write_csv_columns_match_per_row_oracle(table):
     names, columns, meta = table
     expected = oracle_csv_text(names, zip(*columns), "feed01234567", meta)
     with tempfile.TemporaryDirectory() as tmp:
-        for i, data in enumerate((Columns(columns), list(zip(*columns)))):
-            path = os.path.join(tmp, f"t{i}.csv")
-            write_csv(path, names, data, "feed01234567", meta=meta)
-            with open(path, encoding="utf-8", newline="") as fh:
-                assert fh.read() == expected
+        path = os.path.join(tmp, "t.csv")
+        write_csv(path, names, columns, "feed01234567", meta=meta)
+        with open(path, encoding="utf-8", newline="") as fh:
+            assert fh.read() == expected
 
 
 def test_write_csv_zero_rows_writes_header_only(tmp_path):
-    for i, data in enumerate(([], Columns((np.zeros(0), np.zeros(0, dtype=int))))):
+    for i, data in enumerate((((), ()), (np.zeros(0), np.zeros(0, dtype=int)))):
         path = tmp_path / f"empty{i}.csv"
         write_csv(str(path), ("a", "b"), data, "feed01234567")
         assert path.read_text(encoding="utf-8") == "# config=feed01234567\na,b\n"
@@ -427,47 +429,6 @@ def test_policy_roundtrip_no_threshold(tmp_path):
             read_policy(str(tmp_path / "bad.csv"), "cafe01234567")
 
 
-def test_episode_trace_csv(
-    tmp_path, pd_frame, pd_params, pd_change, pd_obs, pd_kernel_small,
-    pd_costs,
-):
-    from qdetect import always_stop_policy, simulate_episode
-
-    trace = simulate_episode(
-        pd_frame, pd_params, pd_change, pd_obs,
-        always_stop_policy(pd_kernel_small.grid), pd_kernel_small, 3,
-        costs=pd_costs,
-    )
-    path = str(tmp_path / "trace.csv")
-    write_episode_trace(path, trace, "cafe01234567")
-    meta, columns, rows = read_csv(path)
-    assert columns == ["n", "x", "y", "eta1", "a", "pi1", "u"]
-    assert len(rows) == len(trace.records)
-    assert meta["stop_time"] == "1"
-    assert float(meta["cost"]) == trace.cost
-
-
-def test_episode_trace_round_trip(
-    tmp_path, pd_frame, pd_params, pd_change, pd_obs, pd_kernel_small,
-    pd_costs,
-):
-    from qdetect import simulate_episode
-
-    _, policy = value_iteration(pd_kernel_small, pd_change, pd_costs)
-    parse = (int, int, int, float, int, float, int)     # n, x, y, eta1, a, pi1, u
-    for seed in (0, 3, 17):
-        trace = simulate_episode(pd_frame, pd_params, pd_change, pd_obs,
-                                 policy, pd_kernel_small, seed, costs=pd_costs)
-        path = str(tmp_path / f"trace{seed}.csv")
-        write_episode_trace(path, trace, "cafe01234567")
-        meta, columns, rows = read_csv(path)
-        assert columns == ["n", "x", "y", "eta1", "a", "pi1", "u"]
-        assert [tuple(f(v) for f, v in zip(parse, r)) for r in rows] == list(trace.records)
-        assert int(meta["change_time"]) == trace.change_time
-        assert int(meta["stop_time"]) == trace.stop_time
-        assert float(meta["cost"]) == trace.cost
-
-
 def test_atomic_write(tmp_path):
     path = tmp_path / "nested" / "file.txt"
     atomic_write_text(str(path), "first\n")
@@ -489,6 +450,11 @@ def test_parse_helpers():
         _parse_box("0.1:0.5,10:100")
     with pytest.raises(ConfigError, match=r"lambda needs lo <= hi, got 100\.0:10\.0"):
         _parse_box("0.1:0.5,100:10,0.2:0.2")
+    # linspace over an infinite end gives nan points
+    with pytest.raises(ConfigError, match=r"lambda needs finite ends, got 10\.0:inf"):
+        _parse_box("0.8:1.0,10:inf,0.1:0.5")
+    with pytest.raises(ConfigError, match=r"alpha needs finite ends, got -inf:0\.5"):
+        _parse_box("-inf:0.5,10:100,0.1:0.5")
 
 
 def test_cli_solve_then_simulate(tmp_path, capsys):
@@ -568,6 +534,14 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert main(["--config", ini, "--out", out, "region-scan", "--ref-box",
                  "1.0:0.8,100:10,0.5:0.1", "--points-per-axis", "2"]) == 2
     assert capsys.readouterr().err.startswith("error [config]: bad box '1.0:0.8,")
+    assert main(["--config", ini, "--out", out, "region-scan", "--ref-box",
+                 "0.8:1.0,10:inf,0.1:0.5", "--points-per-axis", "2"]) == 2
+    assert "lambda needs finite ends, got 10.0:inf" in capsys.readouterr().err
+    inf_lam = write_ini(tmp_path, BASE_INI.replace("lambda = 10.495", "lambda = inf"),
+                        "inflam.ini")
+    for command in ("solve", "stp-sweep"):
+        assert main(["--config", inf_lam, "--out", out, command]) == 2
+        assert capsys.readouterr().err.startswith("error [config]: lam must be finite")
     assert not os.path.exists(out)
 
     # impossible [solver] values exit 2 at load, before anything is written

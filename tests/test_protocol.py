@@ -11,6 +11,8 @@ identity ties the public update to the private one through two independently
 computed sides.
 """
 
+from collections import namedtuple
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,7 +24,6 @@ from qdetect import (
     ChangeModel,
     DecisionFrame,
     DetectionCosts,
-    EpisodeTrace,
     ImpossibleAction,
     ImpossibleObservation,
     InvalidModel,
@@ -44,7 +45,13 @@ from qdetect import (
     simulate_episodes,
     value_iteration,
 )
-from qdetect.protocol import _draw, _transitions, bayes_step, observation_likelihood
+from qdetect.protocol import (
+    RECORD_FIELDS,
+    _draw,
+    _transitions,
+    bayes_step,
+    observation_likelihood,
+)
 from qdetect.quantum import assemble_lindbladian
 
 
@@ -340,6 +347,19 @@ def test_public_update_martingale_drift(pd_change, pd_kernel_small):
         assert total >= pi1 - 1e-12
 
 
+Episode = namedtuple("Episode", "change_time stop_time records cost")
+
+
+def _episodes(batch):
+    # each episode's records (n, x, y, eta1, a, pi1, u) out of the lockstep
+    # log, in step order, as plain ints and floats
+    ep = batch.log["episode"]
+    records = [tuple(zip(*(batch.log[k][ep == i].tolist() for k in RECORD_FIELDS)))
+               for i in range(len(batch.stop_time))]
+    return [Episode(*e) for e in zip(batch.change_time.tolist(), batch.stop_time.tolist(),
+                                     records, batch.cost.tolist())]
+
+
 def test_simulate_always_stop(
     pd_frame, pd_params, pd_change, pd_obs, pd_kernel_small, pd_costs,
 ):
@@ -347,10 +367,10 @@ def test_simulate_always_stop(
     alarms = 0
     n = 400
     for seed in range(n):
-        trace = simulate_episode(
+        trace, = _episodes(simulate_episode(
             pd_frame, pd_params, pd_change, pd_obs, policy, pd_kernel_small,
             seed, costs=pd_costs,
-        )
+        ))
         assert trace.stop_time == 1
         assert len(trace.records) == 1
         assert trace.records[0][-1] == 1
@@ -381,10 +401,10 @@ def test_simulate_forced_immediate_change(
     change = ChangeModel(p=1.0)
     policy = always_stop_policy(pd_kernel_small.grid)
     for seed in range(50):
-        trace = simulate_episode(
+        trace, = _episodes(simulate_episode(
             pd_frame, pd_params, change, pd_obs, policy, pd_kernel_small,
             seed, costs=pd_costs,
-        )
+        ))
         assert trace.change_time == 1
         assert trace.cost == 0.0
 
@@ -393,10 +413,10 @@ def test_simulate_trace_bookkeeping(
     pd_frame, pd_params, pd_change, pd_obs, pd_kernel_small, pd_costs,
 ):
     _, policy = value_iteration(pd_kernel_small, pd_change, pd_costs)
-    trace = simulate_episode(
+    trace, = _episodes(simulate_episode(
         pd_frame, pd_params, pd_change, pd_obs, policy, pd_kernel_small,
         12345, costs=pd_costs,
-    )
+    ))
     steps = [r[0] for r in trace.records]
     assert steps == list(range(1, trace.stop_time + 1))
     assert all(r[4] in (1, 2) for r in trace.records)
@@ -491,7 +511,7 @@ def _oracle_episode(
             break
     tau = n
     cost = d * max(tau - tau0, 0) + (f if tau < tau0 else 0.0)
-    return EpisodeTrace(
+    return Episode(
         change_time=tau0, stop_time=tau, records=tuple(records), cost=float(cost)
     )
 
@@ -519,7 +539,7 @@ def _assert_matches_oracle(frame, params, change, obs, policy, kernel, costs, se
     seeds = np.random.SeedSequence(seed).spawn(n)
     amap = ActionMap(frame, params)
     batch = simulate_episodes(frame, params, change, obs, policy, kernel, seeds, costs=costs)
-    traces = batch.traces()
+    traces = _episodes(batch)
     assert len(traces) == n
     for s, trace in zip(seeds, traces):
         want = _oracle_episode(frame, params, change, obs, policy, kernel, s,
@@ -625,6 +645,32 @@ def test_lockstep_impossible_action(pd_frame, pd_params, pd_change, pd_obs):
     assert max(first)[0] > 1               # some episodes fail later than others
     assert err.action == 2
     assert err.belief.shape == (2,) and abs(err.belief.sum() - 1.0) <= 1e-12
+
+
+def test_lockstep_impossible_observation(pd_frame, pd_params):
+    # action 1 comes only from state 1, so seeing it sends the public belief
+    # to [1, 0], where observation 3, which only state 2 emits, is impossible
+    change = ChangeModel(p=0.02)
+    obs = ObservationModel(np.array([[0.5, 0.5, 0.0], [0.2, 0.2, 0.6]]))
+    grid = BeliefGrid(20)
+    table = np.zeros((2, grid.size, 2))
+    table[0, :, 0] = table[1, :, 1] = 1.0
+    kernel = ActionKernel(grid=grid, table=table)
+    never_stop = Policy(points=grid.points, u=np.full(grid.size, 2), threshold=None,
+                        crossings=0)
+    seeds = list(range(20))
+    first = []                              # (step, check order, episode) of each failure
+    for i, seed in enumerate(seeds):
+        with pytest.raises((ImpossibleObservation, ImpossibleAction)) as alone:
+            simulate_episode(pd_frame, pd_params, change, obs, never_stop, kernel, seed)
+        first.append((alone.value.step, isinstance(alone.value, ImpossibleAction), i))
+    with pytest.raises(ImpossibleObservation) as info:
+        simulate_episodes(pd_frame, pd_params, change, obs, never_stop, kernel, seeds)
+    err = info.value
+    assert (err.step, False, err.episode) == min(first) == (2, False, 1)
+    assert err.observation == 3
+    np.testing.assert_array_equal(err.belief, [1.0, 0.0])
+    assert str(err).startswith("episode 1 step 2: observation 3 has zero likelihood")
 
 
 def test_lockstep_one_runaway_episode(
