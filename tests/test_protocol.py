@@ -46,11 +46,7 @@ from qdetect import (
     value_iteration,
 )
 from qdetect.protocol import (
-    RECORD_FIELDS,
-    _draw,
-    _transitions,
-    bayes_step,
-    observation_likelihood,
+    RECORD_FIELDS, _draw, _transitions, bayes_step, observation_likelihood,
 )
 from qdetect.quantum import assemble_lindbladian
 
