@@ -55,7 +55,6 @@ from .stopping import (
 from .dominance import (
     BetweennessReport,
     KLBoundReport,
-    ParameterRegion,
     best_transform,
     box_grid,
     interpolation_betweenness_check,

@@ -101,14 +101,14 @@ def _parse_f_values(text):
     try:
         for seg in text.split(","):
             if ":" in seg:
-                lo, hi = seg.split(":")
-                values.extend(range(int(lo), int(hi) + 1))
+                lo, hi = (int(v) for v in seg.split(":"))
+                if lo > hi:
+                    raise ValueError(f"range {seg!r} needs lo <= hi")
+                values.extend(range(lo, hi + 1))
             else:
                 values.append(float(seg))
     except ValueError as exc:
         raise ConfigError(f"bad f values {text!r}: {exc}") from None
-    if not values:
-        raise ConfigError("empty f value list")
     return [float(v) for v in values]
 
 
@@ -211,7 +211,7 @@ def cmd_region_scan(config, args):
     config.require("change", "obs", "costs")
     ref_points = box_grid(*ref_box, args.points_per_axis)
     test_points = box_grid(*test_box, args.points_per_axis)
-    regions, rows = region_scan(
+    tags, rows = region_scan(
         config.frame, ref_points, test_points, config.change, config.obs,
         config.costs, config.grid, pi_samples=args.pi_samples,
         tol=config.vi_tol, max_iter=config.max_iter,
@@ -231,15 +231,11 @@ def cmd_region_scan(config, args):
         tuple(zip(*csv_rows)),
         config.hash,
     )
-    ref_r, test_r = regions
-    separated = (
-        ref_r.classification == "dominating"
-        and test_r.classification == "dominated"
-        and ref_r.alpha[0] > test_r.alpha[1]
-    )
+    # the sampled points, not the box ends: one point per axis is the lo corner
+    separated = (tags == ("dominating", "dominated")
+                 and min(p.alpha for p in ref_points) > max(p.alpha for p in test_points))
     print(f"region-scan: {len(rows)} pair records -> {path}")
-    print(f"region-scan: ref box {ref_r.classification}, "
-          f"test box {test_r.classification}; "
+    print(f"region-scan: ref box {tags[0]}, test box {tags[1]}; "
           f"alpha-separated dominating/dominated pair certified: "
           f"{'yes' if separated else 'no'}")
 

@@ -52,17 +52,6 @@ class BetweennessReport:
     worst_margin: float
 
 
-@dataclass(frozen=True)
-class ParameterRegion:
-    """A scanned box in (alpha, lambda, phi) with its dominance tag."""
-
-    alpha: tuple
-    lam: tuple
-    phi: tuple
-    classification: str
-    witnesses: tuple
-
-
 def _check_families(gamma_hat, gamma):
     ghat = np.atleast_2d(np.asarray(gamma_hat, dtype=float))
     g = np.atleast_2d(np.asarray(gamma, dtype=float))
@@ -307,6 +296,11 @@ def _map_rows(src_fams, dst_fams, eps):
                              chunksize=chunk))
 
 
+# a box's tag from the certified flags of its own directions and the other box's
+def _tag(own, other):
+    return "dominating" if all(own) else "dominated" if all(other) else "unresolved"
+
+
 def region_scan(
     frame,
     ref_points,
@@ -333,7 +327,8 @@ def region_scan(
     here when that is one, e.g. under ``taskset -c 0``). Every search has the
     same inputs either way, so the rows are the same to the bit.
 
-    Returns (regions, rows): two ParameterRegion tags and all pair records.
+    Returns (tags, rows): the ref box's and the test box's tag (see _tag),
+    and the pair records, ref-major with ref_to_test before test_to_ref.
     """
     pi_values = np.linspace(0.0, 1.0, pi_samples)
 
@@ -346,62 +341,23 @@ def region_scan(
             out.append((p, fam, V.values))
         return out
 
-    ref_data = prep(ref_points)
-    test_data = prep(test_points)
-
-    keys, src_fams, dst_fams = [], [], []
-    for p_ref, fam_ref, V_ref in ref_data:
-        for p_test, fam_test, V_test in test_data:
-            for direction, src_fam, dst_fam, V_src, V_dst in (
-                ("ref_to_test", fam_ref, fam_test, V_ref, V_test),
-                ("test_to_ref", fam_test, fam_ref, V_test, V_ref),
-            ):
-                keys.append((p_ref, p_test, direction, float(np.min(V_dst - V_src))))
-                src_fams.append(src_fam)
-                dst_fams.append(dst_fam)
-    rows = [
-        ScanRow(
-            ref=p_ref,
-            test=p_test,
-            direction=direction,
-            certified=ok,
-            residual=float(worst_resid),
-            worst_V_margin=margin,
+    ref_data, test_data = prep(ref_points), prep(test_points)
+    jobs = [
+        (p_ref, p_test, direction, src_fam, dst_fam, V_src, V_dst)
+        for p_ref, fam_ref, V_ref in ref_data
+        for p_test, fam_test, V_test in test_data
+        for direction, src_fam, dst_fam, V_src, V_dst in (
+            ("ref_to_test", fam_ref, fam_test, V_ref, V_test),
+            ("test_to_ref", fam_test, fam_ref, V_test, V_ref),
         )
-        for (p_ref, p_test, direction, margin), (ok, worst_resid)
-        in zip(keys, _map_rows(src_fams, dst_fams, eps))
     ]
-
-    def bounds(points):
-        al = [p.alpha for p in points]
-        lm = [p.lam for p in points]
-        ph = [p.phi for p in points]
-        return (min(al), max(al)), (min(lm), max(lm)), (min(ph), max(ph))
-
-    fwd = [r for r in rows if r.direction == "ref_to_test"]
-    bwd = [r for r in rows if r.direction == "test_to_ref"]
-    ref_dominates = all(r.certified for r in fwd)
-    test_dominates = all(r.certified for r in bwd)
-
-    def tag(dominates, dominated_by):
-        if dominates:
-            return "dominating"
-        if dominated_by:
-            return "dominated"
-        return "unresolved"
-
-    ref_b = bounds(ref_points)
-    test_b = bounds(test_points)
-    regions = [
-        ParameterRegion(
-            alpha=ref_b[0], lam=ref_b[1], phi=ref_b[2],
-            classification=tag(ref_dominates, test_dominates),
-            witnesses=tuple(r for r in fwd if r.certified)[:3],
-        ),
-        ParameterRegion(
-            alpha=test_b[0], lam=test_b[1], phi=test_b[2],
-            classification=tag(test_dominates, ref_dominates),
-            witnesses=tuple(r for r in bwd if r.certified)[:3],
-        ),
+    verdicts = _map_rows([j[3] for j in jobs], [j[4] for j in jobs], eps)
+    rows = [
+        ScanRow(ref=p_ref, test=p_test, direction=direction, certified=ok,
+                residual=float(worst_resid), worst_V_margin=float(np.min(V_dst - V_src)))
+        for (p_ref, p_test, direction, _, _, V_src, V_dst), (ok, worst_resid)
+        in zip(jobs, verdicts)
     ]
-    return regions, rows
+    fwd = [r.certified for r in rows if r.direction == "ref_to_test"]
+    bwd = [r.certified for r in rows if r.direction == "test_to_ref"]
+    return (_tag(fwd, bwd), _tag(bwd, fwd)), rows

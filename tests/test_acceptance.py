@@ -237,7 +237,7 @@ def test_criterion_7_region_ordering(
 ):
     ref = box_grid((0.8, 1.0), (10.0, 100.0), (0.1, 0.5), points_per_axis=2)
     test = box_grid((0.1, 0.5), (10.0, 100.0), (0.1, 0.5), points_per_axis=2)
-    regions, rows = region_scan(
+    tags, rows = region_scan(
         pd_frame, ref, test, pd_change, pd_obs, pd_costs, small_grid
     )
     fwd = {(r.ref, r.test): r for r in rows if r.direction == "ref_to_test"}
@@ -256,7 +256,7 @@ def test_criterion_7_region_ordering(
         f"one-way dominance with value margins >= -1e-6 (worst witness "
         f"margin {worst_margin:.1e}; values coincide to machine precision "
         f"in this cost regime); full-box tags "
-        f"{regions[0].classification}/{regions[1].classification}",
+        f"{tags[0]}/{tags[1]}",
     )
 
 

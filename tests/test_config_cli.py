@@ -443,6 +443,11 @@ def test_parse_helpers():
     assert _parse_f_values("0") == [0.0]
     with pytest.raises(ConfigError):
         _parse_f_values("a:b")
+    # a reversed range is an error naming the segment, not an empty range
+    with pytest.raises(ConfigError, match=r"range '10:1' needs lo <= hi"):
+        _parse_f_values("10:1,3")
+    with pytest.raises(ConfigError, match=r"range '10:1' needs lo <= hi"):
+        _parse_f_values("10:1")
     assert _parse_box("0.1:0.5,10:100,0.2:0.2") == (
         (0.1, 0.5), (10.0, 100.0), (0.2, 0.2)
     )
@@ -625,6 +630,16 @@ def test_cli_region_scan(tmp_path, capsys):
     by_dir = {r[6]: r for r in rows}
     assert by_dir["ref_to_test"][7] == "1"
     assert by_dir["test_to_ref"][7] == "0"
+    # overlapping boxes at one point per axis: each box is its lo corner, so
+    # the sampled alphas 0.9 and 0.2 separate though the box ends do not
+    assert main([
+        "--config", ini, "--out", out, "region-scan",
+        "--ref-box", "0.9:1.0,50:50,0.3:0.3",
+        "--test-box", "0.2:0.95,50:50,0.3:0.3",
+        "--points-per-axis", "1", "--pi-samples", "5",
+    ]) == 0
+    assert ("alpha-separated dominating/dominated pair certified: yes"
+            in capsys.readouterr().out)
 
 
 def test_cli_sensitivity(tmp_path, capsys):

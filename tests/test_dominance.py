@@ -16,6 +16,7 @@ import pytest
 
 from qdetect import (
     ActionKernel,
+    ActionMap,
     BeliefGrid,
     ChangeModel,
     DetectionCosts,
@@ -283,7 +284,7 @@ def test_sensitivity_alpha_mixture(
 def test_region_scan_self_pair(
     pd_frame, pd_params, pd_change, pd_obs, pd_costs, small_grid
 ):
-    regions, rows = region_scan(
+    tags, rows = region_scan(
         pd_frame, [pd_params], [pd_params], pd_change, pd_obs, pd_costs,
         small_grid,
     )
@@ -291,13 +292,13 @@ def test_region_scan_self_pair(
     assert all(r.certified for r in rows)
     assert all(r.residual <= 1e-9 for r in rows)
     assert all(abs(r.worst_V_margin) <= 1e-12 for r in rows)
-    assert regions[0].classification == regions[1].classification == "dominating"
+    assert tags == ("dominating", "dominating")
 
 
 def test_region_scan_asymmetric_pair(
     pd_frame, pd_change, pd_obs, pd_costs, small_grid
 ):
-    regions, rows = region_scan(
+    tags, rows = region_scan(
         pd_frame, [PAIR_HI], [PAIR_LO], pd_change, pd_obs, pd_costs,
         small_grid, eps=1e-7,
     )
@@ -308,10 +309,7 @@ def test_region_scan_asymmetric_pair(
     assert fwd.worst_V_margin >= -1e-6
     assert not bwd.certified
     assert 1e-6 < bwd.residual < 1.2e-6
-    assert regions[0].classification == "dominating"
-    assert regions[1].classification == "dominated"
-    assert len(regions[0].witnesses) == 1
-    assert regions[1].witnesses == ()
+    assert tags == ("dominating", "dominated")
 
 
 def test_box_grid_counts():
@@ -361,14 +359,30 @@ def test_region_scan_pool_matches_serial(
         pids = set(pid_log.read_text(encoding="utf-8").split())
         assert (str(os.getpid()) in pids) == (len(cpus) == 1)
         assert len(pids) >= 1
-    (pool_regions, pool_rows), (serial_regions, serial_rows) = scans[2], scans[1]
+    (pool_tags, pool_rows), (serial_tags, serial_rows) = scans[2], scans[1]
     assert len(pool_rows) == 128
     assert [row_bits(r) for r in pool_rows] == [row_bits(r) for r in serial_rows]
-    for pooled, serial in zip(pool_regions, serial_regions, strict=True):
-        assert (pooled.alpha, pooled.lam, pooled.phi, pooled.classification) == (
-            serial.alpha, serial.lam, serial.phi, serial.classification)
-        assert [row_bits(r) for r in pooled.witnesses] == [
-            row_bits(r) for r in serial.witnesses]
+    assert pool_tags == serial_tags
+
+
+def test_region_scan_sound_against_vertex_certificate(
+    pd_frame, pd_change, pd_obs, pd_costs
+):
+    # the channel family at belief pi is T(pi) V for the vertex matrix V, so
+    # a garbling M with V_src M = V_dst (Blackwell's order) certifies every
+    # sampled belief at once: a vertex-certified direction must be certified
+    _, rows = default_box_scan(pd_frame, pd_change, pd_obs, pd_costs)
+    vertex_certified = 0
+    for row in rows:
+        src, dst = ((row.ref, row.test) if row.direction == "ref_to_test"
+                    else (row.test, row.ref))
+        _, resid = best_transform(ActionMap(pd_frame, src).vertices,
+                                  ActionMap(pd_frame, dst).vertices, eps=1e-6)
+        if resid <= 1e-6:
+            vertex_certified += 1
+            assert row.certified, (row, resid)
+    assert vertex_certified >= 1
+    assert len(rows) == 128
 
 
 def test_region_scan_worker_error_reaches_caller(
