@@ -52,16 +52,6 @@ class BetweennessReport:
     worst_margin: float
 
 
-def _check_families(gamma_hat, gamma):
-    ghat = np.atleast_2d(np.asarray(gamma_hat, dtype=float))
-    g = np.atleast_2d(np.asarray(gamma, dtype=float))
-    if ghat.shape != g.shape:
-        raise InvalidModel(
-            f"channel families must share shape, got {ghat.shape} vs {g.shape}"
-        )
-    return ghat, g
-
-
 def best_transform(gamma_hat, gamma, eps=None):
     """Row-stochastic M minimizing the worst-entry residual of
     gamma_hat @ M = gamma. Returns (M, residual).
@@ -72,7 +62,12 @@ def best_transform(gamma_hat, gamma, eps=None):
     correct side of eps). All other cases go through an LP minimizing the
     maximum residual subject to stochasticity.
     """
-    ghat, g = _check_families(gamma_hat, gamma)
+    ghat = np.atleast_2d(np.asarray(gamma_hat, dtype=float))
+    g = np.atleast_2d(np.asarray(gamma, dtype=float))
+    if ghat.shape != g.shape:
+        raise InvalidModel(
+            f"channel families must share shape, got {ghat.shape} vs {g.shape}"
+        )
     m, A = ghat.shape
     if A == 2 and eps is not None:
         got = _transform_two_actions(ghat, g, eps)
@@ -259,16 +254,10 @@ class ScanRow:
 
 
 def _row_verdict(src_fam, dst_fam, eps):
-    """(certified, worst residual) of one pair direction: a garbling search
-    at every sampled belief, in belief order."""
-    worst_resid = 0.0
-    ok = True
-    for i in range(len(src_fam)):
-        _, resid = best_transform(src_fam[i], dst_fam[i], eps=eps)
-        worst_resid = max(worst_resid, resid)
-        if resid > eps:
-            ok = False
-    return ok, worst_resid
+    """Worst residual of one pair direction, from 0.0: a garbling search at
+    every sampled belief, in belief order."""
+    return float(max([0.0] + [best_transform(src, dst, eps=eps)[1]
+                              for src, dst in zip(src_fam, dst_fam)]))
 
 
 def _map_rows(src_fams, dst_fams, eps):
@@ -353,10 +342,9 @@ def region_scan(
     ]
     verdicts = _map_rows([j[3] for j in jobs], [j[4] for j in jobs], eps)
     rows = [
-        ScanRow(ref=p_ref, test=p_test, direction=direction, certified=ok,
-                residual=float(worst_resid), worst_V_margin=float(np.min(V_dst - V_src)))
-        for (p_ref, p_test, direction, _, _, V_src, V_dst), (ok, worst_resid)
-        in zip(jobs, verdicts)
+        ScanRow(ref=p_ref, test=p_test, direction=direction, certified=worst <= eps,
+                residual=worst, worst_V_margin=float(np.min(V_dst - V_src)))
+        for (p_ref, p_test, direction, _, _, V_src, V_dst), worst in zip(jobs, verdicts)
     ]
     fwd = [r.certified for r in rows if r.direction == "ref_to_test"]
     bwd = [r.certified for r in rows if r.direction == "test_to_ref"]

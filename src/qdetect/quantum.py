@@ -203,15 +203,19 @@ def _dissipator(gamma):
     return S
 
 
+def _coherent(frame, alpha):
+    """Superoperator of the coherent part -i(1-alpha)[H, .] on row-major
+    vectorized density operators."""
+    H, eye = hamiltonian(frame), np.eye(frame.dim)
+    return -1j * (1.0 - alpha) * (np.kron(H, eye) - np.kron(eye, H.T))
+
+
 def assemble_lindbladian(frame, params, eta):
     """Vectorized generator: -i(1-alpha)[H, .] plus alpha times the jump
     dissipator with rates from the cognitive matrix. Acts on row-major
     vectorized density operators; shape (d^2, d^2)."""
-    d = frame.dim
-    H = hamiltonian(frame)
     gamma = cognitive_matrix(frame, params, eta)
-    coh = -1j * (1.0 - params.alpha) * (np.kron(H, np.eye(d)) - np.kron(np.eye(d), H.T))
-    return coh + params.alpha * _dissipator(gamma)
+    return _coherent(frame, params.alpha) + params.alpha * _dissipator(gamma)
 
 
 def evolve(superop, rho0, t):
@@ -310,11 +314,10 @@ class ActionMap:
             raise UnsupportedParameter("ActionMap requires alpha > 0")
         self.frame = frame
         self.params = params
-        d, n = frame.dim, frame.n_states
-        H = hamiltonian(frame)
+        n = frame.n_states
         Pi = subjective_choice_matrix(frame, params.lam)
-        coh = -1j * (1.0 - params.alpha) * (np.kron(H, np.eye(d)) - np.kron(np.eye(d), H.T))
-        base = coh + params.alpha * _dissipator((1.0 - params.phi) * Pi.T)
+        base = (_coherent(frame, params.alpha)
+                + params.alpha * _dissipator((1.0 - params.phi) * Pi.T))
         parts = np.stack([params.alpha * _dissipator(params.phi * belief_matrix(frame, e).T)
                           for e in np.eye(n)])
         etas = np.vstack([np.eye(n), np.full(n, 1.0 / n)])

@@ -157,20 +157,27 @@ def read_value(path, config_hash):
                        lambda meta, pts, values: ValueTable(points=pts, values=values))
 
 
+def _policy_meta(policy):
+    """The threshold and crossings header lines of policy.csv, as spelled there."""
+    return {"threshold": "none" if policy.threshold is None else repr(policy.threshold),
+            "crossings": str(policy.crossings)}
+
+
 def write_policy(path, policy, config_hash):
-    meta = {
-        "threshold": "none" if policy.threshold is None else repr(policy.threshold),
-        "crossings": policy.crossings,
-    }
-    write_csv(path, _POLICY_COLUMNS, (policy.points, policy.u), config_hash, meta=meta)
+    write_csv(path, _POLICY_COLUMNS, (policy.points, policy.u), config_hash,
+              meta=_policy_meta(policy))
 
 
 def _policy(meta, pts, u):
-    threshold = meta.get("threshold", "none")
-    return Policy(points=pts, u=u, threshold=None if threshold == "none" else float(threshold),
-                  crossings=int(meta.get("crossings", "0")))
+    policy = Policy(points=pts, u=u)
+    for key, derived in _policy_meta(policy).items():
+        if meta.get(key) != derived:
+            raise ValueError(f"header {key}={meta.get(key)} but the u column gives {derived}")
+    return policy
 
 
 def read_policy(path, config_hash):
+    """Policy from its u column; CacheMiss names both values when a threshold
+    or crossings header line differs from the one derived from u."""
     return _read_table(path, config_hash, _POLICY_COLUMNS, _policy)
 

@@ -10,7 +10,7 @@ with expectations under the one-step action (or observation) likelihoods and
 V read off the grid by linear interpolation. Ties break toward stopping.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -42,13 +42,13 @@ class ValueTable:
 
 @dataclass(frozen=True)
 class Policy:
-    """Stop/continue decision at each grid point, with the stop threshold when
-    the stop set is a single upper interval of pi(1)."""
+    """Stop/continue decision u at each grid point. u is the whole rule: the
+    threshold and crossing count are derived from it by extract_threshold."""
 
     points: np.ndarray
     u: np.ndarray
-    threshold: float | None
-    crossings: int
+    threshold: float | None = field(init=False)
+    crossings: int = field(init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "points", np.asarray(self.points, dtype=float))
@@ -60,6 +60,9 @@ class Policy:
         if not np.all(np.isin(u, (1, 2))):          # before the int cast truncates 1.5 to 1
             raise InvalidModel("decisions must be 1 (stop) or 2 (continue)")
         object.__setattr__(self, "u", u.astype(int))
+        threshold, crossings = extract_threshold(self.points, self.u)
+        object.__setattr__(self, "threshold", threshold)
+        object.__setattr__(self, "crossings", crossings)
 
     def decide(self, pi1):
         """Decision at arbitrary beliefs, elementwise over an array of pi(1):
@@ -77,8 +80,7 @@ class Policy:
 
 
 def always_stop_policy(grid):
-    pts = grid.points
-    return Policy(points=pts, u=np.ones(pts.size, dtype=int), threshold=0.0, crossings=0)
+    return Policy(points=grid.points, u=np.ones(grid.size, dtype=int))
 
 
 def _action_transitions(kernel, change):
@@ -114,11 +116,9 @@ def _iterate(points, transitions, costs, tol, max_iter, stop_mask=None):
         raise NonConvergence(f"{'policy evaluation' if fixed else 'value iteration'} missed "
                              f"tolerance {tol} after {max_iter} sweeps", last_delta=float(delta))
     cont = continuation(V)
-    u = np.where(stop_cost <= cont, 1, 2)
-    threshold, crossings = extract_threshold(points, u)
     return (
         ValueTable(points=points, values=V, sweeps=sweep),
-        Policy(points=points, u=u, threshold=threshold, crossings=crossings),
+        Policy(points=points, u=np.where(stop_cost <= cont, 1, 2)),
     )
 
 

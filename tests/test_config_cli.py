@@ -1,6 +1,7 @@
 """Config parsing, CSV cache, and end-to-end CLI runs (in process)."""
 
 import os
+import re
 import tempfile
 
 import numpy as np
@@ -382,20 +383,19 @@ def test_kernel_roundtrip_exact_on_random_tables(n_cells, A, concentration, seed
 
 
 @settings(max_examples=30)
-@given(st.integers(1, 30), st.integers(0, 2**32 - 1),
-       st.none() | st.floats(0.0, 1.0), st.integers(0, 30))
-def test_policy_roundtrip_exact_on_random_policies(n_cells, seed, threshold, crossings):
+@given(st.integers(1, 30), st.integers(0, 2**32 - 1))
+def test_policy_roundtrip_exact_on_random_policies(n_cells, seed):
     pts = BeliefGrid(n_cells).points
     u = np.random.default_rng(seed).integers(1, 3, size=pts.size)
-    policy = Policy(points=pts, u=u, threshold=threshold, crossings=crossings)
+    policy = Policy(points=pts, u=u)
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "policy.csv")
         write_policy(path, policy, "cafe01234567")
         back = read_policy(path, "cafe01234567")
     np.testing.assert_array_equal(back.points, pts)
     np.testing.assert_array_equal(back.u, u)
-    assert back.threshold == threshold
-    assert back.crossings == crossings
+    assert back.threshold == policy.threshold
+    assert back.crossings == policy.crossings
 
 
 @settings(max_examples=30)
@@ -415,7 +415,7 @@ def test_value_roundtrip_exact_on_random_tables(n_cells, seed, exponent):
 
 def test_policy_roundtrip_no_threshold(tmp_path):
     pts = np.array([0.0, 0.5, 1.0])
-    policy = Policy(points=pts, u=np.array([1, 2, 1]), threshold=None, crossings=2)
+    policy = Policy(points=pts, u=np.array([1, 2, 1]))
     path = str(tmp_path / "p.csv")
     write_policy(path, policy, "cafe01234567")
     back = read_policy(path, "cafe01234567")
@@ -494,6 +494,35 @@ def test_cli_simulate_corrupt_kernel_is_cache_miss(tmp_path, capsys):
     capsys.readouterr()
     assert main(["--config", ini, "--out", out, "simulate", "--episodes", "5"]) == 4
     assert "kernel cell (x=2, pi1=1.0, a=1) appears 2 times" in capsys.readouterr().err
+
+
+def test_policy_header_must_match_its_u_column(tmp_path, capsys):
+    # the u column is the policy: a header line that disagrees with it is a
+    # corrupt artifact, not a second rule for simulate to follow
+    ini = write_ini(tmp_path)
+    out = str(tmp_path / "out")
+    assert main(["--config", ini, "--out", out, "solve"]) == 0
+    cfg_hash = load_config(BASE_INI).hash
+    cache = os.path.join(out, cfg_hash)
+    path = os.path.join(cache, "policy.csv")
+    text = open(path, encoding="utf-8").read()
+    policy = read_policy(path, cfg_hash)
+    threshold, crossings = repr(policy.threshold), str(policy.crossings)
+    assert f"\n# threshold={threshold}\n# crossings={crossings}\n" in text
+    for key, stored, derived in (("threshold", "0.99", threshold),
+                                 ("threshold", "none", threshold),
+                                 ("crossings", "2", crossings)):
+        bad = text.replace(f"# {key}={derived}\n", f"# {key}={stored}\n")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(bad)
+        with pytest.raises(CacheMiss, match=re.escape(
+                f"policy.csv is corrupt: header {key}={stored} but the u column "
+                f"gives {derived}")):
+            read_policy(path, cfg_hash)
+        capsys.readouterr()
+        assert main(["--config", ini, "--out", out, "simulate", "--episodes", "5"]) == 4
+        assert "policy.csv is corrupt" in capsys.readouterr().err
+        assert not os.path.exists(os.path.join(cache, "episodes.csv"))
 
 
 def test_cli_exit_codes(tmp_path, capsys):

@@ -380,9 +380,7 @@ def test_simulate_always_stop(
 
 def test_simulate_runaway(pd_frame, pd_params, pd_change, pd_obs, pd_kernel_small):
     pts = pd_kernel_small.grid.points
-    never_stop = Policy(
-        points=pts, u=np.full(pts.size, 2), threshold=None, crossings=0
-    )
+    never_stop = Policy(points=pts, u=np.full(pts.size, 2))
     with pytest.raises(RunawayEpisode):
         simulate_episode(
             pd_frame, pd_params, pd_change, pd_obs, never_stop,
@@ -565,7 +563,7 @@ def test_lockstep_matches_oracle_nearest_grid_policy(
 ):
     pts = slow_kernel.grid.points
     u = np.where(((pts >= 0.3) & (pts <= 0.35)) | (pts >= 0.8), 1, 2)
-    patchy = Policy(points=pts, u=u, threshold=None, crossings=3)
+    patchy = Policy(points=pts, u=u)
     _assert_matches_oracle(
         pd_frame, pd_params, slow_change, pd_obs, patchy, slow_kernel,
         DetectionCosts(f=50.0, d=1.0), seed=7,
@@ -624,7 +622,7 @@ def test_lockstep_impossible_action(pd_frame, pd_params, pd_change, pd_obs):
     table[:, :, 0] = 1.0
     kernel = ActionKernel(grid=grid, table=table)
     pts = grid.points
-    never_stop = Policy(points=pts, u=np.full(pts.size, 2), threshold=None, crossings=0)
+    never_stop = Policy(points=pts, u=np.full(pts.size, 2))
     seeds = list(range(30))
     first = []
     for i, seed in enumerate(seeds):
@@ -652,8 +650,7 @@ def test_lockstep_impossible_observation(pd_frame, pd_params):
     table = np.zeros((2, grid.size, 2))
     table[0, :, 0] = table[1, :, 1] = 1.0
     kernel = ActionKernel(grid=grid, table=table)
-    never_stop = Policy(points=grid.points, u=np.full(grid.size, 2), threshold=None,
-                        crossings=0)
+    never_stop = Policy(points=grid.points, u=np.full(grid.size, 2))
     seeds = list(range(20))
     first = []                              # (step, check order, episode) of each failure
     for i, seed in enumerate(seeds):

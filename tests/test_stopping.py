@@ -131,7 +131,7 @@ def test_policy_decide(pd_kernel_full, pd_change, pd_costs):
     assert policy.decide(0.0) == 2
 
     pts = np.array([0.0, 0.5, 1.0])
-    patchy = Policy(points=pts, u=np.array([1, 2, 1]), threshold=None, crossings=2)
+    patchy = Policy(points=pts, u=np.array([1, 2, 1]))
     assert patchy.decide(0.1) == 1              # nearest grid point
     assert patchy.decide(0.6) == 2
     assert patchy.decide(0.9) == 1
@@ -139,7 +139,7 @@ def test_policy_decide(pd_kernel_full, pd_change, pd_costs):
 
 def test_policy_decide_ties_and_arrays():
     pts = np.array([0.0, 0.5, 1.0])
-    patchy = Policy(points=pts, u=np.array([1, 2, 1]), threshold=None, crossings=2)
+    patchy = Policy(points=pts, u=np.array([1, 2, 1]))
     # a belief halfway between two grid points takes the lower index's decision
     assert patchy.decide(0.25) == 1
     assert patchy.decide(0.75) == 2
@@ -150,21 +150,32 @@ def test_policy_decide_ties_and_arrays():
     want = [int(patchy.u[np.argmin(np.abs(pts - v))]) for v in x]
     np.testing.assert_array_equal(patchy.decide(x), want)
     assert [patchy.decide(v) for v in x] == want
-    thr = Policy(points=pts, u=np.array([2, 1, 1]), threshold=0.5, crossings=1)
+    thr = Policy(points=pts, u=np.array([2, 1, 1]))
     np.testing.assert_array_equal(thr.decide(np.array([0.5 - 1e-13, 0.49, 0.7])), [1, 2, 1])
     with pytest.raises(InvalidModel):
-        Policy(points=np.array([0.0, 0.5, 0.5]), u=np.array([1, 2, 1]),
-               threshold=None, crossings=2)
+        Policy(points=np.array([0.0, 0.5, 0.5]), u=np.array([1, 2, 1]))
 
 
 def test_policy_rejects_fractional_decisions():
     pts = np.array([0.0, 0.5, 1.0])
     for u in ([1.5, 2, 1], [1.7, 2.2, 1.0], [1, 2, np.nan]):
         with pytest.raises(InvalidModel, match="decisions must be 1"):
-            Policy(points=pts, u=np.array(u), threshold=None, crossings=2)
-    whole = Policy(points=pts, u=np.array([1.0, 2.0, 1.0]), threshold=None, crossings=2)
+            Policy(points=pts, u=np.array(u))
+    whole = Policy(points=pts, u=np.array([1.0, 2.0, 1.0]))
     assert whole.u.dtype.kind == "i"
     assert whole.u.tolist() == [1, 2, 1]
+
+
+@settings(max_examples=60)
+@given(st.data())
+def test_policy_is_its_decision_column(data):
+    # gaps above decide's 1e-12 guard band, so a threshold sits on one grid point
+    gaps = data.draw(st.lists(st.floats(1e-9, 1.0), max_size=39))
+    pts = data.draw(st.floats(-1.0, 1.0)) + np.concatenate([[0.0], np.cumsum(gaps)])
+    u = data.draw(st.lists(st.sampled_from([1, 2]), min_size=pts.size, max_size=pts.size))
+    policy = Policy(points=pts, u=np.array(u))
+    np.testing.assert_array_equal(policy.decide(pts), u)
+    assert (policy.threshold, policy.crossings) == extract_threshold(pts, u)
 
 
 def test_evaluate_always_stop_exact(pd_kernel_small, pd_change, pd_costs):
@@ -310,7 +321,7 @@ def test_iterate_matches_per_evidence_oracle(data):
         oracle_iterate(pts, observations, costs, tol, max_iter))
 
     u = draw(st.lists(st.sampled_from([1, 2]), min_size=grid.size, max_size=grid.size))
-    policy = Policy(points=pts, u=u, threshold=None, crossings=0)
+    policy = Policy(points=pts, u=u)
     mask = policy.decide(pts) == 1
     oracle = oracle_iterate(pts, actions, costs, tol, max_iter, stop_mask=mask)
     assert_matches_oracle(lambda: _iterate(pts, actions, costs, tol, max_iter, stop_mask=mask),
