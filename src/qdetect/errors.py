@@ -43,9 +43,10 @@ class NumericalFailure(QDetectError):
 
 
 class RunawayEpisode(QDetectError):
-    """An episode exceeded its step cap without stopping."""
+    """An episode passed its step cap without stopping (episode, step_cap), or
+    a batch's episode log its memory budget (episode, step, budget in bytes)."""
 
-    episode = step_cap = None
+    episode = step_cap = step = budget = None
 
 
 class ConfigError(QDetectError):

@@ -235,6 +235,18 @@ def public_belief_update(pi, a, change, kernel):
 
 RECORD_FIELDS = ("n", "x", "y", "eta1", "a", "pi1", "u")
 
+# memory an episode batch's log may hold before simulate_episodes gives up on
+# the batch: a change probability near zero makes the per-episode step cap
+# astronomically large, and the log would grow until memory runs out
+LOG_BUDGET = 2**30
+
+
+def _log_bytes(rows, steps):
+    """Bytes of an episode log holding `rows` records over `steps` steps: the
+    8 columns store 8 bytes per record, and every step adds one small array
+    per column, about 200 bytes with its header, buffer and list slot."""
+    return 8 * (8 * rows + 200 * steps)
+
 
 @dataclass(frozen=True)
 class EpisodeBatch:
@@ -285,7 +297,9 @@ def simulate_episodes(frame, params, change, obs, policy, kernel, seeds, costs=N
     would. The filters keep the scalar expression order, so each episode's
     records, times and cost equal those of the episode run alone. Errors
     name the episode and step; of several failures the one raised is the
-    first in step order, then check order, then episode index.
+    first in step order, then check order, then episode index. A batch stops
+    with RunawayEpisode when an episode passes step_cap or when its log would
+    pass LOG_BUDGET bytes (as _log_bytes counts them).
     """
     rngs = [np.random.default_rng(s) for s in seeds]
     if not rngs:
@@ -299,12 +313,17 @@ def simulate_episodes(frame, params, change, obs, policy, kernel, seeds, costs=N
     log = {k: [] for k in ("episode",) + RECORD_FIELDS}
     act = np.arange(len(rngs))                      # running episodes
     pi = np.tile(change.pi0, (act.size, 1))
-    n = block_end = 0
+    n = block_end = rows_logged = 0
     while act.size:
         n += 1
         if n > step_cap:
             raise RunawayEpisode(f"episode {act[0]}: no stop after {step_cap} steps",
                                  episode=int(act[0]), step_cap=step_cap)
+        rows_logged += act.size
+        if _log_bytes(rows_logged, n) > LOG_BUDGET:
+            raise RunawayEpisode(f"episode {act[0]} step {n}: the episode log would pass "
+                                 f"its budget of {LOG_BUDGET} bytes",
+                                 episode=int(act[0]), step=n, budget=LOG_BUDGET)
         if n > block_end:                           # the next uniforms of each running episode
             width = max(32, n)
             uniforms = np.array([rngs[k].random(2 * width) for k in act])

@@ -13,6 +13,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qdetect import (
     ActionKernel,
@@ -105,6 +106,59 @@ def test_lp_matches_exhaustive_scan(pd_frame, pd_change, pd_obs):
         assert scan <= lp + 1.5e-4
         assert (lp <= 5e-4) == feasible
         assert (scan <= 6e-4) == feasible
+
+
+def linprog_oracle(ghat, g):
+    """The garbling LP as scipy.optimize.linprog(method="highs") solves it:
+    variables M (row-major) then t, per y and k the + then the - residual row,
+    then the row sums of M. best_transform hands HiGHS the same model through
+    milp, so it must return the same x to the bit."""
+    from scipy.optimize import linprog
+
+    m, A = ghat.shape
+    n_vars = A * A + 1
+    rows, rhs = [], []
+    for y in range(m):
+        for k in range(A):
+            row = np.zeros(n_vars)
+            row[k::A][:A] = ghat[y]
+            row[-1] = -1.0
+            rows += [row, np.concatenate([-row[:-1], [-1.0]])]
+            rhs += [g[y, k], -g[y, k]]
+    A_eq = np.zeros((A, n_vars))
+    for j in range(A):
+        A_eq[j, j * A:(j + 1) * A] = 1.0
+    res = linprog(np.eye(n_vars)[-1], A_ub=np.array(rows), b_ub=np.array(rhs),
+                  A_eq=A_eq, b_eq=np.ones(A),
+                  bounds=[(0.0, 1.0)] * (A * A) + [(0.0, None)], method="highs")
+    assert res.success
+    M = res.x[:-1].reshape(A, A)
+    return M, float(np.abs(ghat @ M - g).max())
+
+
+@st.composite
+def channel_pairs(draw):
+    # small Dirichlet concentrations give exact zeros; "identical" pairs are
+    # feasible at zero residual, "degenerate" ones carry a one-hot source row
+    m, A = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    concentration = draw(st.sampled_from([0.02, 0.2, 1.0, 5.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ghat = rng.dirichlet(np.full(A, concentration), size=m)
+    kind = draw(st.sampled_from(["random", "identical", "degenerate"]))
+    g = ghat.copy() if kind == "identical" else rng.dirichlet(np.full(A, concentration), size=m)
+    if kind == "degenerate":
+        ghat[rng.integers(m)] = np.eye(A)[rng.integers(A)]
+    return ghat, g
+
+
+@settings(max_examples=150)
+@given(channel_pairs())
+def test_lp_matches_linprog_oracle_bit_for_bit(pair):
+    ghat, g = pair
+    M, resid = best_transform(ghat, g, eps=None)         # always the LP
+    M_oracle, resid_oracle = linprog_oracle(ghat, g)
+    assert M.tobytes() == M_oracle.tobytes()
+    assert resid == resid_oracle
 
 
 def test_saturated_pair_one_way(pd_frame, pd_change, pd_obs):

@@ -128,7 +128,8 @@ print(json.dumps({{"before": before, "loaded": {LOADED}, "csvs": csvs}}))
 
 
 def test_linprog_is_a_patchable_module_function(monkeypatch):
-    # the benchmark's tracer counts LP calls by replacing this module attribute
+    # the forwarder wraps scipy.optimize.milp but keeps the name linprog: the
+    # benchmark's tracer counts LP calls by replacing this module attribute
     assert callable(vars(dominance)["linprog"])
     calls = []
     forward = dominance.linprog

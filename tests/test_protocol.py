@@ -46,7 +46,8 @@ from qdetect import (
     value_iteration,
 )
 from qdetect.protocol import (
-    RECORD_FIELDS, _draw, _transitions, bayes_step, observation_likelihood,
+    LOG_BUDGET, RECORD_FIELDS, _draw, _log_bytes, _transitions, bayes_step,
+    observation_likelihood,
 )
 from qdetect.quantum import assemble_lindbladian
 
@@ -689,6 +690,35 @@ def test_lockstep_one_runaway_episode(
     del batch[3]
     simulate_episodes(pd_frame, pd_params, slow_change, pd_obs, slow_policy,
                       slow_kernel, batch, step_cap=cap)
+
+
+def test_log_budget_counts_columns_and_step_arrays():
+    assert _log_bytes(0, 0) == 0
+    assert _log_bytes(1, 1) == 8 * (8 + 200)
+    assert _log_bytes(1000, 1) - _log_bytes(0, 1) == 8 * 8 * 1000
+    # one episode that never stops (p = 1e-20: a step cap of 1e21) is cut
+    # after about 650 000 steps, with about 1 GB of log
+    steps = LOG_BUDGET // _log_bytes(1, 1)
+    assert 600_000 <= steps <= 700_000
+    assert _log_bytes(steps, steps) <= LOG_BUDGET < _log_bytes(steps + 1, steps + 1)
+    # the README's simulate run (2000 episodes, here of up to 100 steps) is far below it
+    assert _log_bytes(2000 * 100, 100) < LOG_BUDGET / 50
+
+
+def test_tiny_p_batch_stops_at_log_budget(monkeypatch, pd_frame, pd_params, pd_obs):
+    budget = _log_bytes(300, 100)
+    monkeypatch.setattr("qdetect.protocol.LOG_BUDGET", budget)
+    change = ChangeModel(p=1e-20)
+    kernel = build_action_kernel(pd_frame, pd_params, change, pd_obs, BeliefGrid(50))
+    pts = kernel.grid.points
+    never_stop = Policy(points=pts, u=np.full(pts.size, 2))
+    with pytest.raises(RunawayEpisode) as info:
+        simulate_episodes(pd_frame, pd_params, change, pd_obs, never_stop, kernel, [0, 1, 2])
+    err = info.value
+    # three rows a step: the 101st step's rows would take the log past the budget
+    assert (err.episode, err.step, err.budget, err.step_cap) == (0, 101, budget, None)
+    assert str(err) == (f"episode 0 step 101: the episode log would pass its budget of "
+                        f"{budget} bytes")
 
 
 def test_draw_rule_and_checks():
