@@ -12,7 +12,7 @@ parameter p is the per-step probability that the change occurs, so the change
 time is geometric(p) with mean 1/p.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -94,18 +94,55 @@ class BeliefGrid:
     """N+1 uniformly spaced values of pi(1) on [0, 1]."""
 
     n_cells: int
+    points: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n_cells < 1:
             raise InvalidModel(f"grid needs at least one cell, got {self.n_cells}")
-
-    @property
-    def points(self):
-        return np.linspace(0.0, 1.0, self.n_cells + 1)
+        points = np.linspace(0.0, 1.0, self.n_cells + 1)
+        points.flags.writeable = False              # shared by every table on this grid
+        object.__setattr__(self, "points", points)
 
     @property
     def size(self):
         return self.n_cells + 1
+
+
+def grid_stencil(x, q):
+    """Where the queries q fall on the increasing grid x, for grid_interp:
+    the index lo of each query's cell and the step q - x[lo] >= 0 from its
+    left end, with q clipped to [x[0], x[-1]]. The step is taken as
+    -(x[lo] - q): the same number, except -0.0 for a query on a grid point,
+    so that slope * step + F[lo] keeps a -0.0 entry there."""
+    q = np.minimum(np.maximum(q, x[0]), x[-1])
+    lo = np.searchsorted(x, q, "right") - 1
+    return lo, -(x[lo] - q)
+
+
+def grid_slopes(F, dx, out=None):
+    """Slope of the piecewise-linear table F, along its last axis on a grid
+    of cell widths dx, on each cell, and 0 at the last point; out is an
+    optional F-shaped buffer."""
+    out = np.empty(F.shape) if out is None else out
+    np.divide(F[..., 1:] - F[..., :-1], dx, out=out[..., :-1])
+    out[..., -1] = 0.0
+    return out
+
+
+def grid_interp(F, slopes, stencil):
+    """The piecewise-linear table F (last axis) with its grid_slopes, read at
+    a grid_stencil's queries into a new array of shape F.shape[:-1] + the
+    queries' shape.
+
+    slope * (q - x[lo]) + F[lo] is np.interp's own formula, so the result is
+    np.interp's to the bit wherever F and its slopes are finite. A query on
+    a grid point or beyond an end reads F there, as np.interp does, except
+    that a -0.0 entry followed by a negative one reads +0.0."""
+    lo, step = stencil
+    out = slopes.take(lo, axis=-1)
+    out *= step
+    out += F.take(lo, axis=-1)
+    return out
 
 
 @dataclass(frozen=True)
@@ -132,6 +169,7 @@ class ActionKernel:
 
     grid: BeliefGrid
     table: np.ndarray
+    slopes: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         R = np.asarray(self.table, dtype=float)
@@ -142,6 +180,9 @@ class ActionKernel:
             raise InvalidModel("kernel entries must be finite and >= 0")
         if np.abs(R.sum(axis=2) - 1.0).max() > 1e-9:
             raise InvalidModel("kernel rows must sum to 1")
+        # grid_slopes of each (state, action) column, shape (2, n_actions, size)
+        slopes = grid_slopes(R.transpose(0, 2, 1), np.diff(self.grid.points))
+        object.__setattr__(self, "slopes", slopes)
 
     @property
     def n_actions(self):
@@ -150,8 +191,8 @@ class ActionKernel:
     def at(self, pi1):
         """Kernel values at off-grid beliefs, interpolated linearly in pi(1)
         per (state, action) column; shape (2, n_actions) + shape of pi1."""
-        pts = self.grid.points
-        return np.array([[np.interp(pi1, pts, col) for col in R_x.T] for R_x in self.table])
+        stencil = grid_stencil(self.grid.points, pi1)
+        return grid_interp(self.table.transpose(0, 2, 1), self.slopes, stencil)
 
 
 def bayes_step(pi1, pi2, like1, like2, p):

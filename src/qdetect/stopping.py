@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidModel, NonConvergence
-from .protocol import _transitions
+from .protocol import _transitions, grid_interp, grid_slopes, grid_stencil
 
 # Default stopping rule of every Bellman loop: sup-norm change and sweep budget.
 VI_TOL = 1e-8
@@ -35,9 +35,14 @@ class ValueTable:
         object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
         if self.points.shape != self.values.shape:
             raise InvalidModel("points and values must align")
+        if not np.all(np.diff(self.points) > 0):     # NaN fails here
+            raise InvalidModel("grid points must be strictly increasing")
+        if not np.all(np.isfinite(self.values)):
+            raise InvalidModel("values must be finite")
 
     def at(self, pi1):
-        return float(np.interp(pi1, self.points, self.values))
+        pts, V = self.points, self.values
+        return float(grid_interp(V, grid_slopes(V, np.diff(pts)), grid_stencil(pts, pi1)))
 
 
 @dataclass(frozen=True)
@@ -57,7 +62,7 @@ class Policy:
             raise InvalidModel("points and decisions must align")
         if np.any(np.diff(self.points) <= 0):
             raise InvalidModel("grid points must be strictly increasing")
-        if not np.all(np.isin(u, (1, 2))):          # before the int cast truncates 1.5 to 1
+        if not np.all((u == 1) | (u == 2)):         # before the int cast truncates 1.5 to 1
             raise InvalidModel("decisions must be 1 (stop) or 2 (continue)")
         object.__setattr__(self, "u", u.astype(int))
         threshold, crossings = extract_threshold(self.points, self.u)
@@ -92,15 +97,21 @@ def _iterate(points, transitions, costs, tol, max_iter, stop_mask=None):
     """Bellman sweeps on the grid until the sup-norm change is <= tol.
     Without a stop mask the policy is the greedy one; with a mask it is
     fixed, stopping exactly where the mask is set. Returns the value table
-    and the greedy policy against it."""
+    and the greedy policy against it.
+
+    The posteriors do not move between sweeps, so their grid_stencil is
+    taken once; each sweep takes V's slopes into one buffer and reads V at
+    every posterior through grid_interp, np.interp's numbers to the bit."""
     t1, weights = transitions
-    queries = t1.reshape(-1)
+    stencil = grid_stencil(points, t1)
+    dx, slopes = np.diff(points), np.empty_like(points)
     stop_cost = costs.f * (1.0 - points)
     delay_cost = costs.d * points
 
     def continuation(V):
-        # one interp over every posterior; the rows add in evidence order from 0
-        return delay_cost + sum(weights * np.interp(queries, points, V).reshape(t1.shape))
+        terms = grid_interp(V, grid_slopes(V, dx, slopes), stencil)
+        terms *= weights
+        return delay_cost + sum(terms)              # the rows add in evidence order from 0
 
     fixed = stop_mask is not None
     V = np.where(stop_mask, stop_cost, 0.0) if fixed else np.zeros_like(points)

@@ -14,6 +14,7 @@ from qdetect import (
     BeliefGrid,
     CacheMiss,
     ConfigError,
+    InvalidModel,
     Policy,
     ValueTable,
     config_hash,
@@ -413,6 +414,25 @@ def test_value_roundtrip_exact_on_random_tables(n_cells, seed, exponent):
     np.testing.assert_array_equal(back.values, values)
 
 
+def test_value_read_rejects_non_finite_values_and_unsorted_points(tmp_path):
+    pts = BeliefGrid(4).points
+    path = str(tmp_path / "value.csv")
+    write_value(path, ValueTable(points=pts, values=pts), "cafe01234567")
+    text = open(path, encoding="utf-8").read()
+    for bad in ("nan", "inf", "-inf"):
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text.replace("\n0.5,0.5\n", f"\n0.5,{bad}\n"))
+        with pytest.raises(CacheMiss, match="is corrupt: values must be finite"):
+            read_value(path, "cafe01234567")
+    with pytest.raises(InvalidModel, match="values must be finite"):
+        ValueTable(points=pts, values=[0.0, 1.0, np.nan, 0.0, 0.0])
+    # rows out of order: the interpolation needs increasing points
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text.replace("\n0.25,0.25\n0.5,0.5\n", "\n0.5,0.5\n0.25,0.25\n"))
+    with pytest.raises(CacheMiss, match="is corrupt: grid points must be strictly increasing"):
+        read_value(path, "cafe01234567")
+
+
 def test_policy_roundtrip_no_threshold(tmp_path):
     pts = np.array([0.0, 0.5, 1.0])
     policy = Policy(points=pts, u=np.array([1, 2, 1]))
@@ -639,6 +659,24 @@ def test_cli_threshold_sweep(tmp_path, capsys):
     for f in (2.0, 5.0):
         thr_q, thr_c = got[f]
         assert thr_q >= thr_c - 1e-12
+
+
+def test_grid_reads_do_not_call_np_interp(tmp_path, capsys, monkeypatch):
+    # every read of a grid table goes through protocol.grid_interp
+    import qdetect.protocol
+    import qdetect.stopping
+
+    def banned(*args, **kwargs):
+        raise AssertionError("np.interp called")
+
+    for module in (qdetect.stopping, qdetect.protocol):
+        monkeypatch.setattr(module.np, "interp", banned)
+    ini = write_ini(tmp_path, BASE_INI.replace("grid_n = 60", "grid_n = 20"))
+    out = str(tmp_path / "out")
+    assert main(["--config", ini, "--out", out, "solve"]) == 0
+    assert main(["--config", ini, "--out", out, "threshold-sweep", "--f-values", "1:3"]) == 0
+    assert main(["--config", ini, "--out", out, "simulate", "--episodes", "5"]) == 0
+    assert "np.interp" not in capsys.readouterr().err
 
 
 def test_cli_region_scan(tmp_path, capsys):

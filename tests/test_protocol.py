@@ -46,8 +46,8 @@ from qdetect import (
     value_iteration,
 )
 from qdetect.protocol import (
-    LOG_BUDGET, RECORD_FIELDS, _draw, _log_bytes, _transitions, bayes_step,
-    observation_likelihood,
+    LOG_BUDGET, RECORD_FIELDS, _draw, _log_bytes, _transitions, bayes_step, grid_interp,
+    grid_slopes, grid_stencil, observation_likelihood,
 )
 from qdetect.quantum import assemble_lindbladian
 
@@ -98,6 +98,80 @@ def test_grid_points():
     assert grid.size == 5
     with pytest.raises(InvalidModel):
         BeliefGrid(n_cells=0)
+    # built once, shared read-only; a grid still compares and hashes by n_cells
+    assert grid.points is grid.points
+    with pytest.raises(ValueError, match="read-only"):
+        grid.points[1] = 0.3
+    assert grid == BeliefGrid(4) and hash(grid) == hash(BeliefGrid(4))
+    assert grid != BeliefGrid(5)
+    assert repr(grid) == "BeliefGrid(n_cells=4)"
+
+
+def grid_tables(rng, size):
+    """A random finite table on a grid of `size` points: a scale over many
+    decades, exact zeros and flat runs, and either sign. -0.0 entries come
+    only in tables with no negative entry, as every table the program reads
+    is >= 0: a -0.0 followed by a negative entry is the one read on a grid
+    point where the stencil gives +0.0 and np.interp -0.0."""
+    F = rng.standard_normal(size) * 10.0 ** rng.integers(-12, 13)
+    F[rng.random(size) < rng.random()] = 0.0
+    flat = np.flatnonzero(rng.random(size) < rng.random())
+    F[flat[flat > 0]] = F[flat[flat > 0] - 1]
+    if rng.random() < 0.5:
+        F = np.abs(F)
+        F[rng.random(size) < 0.3] = -0.0
+    return F
+
+
+def grid_queries(rng, x):
+    """Random queries, every grid point, one ulp above each, and the two
+    ends and beyond them."""
+    return np.concatenate([rng.random(64), x, np.nextafter(x, np.inf),
+                           [0.0, 1.0, -0.0, -1e-300, -0.5, 1.0 + 1e-16, 1.5, 1e300]])
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+@settings(max_examples=120)
+@given(st.integers(1, 1200), st.integers(0, 2**32 - 1))
+def test_grid_interp_is_np_interp_bit_for_bit(n_cells, seed):
+    rng = np.random.default_rng(seed)
+    x = BeliefGrid(n_cells).points
+    F = grid_tables(rng, x.size)
+    q = grid_queries(rng, x)
+    slopes = grid_slopes(F, np.diff(x))
+    assert slopes[-1] == 0.0 and np.all(np.isfinite(slopes))
+    assert same_bits(grid_interp(F, slopes, grid_stencil(x, q)), np.interp(q, x, F))
+    # query shapes: a scalar reads a scalar, a 2-D block reads a 2-D block
+    assert same_bits(grid_interp(F, slopes, grid_stencil(x, q[5])), np.interp(q[5], x, F))
+    block = q[: 2 * (q.size // 2)].reshape(2, -1)
+    assert same_bits(grid_interp(F, slopes, grid_stencil(x, block)), np.interp(block, x, F))
+    # the one buffer a Bellman loop reuses across sweeps
+    buf = np.full_like(F, np.nan)
+    assert grid_slopes(F, np.diff(x), buf) is buf and same_bits(buf, slopes)
+
+
+@settings(max_examples=80)
+@given(st.integers(1, 1200), st.integers(1, 4), st.sampled_from([0.05, 1.0, 20.0]),
+       st.integers(0, 2**32 - 1))
+def test_kernel_at_matches_per_column_interp(n_cells, A, concentration, seed):
+    # the read it replaced: one np.interp per (state, action) column
+    rng = np.random.default_rng(seed)
+    grid = BeliefGrid(n_cells)
+    kernel = ActionKernel(grid, rng.dirichlet(np.full(A, concentration), (2, grid.size)))
+    pts = grid.points
+
+    def oracle(pi1):
+        return np.array([[np.interp(pi1, pts, col) for col in R_x.T] for R_x in kernel.table])
+
+    q = grid_queries(rng, pts)
+    assert same_bits(kernel.at(q), oracle(q))                 # simulate_episodes' shape
+    for pi1 in rng.choice(q, 8):                              # public_belief_update's scalar
+        assert same_bits(kernel.at(float(pi1)), oracle(float(pi1)))
+        assert kernel.at(float(pi1)).shape == (2, A)
 
 
 def test_private_update_absorbing(pd_change, pd_obs):
