@@ -283,9 +283,11 @@ LOG_BUDGET = 2**30
 
 
 def _log_bytes(rows, steps):
-    """Bytes of an episode log holding `rows` records over `steps` steps: the
-    8 columns store 8 bytes per record, and every step adds one small array
-    per column, about 200 bytes with its header, buffer and list slot."""
+    """Bytes charged to an episode log holding `rows` records over `steps`
+    steps: the 8 columns store 8 bytes per record, plus 200 bytes per column
+    and step. The column buffers spend no memory per step; the second term is
+    the cost of the per-step arrays the log used to be, kept as a deliberate
+    over-count so that a runaway batch stops at the same step as before."""
     return 8 * (8 * rows + 200 * steps)
 
 
@@ -302,10 +304,10 @@ class EpisodeBatch:
     log: dict
 
 
-def _draw(probs, uniforms, episodes):
-    """Row-wise index that Generator.choice(len(p), p=p) draws with uniform
-    u: the count of entries of cumsum(p) / sum(p) that are <= u. choice's
-    checks stay: entries finite and >= 0, sum within sqrt(eps) of 1."""
+def _cdf(probs, episodes):
+    """Row-wise cdf that Generator.choice(len(p), p=p) draws from:
+    cumsum(p) / sum(p). choice's checks stay: entries finite and >= 0, sum
+    within sqrt(eps) of 1."""
     residual = np.abs(probs.sum(axis=1) - 1.0)
     ok = (probs >= 0).all(axis=1) & (residual <= np.sqrt(np.finfo(float).eps))  # NaN, inf fail
     if not ok.all():
@@ -314,15 +316,40 @@ def _draw(probs, uniforms, episodes):
                                f"vector", residual=float(residual[k]))
     cdf = np.cumsum(probs, axis=1)
     cdf /= cdf[:, -1:]
-    return (cdf <= uniforms[:, None]).sum(axis=1)
+    return cdf
+
+
+def _draw(probs, uniforms, episodes):
+    """Row-wise index that Generator.choice(len(p), p=p) draws with uniform
+    u: the count of entries of the _cdf of p that are <= u."""
+    return (_cdf(probs, episodes) <= uniforms[:, None]).sum(axis=1)
+
+
+def _posterior(num1, num2, sigma):
+    """The posterior pairs (num1, num2) / sigma as one (k, 2) array."""
+    out = np.empty((sigma.size, 2))
+    np.divide(num1, sigma, out=out[:, 0])
+    np.divide(num2, sigma, out=out[:, 1])
+    return out
+
+
+def _grown(log, columns, rows, capacity):
+    """The column buffers of log moved to new ones of capacity entries, each
+    with the dtype of its step column, keeping their first rows entries."""
+    grown = {}
+    for (key, buffer), column in zip(log.items(), columns):
+        grown[key] = np.empty(capacity, np.asarray(column).dtype)
+        grown[key][:rows] = buffer[:rows]
+    return grown
 
 
 def _raise_impossible(sigma, error, kind, values, episodes, n, pi):
-    """The typed error for the first episode whose evidence has zero likelihood."""
-    for k in np.flatnonzero(sigma <= 0.0)[:1]:
-        raise error(f"episode {episodes[k]} step {n}: {kind} {values[k]} has zero "
-                    f"likelihood at belief {pi[k]}", episode=int(episodes[k]), step=n,
-                    belief=pi[k], **{kind: int(values[k])})
+    """Raise the typed error for the first episode whose evidence has zero
+    likelihood; some sigma must be <= 0."""
+    k = np.flatnonzero(sigma <= 0.0)[0]
+    raise error(f"episode {episodes[k]} step {n}: {kind} {values[k]} has zero "
+                f"likelihood at belief {pi[k]}", episode=int(episodes[k]), step=n,
+                belief=pi[k], **{kind: int(values[k])})
 
 
 def simulate_episodes(frame, params, change, obs, policy, kernel, seeds, costs=None,
@@ -334,7 +361,7 @@ def simulate_episodes(frame, params, change, obs, policy, kernel, seeds, costs=N
     and applies the policy, and an episode stops at its first u = 1.
 
     Episode k draws from default_rng(seeds[k]): the change time, then two
-    uniforms per step that _draw turns into y and a as Generator.choice
+    uniforms per step that _cdf's rows turn into y and a as Generator.choice
     would. The filters keep the scalar expression order, so each episode's
     records, times and cost equal those of the episode run alone. Errors
     name the episode and step; of several failures the one raised is the
@@ -351,8 +378,10 @@ def simulate_episodes(frame, params, change, obs, policy, kernel, seeds, costs=N
     f, d = (costs.f, costs.d) if costs is not None else (0.0, 0.0)
     tau0 = np.array([rng.geometric(change.p) for rng in rngs])
     stop = np.zeros_like(tau0)
-    log = {k: [] for k in ("episode",) + RECORD_FIELDS}
+    obs_cdf = _cdf(obs.B, np.zeros(2, int))       # y's cdf rows by state, checked once
+    log = {k: np.empty(0) for k in ("episode",) + RECORD_FIELDS}    # column buffers
     act = np.arange(len(rngs))                      # running episodes
+    tau = tau0                                      # and their change times
     pi = np.tile(change.pi0, (act.size, 1))
     n = block_end = rows_logged = 0
     while act.size:
@@ -360,7 +389,7 @@ def simulate_episodes(frame, params, change, obs, policy, kernel, seeds, costs=N
         if n > step_cap:
             raise RunawayEpisode(f"episode {act[0]}: no stop after {step_cap} steps",
                                  episode=int(act[0]), step_cap=step_cap)
-        rows_logged += act.size
+        start, rows_logged = rows_logged, rows_logged + act.size
         if _log_bytes(rows_logged, n) > LOG_BUDGET:
             raise RunawayEpisode(f"episode {act[0]} step {n}: the episode log would pass "
                                  f"its budget of {LOG_BUDGET} bytes",
@@ -370,26 +399,33 @@ def simulate_episodes(frame, params, change, obs, policy, kernel, seeds, costs=N
             uniforms = np.array([rngs[k].random(2 * width) for k in act])
             rows, block_start, block_end = np.arange(act.size), n, n + width - 1
         col = 2 * (n - block_start)
-        x = np.where(n >= tau0[act], 1, 2)
-        y = _draw(obs.B[x - 1], uniforms[rows, col], act) + 1
+        x = np.where(n >= tau, 1, 2)
+        y = (obs_cdf[x - 1] <= uniforms[rows, col][:, None]).sum(axis=1) + 1
         pi = check_belief(pi, 2)
         _, num1, num2, sigma = bayes_step(pi[:, 0], pi[:, 1], obs.B[0, y - 1], obs.B[1, y - 1],
                                           change.p)
-        _raise_impossible(sigma, ImpossibleObservation, "observation", y, act, n, pi)
-        etas = np.stack([num1 / sigma, num2 / sigma], axis=1)
+        if (sigma <= 0.0).any():
+            _raise_impossible(sigma, ImpossibleObservation, "observation", y, act, n, pi)
+        etas = _posterior(num1, num2, sigma)
         a = _draw(amap.batch(etas), uniforms[rows, col + 1], act) + 1
         like = kernel.at(pi[:, 0])[:, a - 1, np.arange(act.size)]
         _, num1, num2, sigma = bayes_step(pi[:, 0], pi[:, 1], like[0], like[1], change.p)
-        _raise_impossible(sigma, ImpossibleAction, "action", a, act, n, pi)
-        pi = np.stack([num1 / sigma, num2 / sigma], axis=1)
+        if (sigma <= 0.0).any():
+            _raise_impossible(sigma, ImpossibleAction, "action", a, act, n, pi)
+        pi = _posterior(num1, num2, sigma)
         u = policy.decide(pi[:, 0])
-        for key, column in zip(log, (act, np.full(act.size, n), x, y, etas[:, 0], a, pi[:, 0], u)):
-            log[key].append(column)
-        running = u != 1
-        stop[act[~running]] = n
-        act, pi, rows = act[running], pi[running], rows[running]
+        columns = (act, n, x, y, etas[:, 0], a, pi[:, 0], u)
+        if rows_logged > log["n"].size:             # double the buffers, first 32 steps' worth
+            log = _grown(log, columns, start, max(2 * log["n"].size, 32 * act.size))
+        for buffer, column in zip(log.values(), columns):
+            buffer[start:rows_logged] = column
+        stopped = u == 1
+        if stopped.any():
+            stop[act[stopped]] = n
+            running = ~stopped
+            act, tau, pi, rows = act[running], tau[running], pi[running], rows[running]
     cost = d * np.maximum(stop - tau0, 0) + np.where(stop < tau0, f, 0.0)
-    return EpisodeBatch(tau0, stop, cost, {k: np.concatenate(v) for k, v in log.items()})
+    return EpisodeBatch(tau0, stop, cost, {k: v[:rows_logged].copy() for k, v in log.items()})
 
 
 def simulate_episode(frame, params, change, obs, policy, kernel, seed, costs=None,

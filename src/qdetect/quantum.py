@@ -117,7 +117,7 @@ def check_belief(eta, n):
     if not ok.all():
         row = int(np.argmin(ok))
         raise InvalidModel(f"belief row {row} is not a distribution: {rows[row]}")
-    return np.clip(eta, 0.0, None)
+    return np.maximum(eta, 0.0)
 
 
 def check_density(rho):

@@ -29,12 +29,15 @@ def _fmt(value):
 
 def _format_column(values):
     """The _fmt strings of one column; an int, float or bool ndarray is
-    formatted from its .tolist() scalars by dtype kind, to the same strings."""
+    formatted from its .tolist() scalars by dtype kind, to the same strings,
+    and a column of str passes through unchanged."""
     if isinstance(values, np.ndarray) and values.dtype.kind in "biuf":
         items = values.tolist()
         if values.dtype.kind == "b":
             return ["1" if v else "0" for v in items]
         return list(map(repr if values.dtype.kind == "f" else str, items))
+    if all(type(v) is str for v in values):
+        return values
     return [_fmt(v) for v in values]
 
 
@@ -62,9 +65,11 @@ def write_csv(path, columns, data, config_hash, meta=None):
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
-def read_csv(path):
-    """Returns (meta, columns, rows-of-strings). Raises CacheMiss when the
-    file is absent or malformed."""
+def _read_lines(path):
+    """(meta, header, body lines) of an artifact: a line starting with "#",
+    anywhere in the file, is a meta line, a blank line is skipped, and the
+    first other line is the header. Raises CacheMiss when the file is absent
+    or has no header."""
     try:
         with open(path, encoding="utf-8", newline="") as fh:
             raw = fh.read().splitlines()
@@ -82,25 +87,32 @@ def read_csv(path):
             body.append(line)
     if not body:
         raise CacheMiss(f"artifact {path} has no table")
-    columns = body[0].split(",")
-    rows = [line.split(",") for line in body[1:]]
-    return meta, columns, rows
+    return meta, body[0], body[1:]
+
+
+def read_csv(path):
+    """Returns (meta, columns, rows-of-strings). Raises CacheMiss when the
+    file is absent or malformed."""
+    meta, header, body = _read_lines(path)
+    return meta, header.split(","), [line.split(",") for line in body]
 
 
 def _read_table(path, config_hash, columns, build):
     """build(meta, *columns) over the float columns of a typed artifact whose
     config hash and header match; a table that fails to parse or to build is
     a CacheMiss naming the file as corrupt."""
-    meta, header, rows = read_csv(path)
+    meta, header, body = _read_lines(path)
     if meta.get("config") != config_hash:
         raise CacheMiss(
             f"artifact {path} was built for config {meta.get('config')}, "
             f"current config is {config_hash}"
         )
     try:
-        if header != list(columns):
-            raise ValueError(f"header {','.join(header)!r}, expected {','.join(columns)!r}")
-        return build(meta, *np.array(rows, dtype=float).reshape(len(rows), len(columns)).T)
+        if header != ",".join(columns):
+            raise ValueError(f"header {header!r}, expected {','.join(columns)!r}")
+        table = (np.loadtxt(body, delimiter=",", dtype=float, ndmin=2, comments=None)
+                 if body else np.empty((0, len(columns))))   # loadtxt warns on no rows
+        return build(meta, *table.reshape(len(body), len(columns)).T)
     except (KeyError, ValueError, IndexError, InvalidModel) as exc:
         raise CacheMiss(f"artifact {path} is corrupt: {exc}") from None
 
@@ -111,10 +123,13 @@ _POLICY_COLUMNS = ("pi1", "u")
 
 
 def write_kernel(path, kernel, config_hash):
-    """One row per (x, pi1, a) cell, in that order."""
+    """One row per (x, pi1, a) cell, in that order. Each grid point and
+    action is formatted once; the columns repeat the same str objects."""
     pts, A = kernel.grid.points, kernel.n_actions
-    columns = (np.tile(np.repeat(pts, A), 2), np.repeat([1, 2], pts.size * A),
-               np.tile(np.arange(1, A + 1), 2 * pts.size), kernel.table.reshape(-1))
+    cells = pts.size * A
+    pi1 = np.repeat(np.array(_format_column(pts), dtype=object), A).tolist()
+    columns = (pi1 * 2, ["1"] * cells + ["2"] * cells,
+               _format_column(np.arange(1, A + 1)) * (2 * pts.size), kernel.table.reshape(-1))
     write_csv(
         path, _KERNEL_COLUMNS, columns, config_hash,
         meta={"grid_n": kernel.grid.n_cells, "n_actions": kernel.n_actions},

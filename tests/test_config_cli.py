@@ -323,13 +323,22 @@ def test_kernel_read_rejects_missing_or_repeated_cells(tmp_path, pd_kernel_small
     (tmp_path / "dup.csv").write_text("\n".join(dup) + "\n", encoding="utf-8")
     with pytest.raises(CacheMiss, match=r"kernel cell \(x=1, pi1=0.0, a=1\) appears 2 times"):
         read_kernel(str(tmp_path / "dup.csv"), "cafe01234567")
+    rest = lines[header + 1][len("0.0,1,1"):]
+    # a "#" line or a blank line in place of a row leaves that cell missing;
+    # "0_0.0" and an Arabic-Indic digit one, which float() would read as
+    # 0.0 and 1, are not decimal numbers of the CSV dialect
     for bad_row in ("0.0,3,1,0.5", "0.0,1,1.5,0.5", "0.0,1,1", "2.0,1,1,0.5", "nan,1,1,0.5",
-                    "0.0,1,1,nan"):
+                    "0.0,1,1,nan", "0_0.0,1,1" + rest, "0.0,\u0661,1" + rest, "# x=1", ""):
         bad = list(lines)
         bad[header + 1] = bad_row
         (tmp_path / "bad.csv").write_text("\n".join(bad) + "\n", encoding="utf-8")
         with pytest.raises(CacheMiss, match="is corrupt"):
             read_kernel(str(tmp_path / "bad.csv"), "cafe01234567")
+    # among the rows, a "#" line and a blank line are skipped
+    spaced = lines[:header + 2] + ["# note", ""] + lines[header + 2:]
+    (tmp_path / "spaced.csv").write_text("\n".join(spaced) + "\n", encoding="utf-8")
+    assert np.array_equal(read_kernel(str(tmp_path / "spaced.csv"), "cafe01234567").table,
+                          pd_kernel_small.table)
     # a pi1 off its grid point (cells are 0.005 wide) would round onto it
     bad = list(lines)
     bad[header + 1] = "0.001,1,1" + lines[header + 1][len("0.0,1,1"):]

@@ -608,6 +608,12 @@ def _assert_matches_oracle(frame, params, change, obs, policy, kernel, costs, se
     seeds = np.random.SeedSequence(seed).spawn(n)
     amap = ActionMap(frame, params)
     batch = simulate_episodes(frame, params, change, obs, policy, kernel, seeds, costs=costs)
+    rows = int(batch.stop_time.sum())
+    for key, column in batch.log.items():
+        # the dtype the per-step arrays had, and an owned array of exactly one
+        # entry per record: no spare capacity of the log's buffers stays alive
+        assert column.dtype == (np.float64 if key in ("eta1", "pi1") else np.int64)
+        assert column.shape == (rows,) and column.base is None
     traces = _episodes(batch)
     assert len(traces) == n
     for s, trace in zip(seeds, traces):
@@ -672,6 +678,39 @@ def test_lockstep_matches_oracle_readme_model(
         pd_frame, pd_params, pd_change, pd_obs, policy, pd_kernel_full, pd_costs,
         seed=11,
     )
+
+
+@st.composite
+def lockstep_models(draw):
+    # observation tables of 2-4 columns with exact zeros in them, frames of
+    # up to three actions (beyond that a batched and a one-row product may
+    # round differently on some BLAS builds, see the README)
+    A = draw(st.integers(1, 3))
+    frame = DecisionFrame(2, A, np.reshape(
+        draw(st.lists(st.floats(1.0, 30.0), min_size=2 * A, max_size=2 * A)), (A, 2)))
+    m = draw(st.integers(2, 4))
+    w = np.reshape(draw(st.lists(st.integers(0, 3), min_size=2 * m, max_size=2 * m)),
+                   (2, m)).astype(float)
+    w[:, draw(st.integers(0, m - 1))] += 1.0        # every row keeps some mass
+    change = ChangeModel(draw(st.sampled_from([1.0, 0.3, 0.02])))
+    grid = BeliefGrid(draw(st.integers(10, 60)))
+    # every policy stops above `top`, which the public belief reaches even
+    # when the actions carry no information
+    top = draw(st.floats(0.5, 0.95))
+    u = np.where(grid.points >= top, 1, 2)
+    if draw(st.booleans()):                         # patchy: a stopping band below `top`
+        lo = draw(st.floats(0.0, 0.5))
+        u[(grid.points >= lo) & (grid.points <= lo + draw(st.floats(0.0, 0.1)))] = 1
+    return frame, change, ObservationModel(w / w.sum(axis=1, keepdims=True)), grid, u
+
+
+@settings(max_examples=50)
+@given(lockstep_models(), st.integers(0, 2**32 - 1))
+def test_lockstep_matches_oracle_on_random_observation_models(pd_params, model, seed):
+    frame, change, obs, grid, u = model
+    kernel = build_action_kernel(frame, pd_params, change, obs, grid)
+    _assert_matches_oracle(frame, pd_params, change, obs, Policy(points=grid.points, u=u),
+                           kernel, DetectionCosts(f=20.0, d=1.0), seed, n=16)
 
 
 def test_estimate_cost_equals_oracle(
