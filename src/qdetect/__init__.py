@@ -46,7 +46,6 @@ from .protocol import (
 from .stopping import (
     Policy,
     ValueTable,
-    always_stop_policy,
     classical_value_iteration,
     evaluate_policy,
     extract_threshold,

@@ -43,10 +43,9 @@ class NumericalFailure(QDetectError):
 
 
 class RunawayEpisode(QDetectError):
-    """An episode passed its step cap without stopping (episode, step_cap), or
-    a batch's episode log its memory budget (episode, step, budget in bytes)."""
+    """An episode passed its step cap without stopping (episode, step_cap)."""
 
-    episode = step_cap = step = budget = None
+    episode = step_cap = None
 
 
 class ConfigError(QDetectError):

@@ -48,11 +48,6 @@ class ChangeModel:
     def mean_change_time(self):
         return 1.0 / self.p
 
-    def predict(self, pi):
-        """One-step prior P' pi over the next state."""
-        pi = np.asarray(pi, dtype=float)
-        return np.array([pi[0] + self.p * pi[1], (1.0 - self.p) * pi[1]])
-
 
 @dataclass(frozen=True)
 class ObservationModel:
@@ -228,12 +223,6 @@ def private_belief_update(pi, y, change, obs):
     return np.array([num1, num2]) / sigma
 
 
-def observation_likelihood(pi, y, change, obs):
-    """sigma(pi, y): marginal likelihood of observation y one step ahead."""
-    pred = change.predict(np.asarray(pi, dtype=float))
-    return float(obs.B[:, y - 1] @ pred)
-
-
 def _channel_family(frame, params, change, obs, pi_values):
     """Steady action distributions Gamma(T(pi, y)) at the sensor's posterior
     for each belief pi(1) and observation y, shape (n_pi, n_obs, A)."""
@@ -274,34 +263,19 @@ def public_belief_update(pi, a, change, kernel):
     return np.array([num1, num2]) / sigma_bar, float(sigma_bar)
 
 
-RECORD_FIELDS = ("n", "x", "y", "eta1", "a", "pi1", "u")
-
-# memory an episode batch's log may hold before simulate_episodes gives up on
-# the batch: a change probability near zero makes the per-episode step cap
-# astronomically large, and the log would grow until memory runs out
-LOG_BUDGET = 2**30
-
-
-def _log_bytes(rows, steps):
-    """Bytes charged to an episode log holding `rows` records over `steps`
-    steps: the 8 columns store 8 bytes per record, plus 200 bytes per column
-    and step. The column buffers spend no memory per step; the second term is
-    the cost of the per-step arrays the log used to be, kept as a deliberate
-    over-count so that a runaway batch stops at the same step as before."""
-    return 8 * (8 * rows + 200 * steps)
+# the most steps an episode may take: a change probability near zero would
+# otherwise make the step cap 10 / p + 1000 astronomically large
+MAX_STEPS = 2**20
 
 
 @dataclass(frozen=True)
 class EpisodeBatch:
     """The episode record of simulate_episodes: per-episode change and stop
-    times and realized costs, one entry per seed, and the per-step log, one
-    array per RECORD_FIELDS name plus "episode" (the episode's index), in
-    step order and by episode index within a step."""
+    times and realized costs, one entry per seed."""
 
     change_time: np.ndarray
     stop_time: np.ndarray
     cost: np.ndarray
-    log: dict
 
 
 def _cdf(probs, episodes):
@@ -333,16 +307,6 @@ def _posterior(num1, num2, sigma):
     return out
 
 
-def _grown(log, columns, rows, capacity):
-    """The column buffers of log moved to new ones of capacity entries, each
-    with the dtype of its step column, keeping their first rows entries."""
-    grown = {}
-    for (key, buffer), column in zip(log.items(), columns):
-        grown[key] = np.empty(capacity, np.asarray(column).dtype)
-        grown[key][:rows] = buffer[:rows]
-    return grown
-
-
 def _raise_impossible(sigma, error, kind, values, episodes, n, pi):
     """Raise the typed error for the first episode whose evidence has zero
     likelihood; some sigma must be <= 0."""
@@ -352,8 +316,7 @@ def _raise_impossible(sigma, error, kind, values, episodes, n, pi):
                 belief=pi[k], **{kind: int(values[k])})
 
 
-def simulate_episodes(frame, params, change, obs, policy, kernel, seeds, costs=None,
-                      step_cap=None):
+def simulate_episodes(frame, params, change, obs, policy, kernel, seeds, costs=None):
     """Run the protocol once per seed, every running episode advancing one
     step per iteration on arrays: the chain may jump, the sensor observes y
     and updates its private belief, the agent draws an action from the steady
@@ -362,40 +325,34 @@ def simulate_episodes(frame, params, change, obs, policy, kernel, seeds, costs=N
 
     Episode k draws from default_rng(seeds[k]): the change time, then two
     uniforms per step that _cdf's rows turn into y and a as Generator.choice
-    would. The filters keep the scalar expression order, so each episode's
-    records, times and cost equal those of the episode run alone. Errors
-    name the episode and step; of several failures the one raised is the
-    first in step order, then check order, then episode index. A batch stops
-    with RunawayEpisode when an episode passes step_cap or when its log would
-    pass LOG_BUDGET bytes (as _log_bytes counts them).
+    would, drawn in blocks of at most 1024 steps, so memory is bounded by
+    the running episodes, not by the steps. The filters keep the scalar
+    expression order, so each episode's times and cost equal those of the
+    episode run alone. Errors name the episode and step; of several failures
+    the one raised is the first in step order, then check order, then episode
+    index. A batch stops with RunawayEpisode when an episode passes the step
+    cap, 10 / p + 1000 steps but at most MAX_STEPS.
     """
     rngs = [np.random.default_rng(s) for s in seeds]
     if not rngs:
         raise InvalidModel("need at least one episode")
     amap = ActionMap(frame, params)
-    if step_cap is None:
-        step_cap = int(10 * change.mean_change_time + 1000)
+    step_cap = int(min(10 * change.mean_change_time + 1000, MAX_STEPS))
     f, d = (costs.f, costs.d) if costs is not None else (0.0, 0.0)
     tau0 = np.array([rng.geometric(change.p) for rng in rngs])
     stop = np.zeros_like(tau0)
     obs_cdf = _cdf(obs.B, np.zeros(2, int))       # y's cdf rows by state, checked once
-    log = {k: np.empty(0) for k in ("episode",) + RECORD_FIELDS}    # column buffers
     act = np.arange(len(rngs))                      # running episodes
     tau = tau0                                      # and their change times
     pi = np.tile(change.pi0, (act.size, 1))
-    n = block_end = rows_logged = 0
+    n = block_end = 0
     while act.size:
         n += 1
         if n > step_cap:
             raise RunawayEpisode(f"episode {act[0]}: no stop after {step_cap} steps",
                                  episode=int(act[0]), step_cap=step_cap)
-        start, rows_logged = rows_logged, rows_logged + act.size
-        if _log_bytes(rows_logged, n) > LOG_BUDGET:
-            raise RunawayEpisode(f"episode {act[0]} step {n}: the episode log would pass "
-                                 f"its budget of {LOG_BUDGET} bytes",
-                                 episode=int(act[0]), step=n, budget=LOG_BUDGET)
         if n > block_end:                           # the next uniforms of each running episode
-            width = max(32, n)
+            width = min(max(32, n), 1024)
             uniforms = np.array([rngs[k].random(2 * width) for k in act])
             rows, block_start, block_end = np.arange(act.size), n, n + width - 1
         col = 2 * (n - block_start)
@@ -414,25 +371,18 @@ def simulate_episodes(frame, params, change, obs, policy, kernel, seeds, costs=N
             _raise_impossible(sigma, ImpossibleAction, "action", a, act, n, pi)
         pi = _posterior(num1, num2, sigma)
         u = policy.decide(pi[:, 0])
-        columns = (act, n, x, y, etas[:, 0], a, pi[:, 0], u)
-        if rows_logged > log["n"].size:             # double the buffers, first 32 steps' worth
-            log = _grown(log, columns, start, max(2 * log["n"].size, 32 * act.size))
-        for buffer, column in zip(log.values(), columns):
-            buffer[start:rows_logged] = column
         stopped = u == 1
         if stopped.any():
             stop[act[stopped]] = n
             running = ~stopped
             act, tau, pi, rows = act[running], tau[running], pi[running], rows[running]
     cost = d * np.maximum(stop - tau0, 0) + np.where(stop < tau0, f, 0.0)
-    return EpisodeBatch(tau0, stop, cost, {k: v[:rows_logged].copy() for k, v in log.items()})
+    return EpisodeBatch(tau0, stop, cost)
 
 
-def simulate_episode(frame, params, change, obs, policy, kernel, seed, costs=None,
-                     step_cap=None):
+def simulate_episode(frame, params, change, obs, policy, kernel, seed, costs=None):
     """One run of the protocol from one seed: a one-episode EpisodeBatch."""
-    return simulate_episodes(frame, params, change, obs, policy, kernel, [seed], costs=costs,
-                             step_cap=step_cap)
+    return simulate_episodes(frame, params, change, obs, policy, kernel, [seed], costs=costs)
 
 
 def estimate_cost(frame, params, change, obs, policy, kernel, costs, n_episodes, seed):

@@ -110,8 +110,9 @@ def _read_table(path, config_hash, columns, build):
     try:
         if header != ",".join(columns):
             raise ValueError(f"header {header!r}, expected {','.join(columns)!r}")
-        table = (np.loadtxt(body, delimiter=",", dtype=float, ndmin=2, comments=None)
-                 if body else np.empty((0, len(columns))))   # loadtxt warns on no rows
+        if not body:
+            raise ValueError("no rows")
+        table = np.loadtxt(body, delimiter=",", dtype=float, ndmin=2, comments=None)
         return build(meta, *table.reshape(len(body), len(columns)).T)
     except (KeyError, ValueError, IndexError, InvalidModel) as exc:
         raise CacheMiss(f"artifact {path} is corrupt: {exc}") from None

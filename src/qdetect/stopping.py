@@ -84,10 +84,6 @@ class Policy:
         return int(u) if u.ndim == 0 else u
 
 
-def always_stop_policy(grid):
-    return Policy(points=grid.points, u=np.ones(grid.size, dtype=int))
-
-
 def _action_transitions(kernel, change):
     """_transitions for the actions of the kernel."""
     return _transitions(kernel.grid.points, kernel.table[0].T, kernel.table[1].T, change.p)

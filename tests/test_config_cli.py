@@ -525,6 +525,44 @@ def test_cli_simulate_corrupt_kernel_is_cache_miss(tmp_path, capsys):
     assert "kernel cell (x=2, pi1=1.0, a=1) appears 2 times" in capsys.readouterr().err
 
 
+def _header_only(text):
+    """An artifact's text cut to its meta lines and its header."""
+    lines = text.splitlines()
+    header = next(i for i, line in enumerate(lines) if not line.startswith("#"))
+    return "\n".join(lines[: header + 1]) + "\n"
+
+
+def test_typed_reads_reject_a_table_with_no_rows(tmp_path):
+    pts = BeliefGrid(4).points
+    cases = ((write_value, read_value, ValueTable(points=pts, values=pts)),
+             (write_policy, read_policy, Policy(points=pts, u=np.full(pts.size, 2))),
+             (write_kernel, read_kernel,
+              ActionKernel(BeliefGrid(4), np.full((2, pts.size, 2), 0.5))))
+    for write, read, artifact in cases:
+        path = tmp_path / f"{read.__name__}.csv"
+        write(str(path), artifact, "cafe01234567")
+        path.write_text(_header_only(path.read_text(encoding="utf-8")), encoding="utf-8")
+        with pytest.raises(CacheMiss, match="is corrupt: no rows"):
+            read(str(path), "cafe01234567")
+
+
+def test_cli_simulate_header_only_policy_is_cache_miss(tmp_path, capsys):
+    # a policy.csv cut to its header, whose header lines are those of an
+    # empty u column, is corrupt: not a policy without points
+    ini = write_ini(tmp_path)
+    out = str(tmp_path / "out")
+    assert main(["--config", ini, "--out", out, "solve"]) == 0
+    path = os.path.join(out, load_config(BASE_INI).hash, "policy.csv")
+    text = _header_only(open(path, encoding="utf-8").read())
+    text = re.sub(r"# threshold=.*", "# threshold=none", text)
+    text = re.sub(r"# crossings=.*", "# crossings=0", text)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+    capsys.readouterr()
+    assert main(["--config", ini, "--out", out, "simulate", "--episodes", "5"]) == 4
+    assert "policy.csv is corrupt: no rows" in capsys.readouterr().err
+
+
 def test_policy_header_must_match_its_u_column(tmp_path, capsys):
     # the u column is the policy: a header line that disagrees with it is a
     # corrupt artifact, not a second rule for simulate to follow

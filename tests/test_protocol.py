@@ -2,8 +2,10 @@
 mixtures, and episode simulation.
 
 The lockstep simulator is checked against the scalar per-episode loop it
-replaced, kept here verbatim as the oracle: records, change and stop times
-and costs must be equal, not close.
+replaced, kept here as the oracle: change and stop times, costs and each
+step's private posterior, public belief and decision must be equal, not
+close. The steps are seen through a recording policy and a recording
+ActionMap patched into qdetect.protocol.
 
 The kernel oracle recomputes steady states by long-time evolution at every
 posterior instead of the vertex readout the builder uses; the consistency
@@ -11,6 +13,8 @@ identity ties the public update to the private one through two independently
 computed sides.
 """
 
+import faulthandler
+import tracemalloc
 from collections import namedtuple
 
 import numpy as np
@@ -33,7 +37,6 @@ from qdetect import (
     Policy,
     PsychParams,
     RunawayEpisode,
-    always_stop_policy,
     build_action_kernel,
     build_mismatched_kernel,
     estimate_cost,
@@ -46,10 +49,11 @@ from qdetect import (
     value_iteration,
 )
 from qdetect.protocol import (
-    LOG_BUDGET, RECORD_FIELDS, _draw, _log_bytes, _transitions, bayes_step, grid_interp,
-    grid_slopes, grid_stencil, observation_likelihood,
+    _draw, _transitions, bayes_step, grid_interp, grid_slopes, grid_stencil,
 )
 from qdetect.quantum import assemble_lindbladian
+
+from oracles import always_stop_policy, observation_likelihood, predict
 
 
 def test_change_model_matrix_and_prior():
@@ -60,7 +64,7 @@ def test_change_model_matrix_and_prior():
     np.testing.assert_array_equal(change.pi0, np.array([0.0, 1.0]))
     assert abs(change.mean_change_time - 1.0 / 0.95) <= 1e-15
     np.testing.assert_allclose(
-        change.predict(np.array([0.2, 0.8])), [0.2 + 0.95 * 0.8, 0.05 * 0.8],
+        predict(change, np.array([0.2, 0.8])), [0.2 + 0.95 * 0.8, 0.05 * 0.8],
         atol=1e-15,
     )
 
@@ -186,7 +190,7 @@ def test_private_update_uninformative():
     pi = np.array([0.3, 0.7])
     for y in (1, 2, 3):
         post = private_belief_update(pi, y, change, obs)
-        np.testing.assert_allclose(post, change.predict(pi), atol=1e-15)
+        np.testing.assert_allclose(post, predict(change, pi), atol=1e-15)
 
 
 def test_private_update_frozen_value(pd_change, pd_obs):
@@ -371,7 +375,7 @@ def test_public_update_uninformative_kernel(pd_change):
     pi = np.array([0.3, 0.7])
     for a in (1, 2):
         post, sbar = public_belief_update(pi, a, pd_change, kernel)
-        np.testing.assert_allclose(post, pd_change.predict(pi), atol=1e-15)
+        np.testing.assert_allclose(post, predict(pd_change, pi), atol=1e-15)
 
 
 def test_public_update_consistency_identity(
@@ -413,7 +417,7 @@ def test_public_update_martingale_drift(pd_change, pd_kernel_small):
         for a in (1, 2):
             post, sbar = public_belief_update(pi, a, pd_change, pd_kernel_small)
             total += sbar * post[0]
-        pred1 = pd_change.predict(pi)[0]
+        pred1 = predict(pd_change, pi)[0]
         assert abs(total - pred1) <= 1e-12
         assert total >= pi1 - 1e-12
 
@@ -421,14 +425,52 @@ def test_public_update_martingale_drift(pd_change, pd_kernel_small):
 Episode = namedtuple("Episode", "change_time stop_time records cost")
 
 
-def _episodes(batch):
-    # each episode's records (n, x, y, eta1, a, pi1, u) out of the lockstep
-    # log, in step order, as plain ints and floats
-    ep = batch.log["episode"]
-    records = [tuple(zip(*(batch.log[k][ep == i].tolist() for k in RECORD_FIELDS)))
-               for i in range(len(batch.stop_time))]
-    return [Episode(*e) for e in zip(batch.change_time.tolist(), batch.stop_time.tolist(),
-                                     records, batch.cost.tolist())]
+class StepRecorder:
+    """A policy that records what simulate_episodes hands it and, through
+    action_map (an ActionMap patched into qdetect.protocol), the private
+    posteriors of the running episodes: each step's eta1 and pi1 arrays and
+    the decisions u."""
+
+    def __init__(self, policy):
+        self.policy = policy
+        self.eta1, self.pi1, self.u = [], [], []
+        recorder = self
+
+        class RecordingActionMap(ActionMap):
+            def batch(self, beliefs):
+                recorder.eta1.append(np.array(beliefs)[:, 0])
+                return super().batch(beliefs)
+
+        self.action_map = RecordingActionMap
+
+    def decide(self, pi1):
+        u = self.policy.decide(pi1)
+        self.pi1.append(np.array(pi1))
+        self.u.append(u)
+        return u
+
+    def episodes(self, batch):
+        """Each episode's records (eta1, pi1, u) in step order, as plain
+        floats and ints: the running set at step n is every episode with
+        stop_time >= n, in index order."""
+        stop = batch.stop_time
+        assert len(self.eta1) == len(self.pi1) == len(self.u) == stop.max()
+        steps = [dict(zip(np.flatnonzero(stop >= n).tolist(),
+                          zip(*(v.tolist() for v in values), strict=True), strict=True))
+                 for n, values in enumerate(zip(self.eta1, self.pi1, self.u), 1)]
+        records = [tuple(step[i] for step in steps[:t]) for i, t in enumerate(stop.tolist())]
+        return [Episode(*e) for e in zip(batch.change_time.tolist(), stop.tolist(), records,
+                                         batch.cost.tolist())]
+
+
+def _simulate(frame, params, change, obs, policy, kernel, seeds, costs=None):
+    """simulate_episodes under a StepRecorder, as one Episode per seed."""
+    recorder = StepRecorder(policy)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("qdetect.protocol.ActionMap", recorder.action_map)
+        batch = simulate_episodes(frame, params, change, obs, recorder, kernel, seeds,
+                                  costs=costs)
+    return recorder.episodes(batch)
 
 
 def test_simulate_always_stop(
@@ -438,10 +480,10 @@ def test_simulate_always_stop(
     alarms = 0
     n = 400
     for seed in range(n):
-        trace, = _episodes(simulate_episode(
+        trace, = _simulate(
             pd_frame, pd_params, pd_change, pd_obs, policy, pd_kernel_small,
-            seed, costs=pd_costs,
-        ))
+            [seed], costs=pd_costs,
+        )
         assert trace.stop_time == 1
         assert len(trace.records) == 1
         assert trace.records[0][-1] == 1
@@ -453,13 +495,15 @@ def test_simulate_always_stop(
     assert abs(rate - 0.05) <= 3 * np.sqrt(0.05 * 0.95 / n)
 
 
-def test_simulate_runaway(pd_frame, pd_params, pd_change, pd_obs, pd_kernel_small):
+def test_simulate_runaway(monkeypatch, pd_frame, pd_params, pd_change, pd_obs,
+                          pd_kernel_small):
+    monkeypatch.setattr("qdetect.protocol.MAX_STEPS", 25)
     pts = pd_kernel_small.grid.points
     never_stop = Policy(points=pts, u=np.full(pts.size, 2))
     with pytest.raises(RunawayEpisode):
         simulate_episode(
             pd_frame, pd_params, pd_change, pd_obs, never_stop,
-            pd_kernel_small, 1, step_cap=25,
+            pd_kernel_small, 1,
         )
 
 
@@ -470,25 +514,23 @@ def test_simulate_forced_immediate_change(
     change = ChangeModel(p=1.0)
     policy = always_stop_policy(pd_kernel_small.grid)
     for seed in range(50):
-        trace, = _episodes(simulate_episode(
+        batch = simulate_episode(
             pd_frame, pd_params, change, pd_obs, policy, pd_kernel_small,
             seed, costs=pd_costs,
-        ))
-        assert trace.change_time == 1
-        assert trace.cost == 0.0
+        )
+        assert batch.change_time.tolist() == [1]
+        assert batch.cost.tolist() == [0.0]
 
 
 def test_simulate_trace_bookkeeping(
     pd_frame, pd_params, pd_change, pd_obs, pd_kernel_small, pd_costs,
 ):
     _, policy = value_iteration(pd_kernel_small, pd_change, pd_costs)
-    trace, = _episodes(simulate_episode(
+    trace, = _simulate(
         pd_frame, pd_params, pd_change, pd_obs, policy, pd_kernel_small,
-        12345, costs=pd_costs,
-    ))
-    steps = [r[0] for r in trace.records]
-    assert steps == list(range(1, trace.stop_time + 1))
-    assert all(r[4] in (1, 2) for r in trace.records)
+        [12345], costs=pd_costs,
+    )
+    assert len(trace.records) == trace.stop_time
     assert trace.records[-1][-1] == 1
     assert all(r[-1] == 2 for r in trace.records[:-1])
     expected = pd_costs.d * max(trace.stop_time - trace.change_time, 0) + (
@@ -575,7 +617,7 @@ def _oracle_episode(
         a = int(rng.choice(gamma.size, p=gamma)) + 1
         pi, _ = public_belief_update(pi, a, change, kernel)
         u = policy.decide(pi[0])
-        records.append((n, x, y, float(eta[0]), a, float(pi[0]), u))
+        records.append((float(eta[0]), float(pi[0]), u))
         if u == 1:
             break
     tau = n
@@ -607,14 +649,7 @@ def _assert_matches_oracle(frame, params, change, obs, policy, kernel, costs, se
                            n=200):
     seeds = np.random.SeedSequence(seed).spawn(n)
     amap = ActionMap(frame, params)
-    batch = simulate_episodes(frame, params, change, obs, policy, kernel, seeds, costs=costs)
-    rows = int(batch.stop_time.sum())
-    for key, column in batch.log.items():
-        # the dtype the per-step arrays had, and an owned array of exactly one
-        # entry per record: no spare capacity of the log's buffers stays alive
-        assert column.dtype == (np.float64 if key in ("eta1", "pi1") else np.int64)
-        assert column.shape == (rows,) and column.base is None
-    traces = _episodes(batch)
+    traces = _simulate(frame, params, change, obs, policy, kernel, seeds, costs=costs)
     assert len(traces) == n
     for s, trace in zip(seeds, traces):
         want = _oracle_episode(frame, params, change, obs, policy, kernel, s,
@@ -781,7 +816,7 @@ def test_lockstep_impossible_observation(pd_frame, pd_params):
 
 
 def test_lockstep_one_runaway_episode(
-    pd_frame, pd_params, slow_change, pd_obs, slow_kernel, slow_policy
+    monkeypatch, pd_frame, pd_params, slow_change, pd_obs, slow_kernel, slow_policy
 ):
     seeds = list(range(40))
     taus = simulate_episodes(pd_frame, pd_params, slow_change, pd_obs,
@@ -792,9 +827,10 @@ def test_lockstep_one_runaway_episode(
     batch = [s for s, t in zip(seeds, taus) if t <= cap]
     batch.insert(3, seeds[longest])
     assert len(batch) > 10
+    monkeypatch.setattr("qdetect.protocol.MAX_STEPS", cap)
     with pytest.raises(RunawayEpisode) as info:
         simulate_episodes(pd_frame, pd_params, slow_change, pd_obs, slow_policy,
-                          slow_kernel, batch, step_cap=cap)
+                          slow_kernel, batch)
     assert info.value.episode == 3
     assert info.value.step_cap == cap
     with pytest.raises(RunawayEpisode):
@@ -802,36 +838,53 @@ def test_lockstep_one_runaway_episode(
                         slow_kernel, seeds[longest], step_cap=cap)
     del batch[3]
     simulate_episodes(pd_frame, pd_params, slow_change, pd_obs, slow_policy,
-                      slow_kernel, batch, step_cap=cap)
+                      slow_kernel, batch)
 
 
-def test_log_budget_counts_columns_and_step_arrays():
-    assert _log_bytes(0, 0) == 0
-    assert _log_bytes(1, 1) == 8 * (8 + 200)
-    assert _log_bytes(1000, 1) - _log_bytes(0, 1) == 8 * 8 * 1000
-    # one episode that never stops (p = 1e-20: a step cap of 1e21) is cut
-    # after about 650 000 steps, with about 1 GB of log
-    steps = LOG_BUDGET // _log_bytes(1, 1)
-    assert 600_000 <= steps <= 700_000
-    assert _log_bytes(steps, steps) <= LOG_BUDGET < _log_bytes(steps + 1, steps + 1)
-    # the README's simulate run (2000 episodes, here of up to 100 steps) is far below it
-    assert _log_bytes(2000 * 100, 100) < LOG_BUDGET / 50
-
-
-def test_tiny_p_batch_stops_at_log_budget(monkeypatch, pd_frame, pd_params, pd_obs):
-    budget = _log_bytes(300, 100)
-    monkeypatch.setattr("qdetect.protocol.LOG_BUDGET", budget)
-    change = ChangeModel(p=1e-20)
-    kernel = build_action_kernel(pd_frame, pd_params, change, pd_obs, BeliefGrid(50))
+def _never_stop(frame, params, obs, p):
+    change = ChangeModel(p=p)
+    kernel = build_action_kernel(frame, params, change, obs, BeliefGrid(50))
     pts = kernel.grid.points
-    never_stop = Policy(points=pts, u=np.full(pts.size, 2))
+    return change, kernel, Policy(points=pts, u=np.full(pts.size, 2))
+
+
+# without MAX_STEPS the step cap 10 / p + 1000 would be 1e21 at p = 1e-20,
+# and would overflow to inf at p = 1e-308
+@pytest.mark.parametrize("p", [1e-20, 1e-308])
+def test_tiny_p_batch_stops_at_max_steps(monkeypatch, pd_frame, pd_params, pd_obs, p):
+    change, kernel, never_stop = _never_stop(pd_frame, pd_params, pd_obs, p)
+    monkeypatch.setattr("qdetect.protocol.MAX_STEPS", 100)
     with pytest.raises(RunawayEpisode) as info:
         simulate_episodes(pd_frame, pd_params, change, pd_obs, never_stop, kernel, [0, 1, 2])
     err = info.value
-    # three rows a step: the 101st step's rows would take the log past the budget
-    assert (err.episode, err.step, err.budget, err.step_cap) == (0, 101, budget, None)
-    assert str(err) == (f"episode 0 step 101: the episode log would pass its budget of "
-                        f"{budget} bytes")
+    assert (err.episode, err.step_cap) == (0, 100)
+    assert str(err) == "episode 0: no stop after 100 steps"
+
+
+def test_tiny_p_batch_memory_does_not_grow_with_steps(monkeypatch, pd_frame, pd_params,
+                                                      pd_obs):
+    # a never-stopping batch holds its running episodes' state and one block
+    # of uniforms of at most 1024 steps, whatever the number of steps
+    change, kernel, never_stop = _never_stop(pd_frame, pd_params, pd_obs, 1e-20)
+
+    def peak_bytes(max_steps):
+        monkeypatch.setattr("qdetect.protocol.MAX_STEPS", max_steps)
+        tracemalloc.start()
+        try:
+            with pytest.raises(RunawayEpisode) as info:
+                simulate_episodes(pd_frame, pd_params, change, pd_obs, never_stop, kernel,
+                                  range(50))
+            assert info.value.step_cap == max_steps
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    faulthandler.dump_traceback_later(120, exit=True)     # a hang fails loudly
+    try:
+        short, long = peak_bytes(2000), peak_bytes(8000)
+    finally:
+        faulthandler.cancel_dump_traceback_later()
+    assert long < 1.5 * short, (short, long)
 
 
 def test_draw_rule_and_checks():

@@ -20,7 +20,6 @@ from qdetect import (
     NonConvergence,
     ObservationModel,
     Policy,
-    always_stop_policy,
     build_action_kernel,
     classical_value_iteration,
     evaluate_policy,
@@ -29,6 +28,8 @@ from qdetect import (
 )
 from qdetect.protocol import _transitions
 from qdetect.stopping import _action_transitions, _iterate
+
+from oracles import always_stop_policy
 
 
 def one_step_crossing(costs, change):
