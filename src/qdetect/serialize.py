@@ -137,40 +137,50 @@ def write_kernel(path, kernel, config_hash):
     )
 
 
+def _require_layout(names, got, want):
+    """The cell columns got of a typed artifact must equal want, its writer's
+    layout, row by row; ValueError names the row count when rows are missing
+    or extra, otherwise the first row that differs, with both sets of cells."""
+    if len(got[0]) != len(want[0]):
+        raise ValueError(f"{len(got[0])} rows, expected {len(want[0])}")
+    rows = np.flatnonzero(np.any(np.array(got) != np.array(want), axis=0))   # NaN differs
+    if rows.size:
+        i = rows[0]
+        cells = [", ".join(f"{name}={float(col[i])!r}" for name, col in zip(names, cols))
+                 for cols in (got, want)]
+        raise ValueError(f"row {i + 1} has ({cells[0]}), expected ({cells[1]})")
+
+
 def _kernel(meta, pi1, x, a, R):
     grid = BeliefGrid(n_cells=int(meta["grid_n"]))
-    shape = (2, grid.size, int(meta["n_actions"]))
-    cells = np.stack([x - 1, np.rint(pi1 * grid.n_cells), a - 1])
-    if not np.all(np.isfinite(cells) & (cells == np.round(cells))):
-        raise ValueError("non-integer state, action or grid index")
-    flat = np.ravel_multi_index(cells.astype(int), shape)
-    off = np.flatnonzero(grid.points[cells[1].astype(int)] != pi1)
-    if off.size:
-        raise ValueError(f"pi1={float(pi1[off[0]])!r} is not a point of the "
-                         f"{grid.n_cells}-cell grid")
-    counts = np.bincount(flat, minlength=np.prod(shape))
-    if np.any(counts != 1):
-        k = int(np.argmax(counts != 1))
-        xk, ik, ak = np.unravel_index(k, shape)
-        raise ValueError(f"kernel cell (x={xk + 1}, pi1={float(grid.points[ik])!r}, "
-                         f"a={ak + 1}) appears {counts[k]} times")
-    return ActionKernel(grid=grid, table=R[np.argsort(flat)].reshape(shape))
+    A = int(meta["n_actions"])
+    _require_layout(("pi1", "x", "a"), (pi1, x, a),
+                    (np.tile(np.repeat(grid.points, A), 2), np.repeat([1.0, 2.0], grid.size * A),
+                     np.tile(np.arange(1.0, A + 1), 2 * grid.size)))
+    return ActionKernel(grid=grid, table=R.reshape(2, grid.size, A))
 
 
 def read_kernel(path, config_hash):
-    """Kernel table from its CSV; every (x, pi1, a) cell must appear exactly
-    once and every pi1 must be its grid point, otherwise CacheMiss names the
-    first cell or value that is not."""
+    """Kernel table from its CSV; the (pi1, x, a) cells must be write_kernel's,
+    row by row, otherwise CacheMiss names the first row that is not."""
     return _read_table(path, config_hash, _KERNEL_COLUMNS, _kernel)
 
 
+def _grid_of(pi1):
+    """The grid of a value or policy table: one point per row, and each pi1
+    must be its row's point. One row is no grid; the smallest has two."""
+    grid = BeliefGrid(n_cells=max(pi1.size - 1, 1))
+    _require_layout(("pi1",), (pi1,), (grid.points,))
+    return grid
+
+
 def write_value(path, table, config_hash):
-    write_csv(path, _VALUE_COLUMNS, (table.points, table.values), config_hash)
+    write_csv(path, _VALUE_COLUMNS, (table.grid.points, table.values), config_hash)
 
 
 def read_value(path, config_hash):
     return _read_table(path, config_hash, _VALUE_COLUMNS,
-                       lambda meta, pts, values: ValueTable(points=pts, values=values))
+                       lambda meta, pi1, values: ValueTable(grid=_grid_of(pi1), values=values))
 
 
 def _policy_meta(policy):
@@ -180,12 +190,12 @@ def _policy_meta(policy):
 
 
 def write_policy(path, policy, config_hash):
-    write_csv(path, _POLICY_COLUMNS, (policy.points, policy.u), config_hash,
+    write_csv(path, _POLICY_COLUMNS, (policy.grid.points, policy.u), config_hash,
               meta=_policy_meta(policy))
 
 
-def _policy(meta, pts, u):
-    policy = Policy(points=pts, u=u)
+def _policy(meta, pi1, u):
+    policy = Policy(grid=_grid_of(pi1), u=u)
     for key, derived in _policy_meta(policy).items():
         if meta.get(key) != derived:
             raise ValueError(f"header {key}={meta.get(key)} but the u column gives {derived}")

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidModel, NonConvergence
-from .protocol import _transitions, grid_interp, grid_slopes, grid_stencil
+from .protocol import BeliefGrid, _transitions, grid_interp, grid_slopes, grid_stencil
 
 # Default stopping rule of every Bellman loop: sup-norm change and sweep budget.
 VI_TOL = 1e-8
@@ -24,25 +24,18 @@ MAX_ITER = 10000
 
 @dataclass(frozen=True)
 class ValueTable:
-    """Optimal (or fixed-policy) expected cost at each grid value of pi(1)."""
+    """Optimal (or fixed-policy) expected cost at each point of its grid."""
 
-    points: np.ndarray
+    grid: BeliefGrid
     values: np.ndarray
     sweeps: int | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "points", np.asarray(self.points, dtype=float))
         object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
-        if self.points.shape != self.values.shape:
-            raise InvalidModel("points and values must align")
-        if not np.all(np.diff(self.points) > 0):     # NaN fails here
-            raise InvalidModel("grid points must be strictly increasing")
+        if self.values.shape != (self.grid.size,):
+            raise InvalidModel(f"values have shape {self.values.shape}, not ({self.grid.size},)")
         if not np.all(np.isfinite(self.values)):
             raise InvalidModel("values must be finite")
-
-    def at(self, pi1):
-        pts, V = self.points, self.values
-        return float(grid_interp(V, grid_slopes(V, np.diff(pts)), grid_stencil(pts, pi1)))
 
 
 @dataclass(frozen=True)
@@ -50,22 +43,19 @@ class Policy:
     """Stop/continue decision u at each grid point. u is the whole rule: the
     threshold and crossing count are derived from it by extract_threshold."""
 
-    points: np.ndarray
+    grid: BeliefGrid
     u: np.ndarray
     threshold: float | None = field(init=False)
     crossings: int = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "points", np.asarray(self.points, dtype=float))
         u = np.asarray(self.u)
-        if self.points.shape != u.shape:
-            raise InvalidModel("points and decisions must align")
-        if np.any(np.diff(self.points) <= 0):
-            raise InvalidModel("grid points must be strictly increasing")
+        if u.shape != (self.grid.size,):
+            raise InvalidModel(f"decisions have shape {u.shape}, not ({self.grid.size},)")
         if not np.all((u == 1) | (u == 2)):         # before the int cast truncates 1.5 to 1
             raise InvalidModel("decisions must be 1 (stop) or 2 (continue)")
         object.__setattr__(self, "u", u.astype(int))
-        threshold, crossings = extract_threshold(self.points, self.u)
+        threshold, crossings = extract_threshold(self.grid.points, self.u)
         object.__setattr__(self, "threshold", threshold)
         object.__setattr__(self, "crossings", crossings)
 
@@ -77,7 +67,7 @@ class Policy:
         if self.threshold is not None:
             u = np.where(x >= self.threshold - 1e-12, 1, 2)
         else:
-            pts = self.points
+            pts = self.grid.points
             lo = np.maximum(np.searchsorted(pts, x) - 1, 0)
             hi = np.minimum(lo + 1, pts.size - 1)
             u = self.u[np.where(np.abs(pts[hi] - x) < np.abs(pts[lo] - x), hi, lo)]
@@ -89,7 +79,7 @@ def _action_transitions(kernel, change):
     return _transitions(kernel.grid.points, kernel.table[0].T, kernel.table[1].T, change.p)
 
 
-def _iterate(points, transitions, costs, tol, max_iter, stop_mask=None):
+def _iterate(grid, transitions, costs, tol, max_iter, stop_mask=None):
     """Bellman sweeps on the grid until the sup-norm change is <= tol.
     Without a stop mask the policy is the greedy one; with a mask it is
     fixed, stopping exactly where the mask is set. Returns the value table
@@ -99,6 +89,7 @@ def _iterate(points, transitions, costs, tol, max_iter, stop_mask=None):
     taken once; each sweep takes V's slopes into one buffer and reads V at
     every posterior through grid_interp, np.interp's numbers to the bit."""
     t1, weights = transitions
+    points = grid.points
     stencil = grid_stencil(points, t1)
     dx, slopes = np.diff(points), np.empty_like(points)
     stop_cost = costs.f * (1.0 - points)
@@ -124,8 +115,8 @@ def _iterate(points, transitions, costs, tol, max_iter, stop_mask=None):
                              f"tolerance {tol} after {max_iter} sweeps", last_delta=float(delta))
     cont = continuation(V)
     return (
-        ValueTable(points=points, values=V, sweeps=sweep),
-        Policy(points=points, u=np.where(stop_cost <= cont, 1, 2)),
+        ValueTable(grid=grid, values=V, sweeps=sweep),
+        Policy(grid=grid, u=np.where(stop_cost <= cont, 1, 2)),
     )
 
 
@@ -134,15 +125,14 @@ def value_iteration(kernel, change, costs, tol=VI_TOL, max_iter=MAX_ITER):
 
     Returns the value table and the greedy policy with its threshold.
     """
-    return _iterate(kernel.grid.points, _action_transitions(kernel, change), costs, tol, max_iter)
+    return _iterate(kernel.grid, _action_transitions(kernel, change), costs, tol, max_iter)
 
 
 def classical_value_iteration(change, obs, costs, grid, tol=VI_TOL, max_iter=MAX_ITER):
     """Reference solver for a detector that sees the observations directly:
     the same iteration with the observation likelihoods B in place of R."""
-    g = grid.points
-    transitions = _transitions(g, obs.B[0][:, None], obs.B[1][:, None], change.p)
-    return _iterate(g, transitions, costs, tol, max_iter)
+    transitions = _transitions(grid.points, obs.B[0][:, None], obs.B[1][:, None], change.p)
+    return _iterate(grid, transitions, costs, tol, max_iter)
 
 
 def extract_threshold(points, u):
@@ -167,6 +157,6 @@ def evaluate_policy(kernel, change, costs, policy, tol=VI_TOL, max_iter=MAX_ITER
     Stop points carry exactly f (1 - pi); continuation points take the
     one-step expectation under the same transitions as value_iteration.
     """
-    points = kernel.grid.points
-    return _iterate(points, _action_transitions(kernel, change), costs, tol, max_iter,
-                    stop_mask=policy.decide(points) == 1)[0]
+    grid = kernel.grid
+    return _iterate(grid, _action_transitions(kernel, change), costs, tol, max_iter,
+                    stop_mask=policy.decide(grid.points) == 1)[0]

@@ -19,4 +19,4 @@ def observation_likelihood(pi, y, change, obs):
 
 
 def always_stop_policy(grid):
-    return Policy(points=grid.points, u=np.ones(grid.size, dtype=int))
+    return Policy(grid=grid, u=np.ones(grid.size, dtype=int))

@@ -317,12 +317,20 @@ def test_kernel_read_rejects_missing_or_repeated_cells(tmp_path, pd_kernel_small
     write_kernel(path, pd_kernel_small, "cafe01234567")
     lines = open(path, encoding="utf-8").read().splitlines()
     header = next(i for i, line in enumerate(lines) if line.startswith("pi1,"))
-    # a row repeated over another: the row count still matches, one cell is empty
+    # a row repeated over another: the row count still matches, one row is not its cell
     dup = list(lines)
     dup[header + 2] = dup[header + 1]
     (tmp_path / "dup.csv").write_text("\n".join(dup) + "\n", encoding="utf-8")
-    with pytest.raises(CacheMiss, match=r"kernel cell \(x=1, pi1=0.0, a=1\) appears 2 times"):
+    with pytest.raises(CacheMiss, match=r"is corrupt: row 2 has \(pi1=0\.0, x=1\.0, a=1\.0\), "
+                                        r"expected \(pi1=0\.0, x=1\.0, a=2\.0\)"):
         read_kernel(str(tmp_path / "dup.csv"), "cafe01234567")
+    # every cell present once, but two rows out of write_kernel's order
+    swapped = list(lines)
+    swapped[header + 1], swapped[header + 2] = lines[header + 2], lines[header + 1]
+    (tmp_path / "swapped.csv").write_text("\n".join(swapped) + "\n", encoding="utf-8")
+    with pytest.raises(CacheMiss, match=r"is corrupt: row 1 has \(pi1=0\.0, x=1\.0, a=2\.0\), "
+                                        r"expected \(pi1=0\.0, x=1\.0, a=1\.0\)"):
+        read_kernel(str(tmp_path / "swapped.csv"), "cafe01234567")
     rest = lines[header + 1][len("0.0,1,1"):]
     # a "#" line or a blank line in place of a row leaves that cell missing;
     # "0_0.0" and an Arabic-Indic digit one, which float() would read as
@@ -343,7 +351,8 @@ def test_kernel_read_rejects_missing_or_repeated_cells(tmp_path, pd_kernel_small
     bad = list(lines)
     bad[header + 1] = "0.001,1,1" + lines[header + 1][len("0.0,1,1"):]
     (tmp_path / "bad.csv").write_text("\n".join(bad) + "\n", encoding="utf-8")
-    with pytest.raises(CacheMiss, match="pi1=0.001 is not a point of the 200-cell grid"):
+    with pytest.raises(CacheMiss, match=r"is corrupt: row 1 has \(pi1=0\.001, x=1\.0, a=1\.0\), "
+                                        r"expected \(pi1=0\.0, x=1\.0, a=1\.0\)"):
         read_kernel(str(tmp_path / "bad.csv"), "cafe01234567")
 
 
@@ -376,6 +385,39 @@ def test_value_policy_roundtrip_exact(tmp_path, pd_kernel_small, pd_change, pd_c
     assert pback.crossings == policy.crossings
 
 
+def assert_rows_checked(path, read, rng):
+    """Four corruptions of the rows of a typed artifact, each a CacheMiss that
+    names a row: two rows swapped, one row copied over another, one pi1 moved
+    one ulp off its grid point, and one row deleted. A deleted kernel row is
+    named by the row count, which grid_n fixes."""
+    lines = open(path, encoding="utf-8").read().splitlines()
+    top = next(k for k, line in enumerate(lines) if not line.startswith("#")) + 1
+    head, rows = lines[:top], lines[top:]
+    i, j = sorted(rng.choice(len(rows), size=2, replace=False).tolist())
+    pi1, rest = rows[i].split(",", 1)
+    moved = repr(float(np.nextafter(float(pi1), 2.0)))
+    swapped, copied = list(rows), list(rows)
+    swapped[i], swapped[j] = rows[j], rows[i]
+    copied[i] = rows[j]
+    deleted = rows[:i] + rows[i + 1:]
+    cases = [(swapped, rf"row {i + 1} has \("), (copied, rf"row {i + 1} has \("),
+             (rows[:i] + [f"{moved},{rest}"] + rows[i + 1:],
+              rf"row {i + 1} has \(pi1={re.escape(moved)}[,)]")]
+    if read is read_kernel:
+        cases.append((deleted, rf"{len(rows) - 1} rows, expected {len(rows)}"))
+    elif len(rows) == 2:
+        cases.append((deleted, "1 rows, expected 2"))
+    elif (len(rows), i) != (3, 1):
+        # not the middle row of 3: the 0.0 and 1.0 rows left are a whole
+        # one-cell grid, and no grid_n line says that a row is gone
+        cases.append((deleted, r"row \d+ has \(pi1="))
+    for bad, message in cases:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("\n".join(head + bad) + "\n")
+        with pytest.raises(CacheMiss, match="is corrupt: " + message):
+            read(path, "cafe01234567")
+
+
 @settings(max_examples=30)
 @given(st.integers(1, 30), st.integers(1, 4), st.floats(0.01, 10.0), st.integers(0, 2**32 - 1))
 def test_kernel_roundtrip_exact_on_random_tables(n_cells, A, concentration, seed):
@@ -388,6 +430,7 @@ def test_kernel_roundtrip_exact_on_random_tables(n_cells, A, concentration, seed
         path = os.path.join(tmp, "kernel.csv")
         write_kernel(path, kernel, "cafe01234567")
         back = read_kernel(path, "cafe01234567")
+        assert_rows_checked(path, read_kernel, rng)
     assert back.grid == grid
     np.testing.assert_array_equal(back.table, table)
 
@@ -395,14 +438,16 @@ def test_kernel_roundtrip_exact_on_random_tables(n_cells, A, concentration, seed
 @settings(max_examples=30)
 @given(st.integers(1, 30), st.integers(0, 2**32 - 1))
 def test_policy_roundtrip_exact_on_random_policies(n_cells, seed):
-    pts = BeliefGrid(n_cells).points
-    u = np.random.default_rng(seed).integers(1, 3, size=pts.size)
-    policy = Policy(points=pts, u=u)
+    grid = BeliefGrid(n_cells)
+    rng = np.random.default_rng(seed)
+    u = rng.integers(1, 3, size=grid.size)
+    policy = Policy(grid=grid, u=u)
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "policy.csv")
         write_policy(path, policy, "cafe01234567")
         back = read_policy(path, "cafe01234567")
-    np.testing.assert_array_equal(back.points, pts)
+        assert_rows_checked(path, read_policy, rng)
+    assert back.grid == grid
     np.testing.assert_array_equal(back.u, u)
     assert back.threshold == policy.threshold
     assert back.crossings == policy.crossings
@@ -412,21 +457,22 @@ def test_policy_roundtrip_exact_on_random_policies(n_cells, seed):
 @given(st.integers(1, 30), st.integers(0, 2**32 - 1), st.integers(-290, 290))
 def test_value_roundtrip_exact_on_random_tables(n_cells, seed, exponent):
     # signed values spread over many decades around 10**exponent
-    pts = BeliefGrid(n_cells).points
+    grid = BeliefGrid(n_cells)
     rng = np.random.default_rng(seed)
-    values = rng.standard_normal(pts.size) * 10.0 ** (exponent + rng.integers(-8, 9, pts.size))
+    values = rng.standard_normal(grid.size) * 10.0 ** (exponent + rng.integers(-8, 9, grid.size))
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "value.csv")
-        write_value(path, ValueTable(points=pts, values=values), "cafe01234567")
+        write_value(path, ValueTable(grid=grid, values=values), "cafe01234567")
         back = read_value(path, "cafe01234567")
-    np.testing.assert_array_equal(back.points, pts)
+        assert_rows_checked(path, read_value, rng)
+    assert back.grid == grid
     np.testing.assert_array_equal(back.values, values)
 
 
 def test_value_read_rejects_non_finite_values_and_unsorted_points(tmp_path):
-    pts = BeliefGrid(4).points
+    grid = BeliefGrid(4)
     path = str(tmp_path / "value.csv")
-    write_value(path, ValueTable(points=pts, values=pts), "cafe01234567")
+    write_value(path, ValueTable(grid=grid, values=grid.points), "cafe01234567")
     text = open(path, encoding="utf-8").read()
     for bad in ("nan", "inf", "-inf"):
         with open(path, "w", encoding="utf-8") as fh:
@@ -434,17 +480,17 @@ def test_value_read_rejects_non_finite_values_and_unsorted_points(tmp_path):
         with pytest.raises(CacheMiss, match="is corrupt: values must be finite"):
             read_value(path, "cafe01234567")
     with pytest.raises(InvalidModel, match="values must be finite"):
-        ValueTable(points=pts, values=[0.0, 1.0, np.nan, 0.0, 0.0])
-    # rows out of order: the interpolation needs increasing points
+        ValueTable(grid=grid, values=[0.0, 1.0, np.nan, 0.0, 0.0])
+    # rows out of order: each pi1 must be its row's grid point
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text.replace("\n0.25,0.25\n0.5,0.5\n", "\n0.5,0.5\n0.25,0.25\n"))
-    with pytest.raises(CacheMiss, match="is corrupt: grid points must be strictly increasing"):
+    with pytest.raises(CacheMiss,
+                       match=r"is corrupt: row 2 has \(pi1=0\.5\), expected \(pi1=0\.25\)"):
         read_value(path, "cafe01234567")
 
 
 def test_policy_roundtrip_no_threshold(tmp_path):
-    pts = np.array([0.0, 0.5, 1.0])
-    policy = Policy(points=pts, u=np.array([1, 2, 1]))
+    policy = Policy(grid=BeliefGrid(2), u=np.array([1, 2, 1]))
     path = str(tmp_path / "p.csv")
     write_policy(path, policy, "cafe01234567")
     back = read_policy(path, "cafe01234567")
@@ -522,7 +568,8 @@ def test_cli_simulate_corrupt_kernel_is_cache_miss(tmp_path, capsys):
         fh.write("\n".join(lines) + "\n")
     capsys.readouterr()
     assert main(["--config", ini, "--out", out, "simulate", "--episodes", "5"]) == 4
-    assert "kernel cell (x=2, pi1=1.0, a=1) appears 2 times" in capsys.readouterr().err
+    assert ("kernel.csv is corrupt: row 244 has (pi1=1.0, x=2.0, a=1.0), "
+            "expected (pi1=1.0, x=2.0, a=2.0)") in capsys.readouterr().err
 
 
 def _header_only(text):
@@ -533,11 +580,10 @@ def _header_only(text):
 
 
 def test_typed_reads_reject_a_table_with_no_rows(tmp_path):
-    pts = BeliefGrid(4).points
-    cases = ((write_value, read_value, ValueTable(points=pts, values=pts)),
-             (write_policy, read_policy, Policy(points=pts, u=np.full(pts.size, 2))),
-             (write_kernel, read_kernel,
-              ActionKernel(BeliefGrid(4), np.full((2, pts.size, 2), 0.5))))
+    grid = BeliefGrid(4)
+    cases = ((write_value, read_value, ValueTable(grid=grid, values=grid.points)),
+             (write_policy, read_policy, Policy(grid=grid, u=np.full(grid.size, 2))),
+             (write_kernel, read_kernel, ActionKernel(grid, np.full((2, grid.size, 2), 0.5))))
     for write, read, artifact in cases:
         path = tmp_path / f"{read.__name__}.csv"
         write(str(path), artifact, "cafe01234567")
@@ -590,6 +636,33 @@ def test_policy_header_must_match_its_u_column(tmp_path, capsys):
         assert main(["--config", ini, "--out", out, "simulate", "--episodes", "5"]) == 4
         assert "policy.csv is corrupt" in capsys.readouterr().err
         assert not os.path.exists(os.path.join(cache, "episodes.csv"))
+
+
+def test_cli_simulate_policy_off_its_grid_is_cache_miss(tmp_path, capsys):
+    # rows that parse and agree with the header lines, but whose pi1 column
+    # is not the grid: a nan pi1, the threshold row moved off its grid point
+    # (with the threshold line moved to match), and a deleted row
+    ini = write_ini(tmp_path)
+    out = str(tmp_path / "out")
+    assert main(["--config", ini, "--out", out, "solve"]) == 0
+    cfg_hash = load_config(BASE_INI).hash
+    path = os.path.join(out, cfg_hash, "policy.csv")
+    policy = read_policy(path, cfg_hash)
+    k = int(np.flatnonzero(policy.u == 1)[0])
+    moved = repr(float(policy.grid.points[k:k + 2].mean()))
+    lines = open(path, encoding="utf-8").read().splitlines()
+    top = next(i for i, line in enumerate(lines) if not line.startswith("#")) + 1
+    head, rows = lines[:top], lines[top:]
+    moved_head = [f"# threshold={moved}" if line.startswith("# threshold=") else line
+                  for line in head]
+    for bad, row in ((head + rows[:5] + ["nan,2"] + rows[6:], 6),
+                     (moved_head + rows[:k] + [f"{moved},1"] + rows[k + 1:], k + 1),
+                     (head + rows[:5] + rows[6:], 2)):
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("\n".join(bad) + "\n")
+        capsys.readouterr()
+        assert main(["--config", ini, "--out", out, "simulate", "--episodes", "5"]) == 4
+        assert f"policy.csv is corrupt: row {row} has (pi1=" in capsys.readouterr().err
 
 
 def test_cli_exit_codes(tmp_path, capsys):

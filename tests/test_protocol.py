@@ -498,8 +498,8 @@ def test_simulate_always_stop(
 def test_simulate_runaway(monkeypatch, pd_frame, pd_params, pd_change, pd_obs,
                           pd_kernel_small):
     monkeypatch.setattr("qdetect.protocol.MAX_STEPS", 25)
-    pts = pd_kernel_small.grid.points
-    never_stop = Policy(points=pts, u=np.full(pts.size, 2))
+    grid = pd_kernel_small.grid
+    never_stop = Policy(grid=grid, u=np.full(grid.size, 2))
     with pytest.raises(RunawayEpisode):
         simulate_episode(
             pd_frame, pd_params, pd_change, pd_obs, never_stop,
@@ -547,7 +547,7 @@ def test_estimate_cost_matches_dynamic_program(
         pd_frame, pd_params, pd_change, pd_obs, policy, pd_kernel_small,
         pd_costs, n_episodes=1200, seed=42,
     )
-    assert abs(mean - table.at(0.0)) <= 3 * stderr
+    assert abs(mean - table.values[0]) <= 3 * stderr
 
 
 def test_estimate_cost_seed_reproducibility(
@@ -679,7 +679,7 @@ def test_lockstep_matches_oracle_nearest_grid_policy(
 ):
     pts = slow_kernel.grid.points
     u = np.where(((pts >= 0.3) & (pts <= 0.35)) | (pts >= 0.8), 1, 2)
-    patchy = Policy(points=pts, u=u)
+    patchy = Policy(grid=slow_kernel.grid, u=u)
     _assert_matches_oracle(
         pd_frame, pd_params, slow_change, pd_obs, patchy, slow_kernel,
         DetectionCosts(f=50.0, d=1.0), seed=7,
@@ -744,7 +744,7 @@ def lockstep_models(draw):
 def test_lockstep_matches_oracle_on_random_observation_models(pd_params, model, seed):
     frame, change, obs, grid, u = model
     kernel = build_action_kernel(frame, pd_params, change, obs, grid)
-    _assert_matches_oracle(frame, pd_params, change, obs, Policy(points=grid.points, u=u),
+    _assert_matches_oracle(frame, pd_params, change, obs, Policy(grid=grid, u=u),
                            kernel, DetectionCosts(f=20.0, d=1.0), seed, n=16)
 
 
@@ -770,8 +770,7 @@ def test_lockstep_impossible_action(pd_frame, pd_params, pd_change, pd_obs):
     table = np.zeros((2, grid.size, 2))
     table[:, :, 0] = 1.0
     kernel = ActionKernel(grid=grid, table=table)
-    pts = grid.points
-    never_stop = Policy(points=pts, u=np.full(pts.size, 2))
+    never_stop = Policy(grid=grid, u=np.full(grid.size, 2))
     seeds = list(range(30))
     first = []
     for i, seed in enumerate(seeds):
@@ -799,7 +798,7 @@ def test_lockstep_impossible_observation(pd_frame, pd_params):
     table = np.zeros((2, grid.size, 2))
     table[0, :, 0] = table[1, :, 1] = 1.0
     kernel = ActionKernel(grid=grid, table=table)
-    never_stop = Policy(points=grid.points, u=np.full(grid.size, 2))
+    never_stop = Policy(grid=grid, u=np.full(grid.size, 2))
     seeds = list(range(20))
     first = []                              # (step, check order, episode) of each failure
     for i, seed in enumerate(seeds):
@@ -844,8 +843,7 @@ def test_lockstep_one_runaway_episode(
 def _never_stop(frame, params, obs, p):
     change = ChangeModel(p=p)
     kernel = build_action_kernel(frame, params, change, obs, BeliefGrid(50))
-    pts = kernel.grid.points
-    return change, kernel, Policy(points=pts, u=np.full(pts.size, 2))
+    return change, kernel, Policy(grid=kernel.grid, u=np.full(kernel.grid.size, 2))
 
 
 # without MAX_STEPS the step cap 10 / p + 1000 would be 1e21 at p = 1e-20,

@@ -312,6 +312,15 @@ def test_steady_readout_pinned_on_both_branches(pd_frame, monkeypatch):
     assert len(calls) == 3
 
 
+def test_steady_probes_reject_a_non_finite_generator(pd_frame, pd_params):
+    # the probes run through evolve, so a NaN generator fails at the first
+    # probe instead of doubling to the last and reporting no convergence
+    L = assemble_lindbladian(pd_frame, pd_params, np.array([0.2, 0.8]))
+    L[0, 1] = np.nan
+    with pytest.raises(NumericalFailure, match=r"non-finite entries at t=50\.0"):
+        quantum._steady_rho_from_probes(L, pd_frame)
+
+
 @st.composite
 def frames_and_params(draw):
     n = draw(st.integers(1, 4))

@@ -47,7 +47,7 @@ def test_zero_false_alarm_cost_stops_everywhere(pd_kernel_small, pd_change):
 
 def test_value_bounds(pd_kernel_small, pd_change, pd_costs):
     table, _ = value_iteration(pd_kernel_small, pd_change, pd_costs)
-    stop_cost = pd_costs.f * (1.0 - table.points)
+    stop_cost = pd_costs.f * (1.0 - table.grid.points)
     assert table.values[-1] == 0.0
     assert (table.values >= 0.0).all()
     assert (table.values <= stop_cost + 1e-12).all()
@@ -63,7 +63,7 @@ def test_threshold_matches_one_step_analysis(
     assert policy.crossings == 1
     assert table.sweeps == 3
     # V(0): continuing from certainty of no change costs f (1 - p)
-    assert abs(table.at(0.0) - 0.25) <= 1e-9
+    assert abs(table.values[0] - 0.25) <= 1e-9
 
 
 def test_threshold_formula_across_costs(
@@ -131,16 +131,16 @@ def test_policy_decide(pd_kernel_full, pd_change, pd_costs):
     assert policy.decide(1.0) == 1
     assert policy.decide(0.0) == 2
 
-    pts = np.array([0.0, 0.5, 1.0])
-    patchy = Policy(points=pts, u=np.array([1, 2, 1]))
+    patchy = Policy(grid=BeliefGrid(2), u=np.array([1, 2, 1]))
     assert patchy.decide(0.1) == 1              # nearest grid point
     assert patchy.decide(0.6) == 2
     assert patchy.decide(0.9) == 1
 
 
 def test_policy_decide_ties_and_arrays():
-    pts = np.array([0.0, 0.5, 1.0])
-    patchy = Policy(points=pts, u=np.array([1, 2, 1]))
+    grid = BeliefGrid(2)
+    pts = grid.points
+    patchy = Policy(grid=grid, u=np.array([1, 2, 1]))
     # a belief halfway between two grid points takes the lower index's decision
     assert patchy.decide(0.25) == 1
     assert patchy.decide(0.75) == 2
@@ -151,18 +151,18 @@ def test_policy_decide_ties_and_arrays():
     want = [int(patchy.u[np.argmin(np.abs(pts - v))]) for v in x]
     np.testing.assert_array_equal(patchy.decide(x), want)
     assert [patchy.decide(v) for v in x] == want
-    thr = Policy(points=pts, u=np.array([2, 1, 1]))
+    thr = Policy(grid=grid, u=np.array([2, 1, 1]))
     np.testing.assert_array_equal(thr.decide(np.array([0.5 - 1e-13, 0.49, 0.7])), [1, 2, 1])
-    with pytest.raises(InvalidModel):
-        Policy(points=np.array([0.0, 0.5, 0.5]), u=np.array([1, 2, 1]))
+    with pytest.raises(InvalidModel, match=r"decisions have shape \(4,\), not \(3,\)"):
+        Policy(grid=grid, u=np.array([1, 2, 1, 1]))
 
 
 def test_policy_rejects_fractional_decisions():
-    pts = np.array([0.0, 0.5, 1.0])
+    grid = BeliefGrid(2)
     for u in ([1.5, 2, 1], [1.7, 2.2, 1.0], [1, 2, np.nan]):
         with pytest.raises(InvalidModel, match="decisions must be 1"):
-            Policy(points=pts, u=np.array(u))
-    whole = Policy(points=pts, u=np.array([1.0, 2.0, 1.0]))
+            Policy(grid=grid, u=np.array(u))
+    whole = Policy(grid=grid, u=np.array([1.0, 2.0, 1.0]))
     assert whole.u.dtype.kind == "i"
     assert whole.u.tolist() == [1, 2, 1]
 
@@ -170,11 +170,10 @@ def test_policy_rejects_fractional_decisions():
 @settings(max_examples=60)
 @given(st.data())
 def test_policy_is_its_decision_column(data):
-    # gaps above decide's 1e-12 guard band, so a threshold sits on one grid point
-    gaps = data.draw(st.lists(st.floats(1e-9, 1.0), max_size=39))
-    pts = data.draw(st.floats(-1.0, 1.0)) + np.concatenate([[0.0], np.cumsum(gaps)])
+    grid = BeliefGrid(data.draw(st.integers(1, 39)))
+    pts = grid.points
     u = data.draw(st.lists(st.sampled_from([1, 2]), min_size=pts.size, max_size=pts.size))
-    policy = Policy(points=pts, u=np.array(u))
+    policy = Policy(grid=grid, u=np.array(u))
     np.testing.assert_array_equal(policy.decide(pts), u)
     assert (policy.threshold, policy.crossings) == extract_threshold(pts, u)
 
@@ -183,7 +182,7 @@ def test_evaluate_always_stop_exact(pd_kernel_small, pd_change, pd_costs):
     policy = always_stop_policy(pd_kernel_small.grid)
     table = evaluate_policy(pd_kernel_small, pd_change, pd_costs, policy)
     np.testing.assert_array_equal(
-        table.values, pd_costs.f * (1.0 - table.points)
+        table.values, pd_costs.f * (1.0 - table.grid.points)
     )
 
 
@@ -199,7 +198,7 @@ def test_bellman_identity_at_fixed_point(pd_kernel_small, pd_change, pd_costs):
     table, _ = value_iteration(
         pd_kernel_small, pd_change, pd_costs, tol=1e-12
     )
-    pts = table.points
+    pts = table.grid.points
     t1, weights = _action_transitions(pd_kernel_small, pd_change)
     cont = pd_costs.d * pts + sum(
         w * np.interp(t, pts, table.values) for t, w in zip(t1, weights)
@@ -322,10 +321,10 @@ def test_iterate_matches_per_evidence_oracle(data):
         oracle_iterate(pts, observations, costs, tol, max_iter))
 
     u = draw(st.lists(st.sampled_from([1, 2]), min_size=grid.size, max_size=grid.size))
-    policy = Policy(points=pts, u=u)
+    policy = Policy(grid=grid, u=u)
     mask = policy.decide(pts) == 1
     oracle = oracle_iterate(pts, actions, costs, tol, max_iter, stop_mask=mask)
-    assert_matches_oracle(lambda: _iterate(pts, actions, costs, tol, max_iter, stop_mask=mask),
+    assert_matches_oracle(lambda: _iterate(grid, actions, costs, tol, max_iter, stop_mask=mask),
                           oracle)
     assert_matches_oracle(lambda: evaluate_policy(kernel, change, costs, policy, tol, max_iter),
                           oracle)
