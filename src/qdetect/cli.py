@@ -146,6 +146,9 @@ def cmd_simulate(config, args):
     try:
         kernel = serialize.read_kernel(os.path.join(cache, "kernel.csv"), config.hash)
         policy = serialize.read_policy(os.path.join(cache, "policy.csv"), config.hash)
+        if policy.grid != kernel.grid:
+            raise CacheMiss(f"policy.csv is on a {policy.grid.n_cells}-cell grid, "
+                            f"kernel.csv on a {kernel.grid.n_cells}-cell grid")
     except CacheMiss as exc:
         raise CacheMiss(f"{exc}; run the solve command first") from None
     batch = simulate_episodes(config.frame, config.params, config.change, config.obs, policy,

@@ -9,6 +9,7 @@ properties the comparisons rely on, and turns kernel mismatch into the
 KL-based robustness bound used by the sensitivity harness.
 """
 
+import functools
 import math
 import os
 from dataclasses import dataclass
@@ -26,10 +27,12 @@ def linprog(*args, **kwargs):
     """``scipy.optimize.milp``, imported on first call. With its default
     integrality (every variable continuous) milp hands HiGHS the LP that
     ``linprog(method="highs")`` builds from the same stacked rows and bounds,
-    through one validation pass instead of linprog's option checks. It keeps
-    the name linprog: the benchmark counts LP calls, and tests patch solver
-    failures, through this module attribute. scipy.optimize takes about a
-    quarter second to import, and only the LP path needs it."""
+    through one validation pass instead of linprog's option checks. The rows
+    come as a ``csc_array`` filled into _lp_template's layout, which is the
+    layout milp would make of the dense rows, so HiGHS gets the same model.
+    It keeps the name linprog: the benchmark counts LP calls, and tests patch
+    solver failures, through this module attribute. scipy.optimize takes
+    about a quarter second to import, and only the LP path needs it."""
     from scipy.optimize import milp
 
     return milp(*args, **kwargs)
@@ -100,37 +103,77 @@ def _transform_two_actions(ghat, g, eps):
     return None
 
 
-def _transform_linprog(ghat, g):
-    m, A = ghat.shape
-    n_vars = A * A + 1
-    cost = np.zeros(n_vars)
+@functools.lru_cache(maxsize=None)
+def _lp_template(m, A):
+    """The garbling LP of every m x A family pair, less its numbers: variables
+    M (row-major, M[j, k] at j*A + k) then t; per y and k the + then the -
+    residual row, -inf <= +/-(ghat M - g)[y, k] - t <= +/-g[y, k]; then the A
+    row sums of M, equal to 1. The matrix has the layout csc_array gives the
+    dense stacked rows: column j*A + k holds +ghat[y, j] and -ghat[y, j] in
+    rows 2(yA + k) and 2(yA + k) + 1 for each y, then 1 in row 2mA + j; the
+    t column holds -1 in each of the 2mA residual rows.
+
+    Returns (cost, bounds, lower, data, indices, indptr, plus, gather): data
+    with zeros in the ghat slots, the positions plus of the +ghat slots (each
+    -ghat slot is the next one) and their gather index into ghat.ravel().
+    Every array is read-only: the template is shared by every LP of its
+    shape."""
+    from scipy.optimize import Bounds
+
+    R, cols, per = 2 * m * A, A * A, 2 * m + 1
+    j, k = np.divmod(np.arange(cols), A)
+    y = np.arange(m)
+    rows = 2 * (y * A + k[:, None])                    # (cols, m): the + rows
+    block = np.empty((cols, per), dtype=int)
+    block[:, 0:-1:2] = rows
+    block[:, 1:-1:2] = rows + 1
+    block[:, -1] = R + j
+    values = np.zeros((cols, per))
+    values[:, -1] = 1.0
+    cost = np.zeros(cols + 1)
     cost[-1] = 1.0
-    # residual constraints: +/- (ghat M - g)[y, k] <= t
-    rows = []
-    rhs = []
-    for y in range(m):
-        for k in range(A):
-            row = np.zeros(n_vars)
-            row[k::A][:A] = ghat[y]        # M[:, k] entries sit at j*A + k
-            row[-1] = -1.0
-            rows.append(row)
-            rhs.append(g[y, k])
-            rows.append(np.concatenate([-row[:-1], [-1.0]]))
-            rhs.append(-g[y, k])
-    A_eq = np.zeros((A, n_vars))
-    for j in range(A):
-        A_eq[j, j * A : (j + 1) * A] = 1.0
-    b_eq = np.ones(A)
-    upper = np.ones(n_vars)
-    upper[-1] = np.inf                     # 0 <= M <= 1, t >= 0
-    # one stacked row block with row bounds, as linprog hands it to HiGHS:
-    # -inf <= rows <= rhs, then b_eq <= A_eq <= b_eq
+    bounds = Bounds(0.0, np.append(np.ones(cols), np.inf))     # 0 <= M <= 1, t >= 0
+    arrays = (
+        np.append(np.full(R, -np.inf), np.ones(A)),
+        np.append(values.ravel(), np.full(R, -1.0)),
+        np.append(block.ravel(), np.arange(R)).astype(np.int32),
+        np.append(np.arange(cols + 1) * per, cols * per + R).astype(np.int32),
+        (np.arange(cols)[:, None] * per + 2 * y).ravel(),
+        (y * A + j[:, None]).ravel(),
+    )
+    for array in (cost, bounds.lb, bounds.ub, *arrays):
+        array.flags.writeable = False
+    return (cost, bounds, *arrays)
+
+
+def _transform_linprog(ghat, g):
+    from scipy.optimize import LinearConstraint
+    from scipy.sparse import csc_array
+
+    m, A = ghat.shape
+    cost, bounds, lower, data, indices, indptr, plus, gather = _lp_template(m, A)
+    R = 2 * m * A
+    # fill the shape's template: +/-ghat into a copy of its data, and the
+    # residual rows' upper bounds +/-g interleaved, one pair per (y, k)
+    vals = ghat.ravel()[gather]
+    data = data.copy()
+    data[plus] = vals
+    data[plus + 1] = -vals
+    if not vals.all():
+        # csc_array of the dense rows stores no zero, -0.0 included
+        keep = data != 0.0
+        data, indices = data[keep], indices[keep]
+        # a column now starts after the entries kept before its old start
+        indptr = np.cumsum(np.append(False, keep), dtype=np.int32)[indptr]
+    hi = np.empty(R + A)
+    hi[0:R:2] = g.ravel()
+    hi[1:R:2] = -g.ravel()
+    hi[R:] = 1.0
     res = linprog(
         cost,
-        constraints=(np.vstack([rows, A_eq]),
-                     np.concatenate([np.full(len(rhs), -np.inf), b_eq]),
-                     np.concatenate([rhs, b_eq])),
-        bounds=(np.zeros(n_vars), upper),
+        constraints=LinearConstraint(
+            csc_array((data, indices, indptr), shape=(R + A, cost.size)), lower, hi),
+        bounds=bounds,
     )
     if not res.success:
         raise InvalidModel(f"transform search failed: {res.message}")

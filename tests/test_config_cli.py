@@ -665,6 +665,27 @@ def test_cli_simulate_policy_off_its_grid_is_cache_miss(tmp_path, capsys):
         assert f"policy.csv is corrupt: row {row} has (pi1=" in capsys.readouterr().err
 
 
+def test_cli_simulate_policy_on_another_grid_is_cache_miss(tmp_path, capsys):
+    # grid_n 2 writes the policy on 0, 0.5, 1; without its middle row the
+    # policy.csv is a well-formed policy on the 1-cell grid 0, 1, which is
+    # not the kernel's grid
+    text = BASE_INI.replace("f = 5\n", "f = 50\n").replace("grid_n = 60", "grid_n = 2")
+    ini = write_ini(tmp_path, text)
+    out = str(tmp_path / "out")
+    assert main(["--config", ini, "--out", out, "solve"]) == 0
+    cache = os.path.join(out, load_config(text).hash)
+    path = os.path.join(cache, "policy.csv")
+    lines = open(path, encoding="utf-8").read().splitlines()
+    lines.remove("0.5,2")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["--config", ini, "--out", out, "simulate", "--episodes", "5"]) == 4
+    assert ("policy.csv is on a 1-cell grid, kernel.csv on a 2-cell grid; "
+            "run the solve command first") in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(cache, "episodes.csv"))
+
+
 def test_cli_exit_codes(tmp_path, capsys):
     assert main(["--config", str(tmp_path / "nope.ini"), "solve"]) == 2
     assert "error [config]" in capsys.readouterr().err

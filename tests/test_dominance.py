@@ -108,28 +108,39 @@ def test_lp_matches_exhaustive_scan(pd_frame, pd_change, pd_obs):
         assert (scan <= 6e-4) == feasible
 
 
-def linprog_oracle(ghat, g):
-    """The garbling LP as scipy.optimize.linprog(method="highs") solves it:
-    variables M (row-major) then t, per y and k the + then the - residual row,
-    then the row sums of M. best_transform hands HiGHS the same model through
-    milp, so it must return the same x to the bit."""
-    from scipy.optimize import linprog
-
+def dense_garbling_lp(ghat, g):
+    """The garbling LP's constraint rows as one dense matrix, built row by row
+    with its row bounds: per y and k the + then the - residual row,
+    -inf <= +/-(ghat M - g)[y, k] - t <= +/-g[y, k] over the variables M
+    (row-major) then t, then the row sums of M, equal to 1."""
     m, A = ghat.shape
     n_vars = A * A + 1
-    rows, rhs = [], []
+    rows, hi = [], []
     for y in range(m):
         for k in range(A):
             row = np.zeros(n_vars)
             row[k::A][:A] = ghat[y]
             row[-1] = -1.0
             rows += [row, np.concatenate([-row[:-1], [-1.0]])]
-            rhs += [g[y, k], -g[y, k]]
+            hi += [g[y, k], -g[y, k]]
     A_eq = np.zeros((A, n_vars))
     for j in range(A):
         A_eq[j, j * A:(j + 1) * A] = 1.0
-    res = linprog(np.eye(n_vars)[-1], A_ub=np.array(rows), b_ub=np.array(rhs),
-                  A_eq=A_eq, b_eq=np.ones(A),
+    lower = np.concatenate([np.full(len(hi), -np.inf), np.ones(A)])
+    return np.vstack([rows, A_eq]), lower, np.concatenate([hi, np.ones(A)])
+
+
+def linprog_oracle(ghat, g):
+    """The garbling LP as scipy.optimize.linprog(method="highs") solves it,
+    from dense_garbling_lp's rows. best_transform hands HiGHS the same model
+    through milp, so it must return the same x to the bit."""
+    from scipy.optimize import linprog
+
+    m, A = ghat.shape
+    rows, _, hi = dense_garbling_lp(ghat, g)
+    R = 2 * m * A
+    res = linprog(np.eye(A * A + 1)[-1], A_ub=rows[:R], b_ub=hi[:R],
+                  A_eq=rows[R:], b_eq=hi[R:],
                   bounds=[(0.0, 1.0)] * (A * A) + [(0.0, None)], method="highs")
     assert res.success
     M = res.x[:-1].reshape(A, A)
@@ -139,15 +150,20 @@ def linprog_oracle(ghat, g):
 @st.composite
 def channel_pairs(draw):
     # small Dirichlet concentrations give exact zeros; "identical" pairs are
-    # feasible at zero residual, "degenerate" ones carry a one-hot source row
+    # feasible at zero residual, "degenerate" ones carry a one-hot source row;
+    # "zeroed" sources lose some entries, and one row is one-hot with -0.0
+    # for its zeros, which the LP's sparse matrix must drop like +0.0
     m, A = draw(st.integers(1, 4)), draw(st.integers(1, 4))
     concentration = draw(st.sampled_from([0.02, 0.2, 1.0, 5.0]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     ghat = rng.dirichlet(np.full(A, concentration), size=m)
-    kind = draw(st.sampled_from(["random", "identical", "degenerate"]))
+    kind = draw(st.sampled_from(["random", "identical", "degenerate", "zeroed"]))
     g = ghat.copy() if kind == "identical" else rng.dirichlet(np.full(A, concentration), size=m)
     if kind == "degenerate":
         ghat[rng.integers(m)] = np.eye(A)[rng.integers(A)]
+    if kind == "zeroed":
+        ghat[rng.random((m, A)) < 0.4] = 0.0
+        ghat[rng.integers(m)] = np.where(np.eye(A)[rng.integers(A)] > 0, 1.0, -0.0)
     return ghat, g
 
 
@@ -159,6 +175,68 @@ def test_lp_matches_linprog_oracle_bit_for_bit(pair):
     M_oracle, resid_oracle = linprog_oracle(ghat, g)
     assert M.tobytes() == M_oracle.tobytes()
     assert resid == resid_oracle
+
+
+def lp_inputs(ghat, g):
+    """The (cost, constraints, bounds) that best_transform hands the LP
+    forwarder for one pair, and its answer."""
+    seen = []
+    forward = dominance.linprog
+
+    def capture(cost, constraints, bounds):
+        seen.append((cost, constraints, bounds))
+        return forward(cost, constraints=constraints, bounds=bounds)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dominance, "linprog", capture)
+        got = best_transform(ghat, g, eps=None)
+    [inputs] = seen
+    return inputs, got
+
+
+@settings(max_examples=150)
+@given(channel_pairs())
+def test_lp_template_lays_out_the_dense_rows(pair):
+    # the sparse matrix filled into the per-shape template is csc_array of
+    # the dense stacked rows, entry for entry, zeros dropped; so are the
+    # row and variable bounds
+    from scipy.sparse import csc_array
+
+    ghat, g = pair
+    (cost, constraints, bounds), _ = lp_inputs(ghat, g)
+    rows, lower, hi = dense_garbling_lp(ghat, g)
+    want = csc_array(rows)
+    got = constraints.A
+    assert got.shape == want.shape
+    assert got.data.tobytes() == want.data.tobytes()
+    np.testing.assert_array_equal(got.indices, want.indices)
+    np.testing.assert_array_equal(got.indptr, want.indptr)
+    assert constraints.lb.tobytes() == lower.tobytes()
+    assert constraints.ub.tobytes() == hi.tobytes()
+    n_vars = rows.shape[1]
+    np.testing.assert_array_equal(cost, np.eye(n_vars)[-1])
+    np.testing.assert_array_equal(np.broadcast_to(bounds.lb, n_vars), 0.0)
+    np.testing.assert_array_equal(bounds.ub, [1.0] * (n_vars - 1) + [np.inf])
+
+
+def test_lp_template_survives_a_family_with_zeros():
+    # a zero-containing family drops entries from its copy of the shared
+    # template; the next, zero-free family of the same shape must still get
+    # the full layout and linprog_oracle's x to the bit
+    dominance._lp_template.cache_clear()
+    rng = np.random.default_rng(20)
+    for m in range(1, 5):
+        for A in range(1, 5):
+            sparse = rng.dirichlet(np.ones(A), size=m)
+            sparse[:, 0] = 0.0
+            sparse[0] = -0.0
+            for ghat in (sparse, rng.dirichlet(np.ones(A), size=m)):
+                g = rng.dirichlet(np.ones(A), size=m)
+                (_, constraints, _), (M, resid) = lp_inputs(ghat, g)
+                M_oracle, resid_oracle = linprog_oracle(ghat, g)
+                assert M.tobytes() == M_oracle.tobytes()
+                assert resid == resid_oracle
+            assert constraints.A.nnz == A * A * (2 * m + 1) + 2 * m * A
 
 
 def test_saturated_pair_one_way(pd_frame, pd_change, pd_obs):

@@ -30,6 +30,8 @@ from qdetect import quantum
 from qdetect.cli import sweep_stp
 from qdetect.quantum import check_belief, check_density
 
+from oracles import closed_form_vertices
+
 
 def direct_choice_probs(utility, lam):
     # plain power softmax, no log trick: independent of the implementation path
@@ -346,6 +348,26 @@ def test_action_map_matches_oracle_on_random_frames(frame_params, seed):
     for eta, row in zip(etas, gammas):
         direct = steady_state_distribution(frame, params, eta)
         np.testing.assert_allclose(row, direct, rtol=0, atol=1e-10)
+
+
+@given(frames_and_params())
+def test_action_map_vertices_match_the_closed_form(frame_params):
+    # proof step 2's closed form, written out in tests/oracles.py: alpha and
+    # phi act only through g, lambda only through the logit choice. Over
+    # 3000 frames of this strategy the worst gap was 2.7e-11 (alpha = 0.05,
+    # phi = 0) and none raised. Nearer phi = 0 the map can miss by far more
+    # (the next test); nearer phi = 1 it can raise (the guard test below)
+    frame, params = frame_params
+    np.testing.assert_allclose(ActionMap(frame, params).vertices,
+                               closed_form_vertices(frame, params), rtol=0, atol=1e-10)
+
+
+@pytest.mark.xfail(strict=True, reason="at phi = 1e-12 the eigensolve misses the closed "
+                   "form by 4.4e-2, and the barycenter guard passes (ROADMAP item 3)")
+def test_action_map_misses_the_closed_form_at_tiny_phi(pd_frame):
+    params = PsychParams(alpha=1.0, lam=10.495, phi=1e-12)
+    np.testing.assert_allclose(ActionMap(pd_frame, params).vertices,
+                               closed_form_vertices(pd_frame, params), rtol=0, atol=1e-9)
 
 
 def test_action_map_rejects_off_simplex_beliefs(pd_action_map):
