@@ -2,7 +2,7 @@
 
 Sections and keys:
 
-    [frame]        n_states (= 2), n_actions, utility (rows ';'-separated)
+    [frame]        n_states (= 2), n_actions (<= 16), utility (rows ';'-separated)
     [params]       alpha, lambda, phi
     [mixture]      atom<k> = alpha lambda phi weight   (optional)
     [change]       p (in (0, 1], with 1/p finite)
@@ -33,6 +33,8 @@ from .protocol import (
 )
 from .quantum import DecisionFrame, PsychParams
 from .stopping import MAX_ITER, VI_TOL
+
+MAX_GENERATOR_BYTES = 2**25     # n_actions <= 16; see the README's config notes
 
 
 def _parse_matrix(text, what):
@@ -136,6 +138,10 @@ def load_config(text, overrides=None):
         raise ConfigError(f"[frame] n_states = {n_states} must be 2: the change model "
                           "and both filters are two-state")
     n_actions = _get(sections, "frame", "n_actions", int, required=True)
+    stack = n_states * (n_states * n_actions) ** 4 * 16    # ActionMap's complex generators
+    if n_actions > 0 and stack > MAX_GENERATOR_BYTES:
+        raise ConfigError(f"[frame] n_actions = {n_actions} needs {stack} bytes of "
+                          f"generators, over the limit of {MAX_GENERATOR_BYTES}")
     utility = _get(
         sections, "frame", "utility", lambda t: _parse_matrix(t, "utility"),
         required=True,

@@ -9,9 +9,10 @@ choice rates and belief-driven rates. The observable output is the steady-state
 action distribution.
 
 The steady readout is affine in the belief: Gamma(eta) = sum_x eta_x Gamma(e_x)
-for every frame, with e_x the certain belief in state x. ``ActionMap`` relies on
-this. Proof, for alpha > 0 and eta on the simplex, writing p = diag(rho) for the
-populations, pi_x = p(. | x) for the choice rates and q for the action marginal:
+for every frame, with e_x the certain belief in state x, and each Gamma(e_x)
+has a closed form (step 4); ``ActionMap`` relies on both. Proof, for alpha > 0
+and eta on the simplex, writing p = diag(rho) for the populations,
+pi_x = p(. | x) for the choice rates and q for the action marginal:
 
 1. Both parts of the cognitive matrix C = (1 - phi) Pi^T + phi B(eta)^T have
    unit column sums for every eta: column (x', a') of Pi^T holds pi_x'(a) in
@@ -34,8 +35,18 @@ populations, pi_x = p(. | x) for the choice rates and q for the action marginal:
    eta: M_A has the unique fixed point q = 1/A for alpha < 1, and at alpha = 1
    (M_A = I) the dynamics conserve q, so the long-time fallback from the
    maximally mixed state returns q = 1/A. At phi = 0 the generator does not
-   depend on eta at all, so the fallback's answer is belief-free. A linear or
-   constant map on the simplex equals sum_x eta_x Gamma(e_x).
+   depend on eta at all and conserves s, so the fallback's answer q = M_A
+   sum_x pi_x / n is belief-free. A linear or constant map on the simplex
+   equals sum_x eta_x Gamma(e_x).
+4. With beta = 1 - alpha and J the all-ones A x A block, e^{-i beta t J} =
+   I + (e^{-i beta A t} - 1) J/A; diag(p) conjugated by it has the diagonal
+   p + (1 - cos(beta A t)) (2/A) (sum(p)/A - p), and the average over
+   t ~ alpha e^{-alpha t} turns cos(beta A t) into kappa = alpha^2 /
+   (alpha^2 + beta^2 A^2). So M_A = k I + (1 - k) J/A, k = 1 - 2 (1 - kappa)/A,
+   fixes 1/A and scales zero-sum vectors by k, and step 3 gives Gamma(e_x) =
+   1/A + g (pi_x - 1/A) with g = (1 - phi) k / (1 - phi k), g = 0 at phi = 1,
+   and pi_x replaced by its mean over the states at phi = 0. alpha and phi act
+   only through the scalar g, in [0, 1] for A >= 2.
 """
 
 from dataclasses import dataclass
@@ -103,6 +114,7 @@ MAX_PROBE_DOUBLINGS = 20
 HERM_TOL = 1e-10
 TRACE_TOL = 1e-10
 PSD_TOL = 1e-9
+CLOSED_FORM_TOL = 1e-10         # ActionMap's vertices against the closed form
 
 
 def check_belief(eta, n):
@@ -140,27 +152,36 @@ def maximally_mixed(frame):
     return np.eye(d, dtype=complex) / d
 
 
-def subjective_choice_matrix(frame, lam):
-    """Utility-driven choice rates: block-diagonal, one (A x A) block per state,
-    each block's rows replicating p(a | x) = u(a|x)^lam / sum_j u(j|x)^lam.
-
-    Powers are computed in log space so large lam does not overflow.
-    """
-    if lam < 0:
-        raise InvalidModel(f"lam must be >= 0, got {lam}")
-    A, n = frame.n_actions, frame.n_states
-    logits = lam * np.log(frame.utility)            # (A, n)
-    logits -= logits.max(axis=0, keepdims=True)
-    w = np.exp(logits)
-    p = w / w.sum(axis=0, keepdims=True)            # p[a, x]
+def _choice(frame, lam):
+    """Logit choice p(a | x) ~ u(a|x)^lam, shaped (n_actions, n_states), in log
+    space so large lam cannot overflow."""
+    logits = lam * np.log(frame.utility)
+    w = np.exp(logits - logits.max(axis=0, keepdims=True))
+    p = w / w.sum(axis=0, keepdims=True)
     if not np.all(np.isfinite(p)):
         raise NumericalFailure(f"choice probabilities not finite at lam={lam}")
-    d = frame.dim
-    Pi = np.zeros((d, d))
-    for x in range(n):
-        blk = slice(x * A, (x + 1) * A)
-        Pi[blk, blk] = np.tile(p[:, x], (A, 1))
-    return Pi
+    return p
+
+
+def subjective_choice_matrix(frame, lam):
+    """Utility-driven choice rates: block-diagonal, one (A x A) block per state,
+    each block's rows replicating the logit choice p(a | x)."""
+    if lam < 0:
+        raise InvalidModel(f"lam must be >= 0, got {lam}")
+    return hamiltonian(frame) * _choice(frame, lam).T.reshape(1, -1)
+
+
+def closed_form_vertices(frame, params):
+    """Gamma(e_x) for each state x, shaped (n_states, n_actions), from step 4
+    of the module docstring."""
+    A, alpha, phi = frame.n_actions, params.alpha, params.phi
+    kappa = alpha**2 / (alpha**2 + (1.0 - alpha) ** 2 * A**2)
+    k = 1.0 - 2.0 * (1.0 - kappa) / A
+    g = 0.0 if phi == 1.0 else (1.0 - phi) * k / (1.0 - phi * k)
+    choice = _choice(frame, params.lam).T
+    if phi == 0.0:
+        choice = np.broadcast_to(choice.mean(axis=0), choice.shape)
+    return 1.0 / A + g * (choice - 1.0 / A)
 
 
 def belief_matrix(frame, eta):
@@ -281,12 +302,8 @@ def _steady_batch(gens, frame):
 
 
 def steady_state_distribution(frame, params, eta):
-    """Long-run action distribution of the evolution at belief eta.
-
-    Primary method: eigendecomposition of the generator, selecting the
-    one-dimensional null space. If the null space is degenerate or empty at
-    tolerance, fall back to long-time evolution from the maximally mixed state.
-    """
+    """Long-run action distribution of the evolution at belief eta: the
+    generator's null space, or long-time evolution where it is not simple."""
     if params.alpha <= 0.0:
         raise UnsupportedParameter(
             "steady state requires alpha > 0 (purely coherent evolution does not settle)"
@@ -299,10 +316,17 @@ class ActionMap:
     frame and parameter set.
 
     The readout is affine in the belief (see the module docstring), so the map
-    solves only the certain beliefs e_x plus the barycenter, in one batched
+    solves only the certain beliefs e_x, one generator each, in one batched
     eigendecomposition at construction. Row x of ``vertices`` is Gamma(e_x),
-    and every belief is read off as eta @ vertices. A barycenter that misses
-    the vertex mean by more than 1e-9 raises NumericalFailure.
+    and every belief is read off as eta @ vertices.
+
+    Vertices that miss ``closed_form_vertices`` by more than CLOSED_FORM_TOL
+    raise NumericalFailure with the gap as ``.residual``. The gap grows as the
+    slowest relaxation rate (alpha phi, or 1 - phi at alpha = 1) nears
+    NULL_TOL. On 3000 random n = 2 frames (A <= 4, lam <= 50) with phi in
+    [1e-3, 1 - 1e-3] it stayed within 7e-14 for alpha >= 0.05 and 5.9e-11 for
+    alpha >= 1e-4. Smaller misses pass, such as 3.7e-11 on the README frame at
+    alpha = 1, phi = 1e-9.
     """
 
     def __init__(self, frame, params):
@@ -310,21 +334,18 @@ class ActionMap:
             raise UnsupportedParameter("ActionMap requires alpha > 0")
         self.frame = frame
         self.params = params
-        n = frame.n_states
         Pi = subjective_choice_matrix(frame, params.lam)
         base = (_coherent(frame, params.alpha)
                 + params.alpha * _dissipator((1.0 - params.phi) * Pi.T))
         parts = np.stack([params.alpha * _dissipator(params.phi * belief_matrix(frame, e).T)
-                          for e in np.eye(n)])
-        etas = np.vstack([np.eye(n), np.full(n, 1.0 / n)])
-        gammas = _steady_batch(base + np.tensordot(etas, parts, axes=(1, 0)), frame)
-        self.vertices = gammas[:n]
-        residual = float(np.abs(gammas[n] - self.vertices.mean(axis=0)).max())
-        if residual > 1e-9:
+                          for e in np.eye(frame.n_states)])
+        self.vertices = _steady_batch(base + parts, frame)
+        gap = float(np.abs(self.vertices - closed_form_vertices(frame, params)).max())
+        if not gap <= CLOSED_FORM_TOL:            # NaN vertices fail too
             raise NumericalFailure(
-                f"steady readout is not affine in belief: barycenter misses "
-                f"the vertex mean by {residual:.3g}",
-                residual=residual,
+                f"steady readout misses its closed form by {gap:.3g} "
+                f"(alpha={params.alpha!r}, phi={params.phi!r})",
+                residual=gap,
             )
 
     def __call__(self, eta):

@@ -47,11 +47,6 @@ def pd_params():
 
 
 @pytest.fixture(scope="session")
-def pd_params_lowphi():
-    return PsychParams(alpha=0.812, lam=10.495, phi=0.1)
-
-
-@pytest.fixture(scope="session")
 def pd_change():
     return ChangeModel(p=0.95)
 

@@ -207,6 +207,13 @@ def test_load_config_bad_values():
     # a subnormal p lies in (0, 1], but the mean change time 1/p overflows
     with pytest.raises(ConfigError, match=r"\[change\] p = 1e-310 must have a finite 1/p"):
         load_config(BASE_INI.replace("p = 0.95", "p = 1e-310"))
+    # 64 actions need 8.6 GB of generators: refused before any frame exists
+    big, edge = (BASE_INI.replace("n_actions = 2", f"n_actions = {A}").replace(
+        "utility = 20 5 ; 25 10", "utility = " + " ; ".join(["20 5"] * A)) for A in (64, 16))
+    with pytest.raises(ConfigError, match=r"\[frame\] n_actions = 64 needs 8589934592 "
+                       r"bytes of generators, over the limit of 33554432"):
+        load_config(big)
+    assert load_config(edge).frame.n_actions == 16
 
 
 def test_write_csv_layout(tmp_path):
@@ -706,6 +713,14 @@ def test_cli_exit_codes(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "error [cache-miss]" in err
     assert "run the solve command first" in err
+
+    # alpha = 1, phi = 1e-12 misses the closed form by 4.4e-2: nothing is written
+    miss = BASE_INI.replace("alpha = 0.812", "alpha = 1").replace("phi = 0.9", "phi = 1e-12")
+    ini = write_ini(tmp_path, miss, "miss.ini")
+    assert main(["--config", ini, "--out", str(tmp_path / "o5"), "--grid", "50", "solve"]) == 3
+    assert capsys.readouterr().err.startswith("error [numerical]: steady readout misses "
+                                              "its closed form by 0.0435 (alpha=1.0, phi=1e-12)")
+    assert not (tmp_path / "o5").exists()
 
     strict = BASE_INI.replace("seed = 11", "seed = 11\nmax_iter = 1")
     ini = write_ini(tmp_path, strict, "strict.ini")

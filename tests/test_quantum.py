@@ -30,8 +30,6 @@ from qdetect import quantum
 from qdetect.cli import sweep_stp
 from qdetect.quantum import check_belief, check_density
 
-from oracles import closed_form_vertices
-
 
 def direct_choice_probs(utility, lam):
     # plain power softmax, no log trick: independent of the implementation path
@@ -282,21 +280,11 @@ def test_action_map_matches_pointwise_solver(pd_frame, pd_params, pd_action_map)
         np.testing.assert_allclose(pd_action_map(eta), direct, atol=1e-10)
 
 
-def test_degenerate_generator_uses_fallback(pd_frame):
-    # phi = 0 removes all belief dependence and leaves a degenerate null
-    # space; the long-time fallback must produce one belief-free answer
-    params = PsychParams(0.812, 10.495, 0.0)
-    amap = ActionMap(pd_frame, params)
-    etas = np.array([[0.0, 1.0], [0.5, 0.5], [1.0, 0.0]])
-    gammas = amap.batch(etas)
-    assert np.abs(gammas - gammas[0]).max() <= 1e-8
-    assert abs(gammas[0, 1] - 0.8753214409) <= 1e-6
-
-
 def test_steady_readout_pinned_on_both_branches(pd_frame, monkeypatch):
-    # the phi = 0 row comes from the long-time fallback (its three vertex
-    # generators coincide and are degenerate), the phi = 0.5 and phi = 1 rows
-    # from the eigensolve; both readouts must keep these exact bits
+    # the phi = 0 row comes from the long-time fallback (its two vertex
+    # generators coincide and are degenerate) and is the same at every belief,
+    # the phi = 0.5 and phi = 1 rows from the eigensolve; both readouts must
+    # keep these exact bits
     probes = quantum._steady_rho_from_probes
     calls = []
 
@@ -311,7 +299,7 @@ def test_steady_readout_pinned_on_both_branches(pd_frame, monkeypatch):
         (0.5, 0.8494499883822174, 0.7885473796040529, 0.8189986839931351, False),
         (1.0, 0.49999999999999994, 0.5000000000000001, 0.5, False),
     ]
-    assert len(calls) == 3
+    assert len(calls) == 2
 
 
 def test_steady_probes_reject_a_non_finite_generator(pd_frame, pd_params):
@@ -329,8 +317,8 @@ def frames_and_params(draw):
     A = draw(st.integers(1, 4))
     u = draw(st.lists(st.floats(1.0, 30.0), min_size=n * A, max_size=n * A))
     # interior phi stays 1e-3 away from the endpoints: closer in, the null
-    # space is numerically degenerate and the oracle's own eigensolve loses
-    # digits (ROADMAP item 3); the endpoints themselves are drawn exactly
+    # space is numerically degenerate, the eigensolve loses digits and
+    # ActionMap can raise; the endpoints themselves are drawn exactly
     phi = draw(st.sampled_from([0.0, 1.0]) | st.floats(1e-3, 1.0 - 1e-3))
     params = PsychParams(
         alpha=draw(st.floats(0.05, 1.0, exclude_min=True)),
@@ -342,32 +330,14 @@ def frames_and_params(draw):
 
 @given(frames_and_params(), st.integers(0, 2**32 - 1))
 def test_action_map_matches_oracle_on_random_frames(frame_params, seed):
+    # every ActionMap also holds its vertices to the closed form within
+    # CLOSED_FORM_TOL, so each example checks that too
     frame, params = frame_params
     etas = np.random.default_rng(seed).dirichlet(np.ones(frame.n_states), size=2)
     gammas = ActionMap(frame, params).batch(etas)
     for eta, row in zip(etas, gammas):
         direct = steady_state_distribution(frame, params, eta)
         np.testing.assert_allclose(row, direct, rtol=0, atol=1e-10)
-
-
-@given(frames_and_params())
-def test_action_map_vertices_match_the_closed_form(frame_params):
-    # proof step 2's closed form, written out in tests/oracles.py: alpha and
-    # phi act only through g, lambda only through the logit choice. Over
-    # 3000 frames of this strategy the worst gap was 2.7e-11 (alpha = 0.05,
-    # phi = 0) and none raised. Nearer phi = 0 the map can miss by far more
-    # (the next test); nearer phi = 1 it can raise (the guard test below)
-    frame, params = frame_params
-    np.testing.assert_allclose(ActionMap(frame, params).vertices,
-                               closed_form_vertices(frame, params), rtol=0, atol=1e-10)
-
-
-@pytest.mark.xfail(strict=True, reason="at phi = 1e-12 the eigensolve misses the closed "
-                   "form by 4.4e-2, and the barycenter guard passes (ROADMAP item 3)")
-def test_action_map_misses_the_closed_form_at_tiny_phi(pd_frame):
-    params = PsychParams(alpha=1.0, lam=10.495, phi=1e-12)
-    np.testing.assert_allclose(ActionMap(pd_frame, params).vertices,
-                               closed_form_vertices(pd_frame, params), rtol=0, atol=1e-9)
 
 
 def test_action_map_rejects_off_simplex_beliefs(pd_action_map):
@@ -385,12 +355,12 @@ def test_action_map_rejects_off_simplex_beliefs(pd_action_map):
         pd_action_map.batch(np.array([[0.2, 0.3, 0.5]]))
 
 
-def test_action_map_guards_the_affine_identity(pd_frame, pd_params, monkeypatch):
+def test_action_map_guards_the_closed_form(pd_frame, pd_params, monkeypatch):
     solve = quantum._steady_batch
 
     def bent(gens, frame):
         out = solve(gens, frame)
-        out[-1] += np.array([1e-6, -1e-6])     # barycenter off the vertex mean
+        out[-1] += np.array([1e-6, -1e-6])     # vertex Gamma(e_2) off its closed form
         return out
 
     monkeypatch.setattr(quantum, "_steady_batch", bent)
@@ -400,13 +370,27 @@ def test_action_map_guards_the_affine_identity(pd_frame, pd_params, monkeypatch)
 
 
 def test_action_map_guard_near_phi_one_is_a_typed_error(pd_frame):
-    # a valid config whose near-degenerate null space costs the eigensolve
-    # digits: the barycenter misses the vertex mean by about 3.2e-9, and the
-    # guard reports it instead of handing out distributions
-    with pytest.raises(NumericalFailure, match="barycenter") as exc:
-        ActionMap(pd_frame, PsychParams(alpha=1.0, lam=10.495, phi=1.0 - 1e-8))
-    assert np.isfinite(exc.value.residual)
-    assert exc.value.residual > 1e-9
+    # relaxation rate 1 - phi = 1e-10 at alpha = 1: the vertices are off by half
+    with pytest.raises(NumericalFailure, match=r"closed form by 0\.499 \(alpha=1\.0, phi=0\.9+\)"):
+        ActionMap(pd_frame, PsychParams(alpha=1.0, lam=10.495, phi=1.0 - 1e-10))
+
+
+@pytest.mark.parametrize("alpha, phi, gap", [
+    (1.0, 1e-12, 4.4e-2), (0.3, 1e-9, 1.9e-3), (1.0, 1.0 - 1e-10, 0.5),
+    (1.0, 1.0 - 1e-8, None), (1.0, 0.0, None), (1.0, 1.0, None), (0.3, 0.0, None),
+    (0.3, 1.0, None),
+])
+def test_action_map_guard_on_the_readme_frame(pd_frame, alpha, phi, gap):
+    # where the slowest relaxation rate (alpha phi, or 1 - phi at alpha = 1)
+    # falls below NULL_TOL the eigensolve misses the closed form, and the map
+    # raises with the gap; at phi = 1 - 1e-8 it is 2.3e-11 and the map builds
+    params = PsychParams(alpha=alpha, lam=10.495, phi=phi)
+    if gap is None:
+        ActionMap(pd_frame, params)
+    else:
+        with pytest.raises(NumericalFailure) as exc:
+            ActionMap(pd_frame, params)
+        assert exc.value.residual == pytest.approx(gap, rel=0.02)
 
 
 def test_frame_validation():
