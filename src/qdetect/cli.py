@@ -154,23 +154,22 @@ def cmd_simulate(config, args):
     batch = simulate_episodes(config.frame, config.params, config.change, config.obs, policy,
                               kernel, np.random.SeedSequence(config.seed).spawn(n_episodes),
                               costs=config.costs)
-    tau0, tau, costs = (v.tolist() for v in (batch.change_time, batch.stop_time, batch.cost))
-    delays = [t - t0 for t0, t in zip(tau0, tau) if t >= t0]
+    delay = np.maximum(batch.stop_time - batch.change_time, 0)
+    false_alarm = batch.stop_time < batch.change_time
     costs_sum = costs_sq = 0.0
-    for c in costs:                      # in order: the printed statistics depend on it
+    for c in batch.cost.tolist():        # in order: the printed statistics depend on it
         costs_sum += c
         costs_sq += c**2
     path = os.path.join(cache, "episodes.csv")
     serialize.write_csv(path, ("episode", "tau0", "tau", "delay", "false_alarm", "cost"),
-                        (np.arange(n_episodes), batch.change_time, batch.stop_time,
-                         np.maximum(batch.stop_time - batch.change_time, 0),
-                         batch.stop_time < batch.change_time, batch.cost),
+                        (np.arange(n_episodes), batch.change_time, batch.stop_time, delay,
+                         false_alarm, batch.cost),
                         config.hash)
     mean = costs_sum / n_episodes
     var = max(costs_sq / n_episodes - mean**2, 0.0)
     stderr = (var * n_episodes / max(n_episodes - 1, 1)) ** 0.5 / n_episodes**0.5
-    p_fa = (n_episodes - len(delays)) / n_episodes
-    mean_delay = float(np.mean(delays)) if delays else float("nan")
+    p_fa = float(false_alarm.mean())
+    mean_delay = float(delay[~false_alarm].mean()) if not false_alarm.all() else float("nan")
     print(f"simulate: {n_episodes} episodes -> {path}")
     print(f"simulate: mean cost {mean:.6g} +- {stderr:.3g}, "
           f"P(false alarm) {p_fa:.4g}, mean delay | detection {mean_delay:.4g}")

@@ -13,7 +13,6 @@ import functools
 import math
 import os
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
@@ -21,6 +20,8 @@ from .errors import InvalidModel
 from .protocol import _channel_family, build_action_kernel, build_mismatched_kernel
 from .quantum import PsychParams
 from .stopping import MAX_ITER, VI_TOL, evaluate_policy, value_iteration
+
+GARBLING_TOL = 1e-6             # a garbling certifies at this worst-entry residual
 
 
 def linprog(*args, **kwargs):
@@ -60,15 +61,15 @@ class BetweennessReport:
     worst_margin: float
 
 
-def best_transform(gamma_hat, gamma, eps=None):
-    """Row-stochastic M minimizing the worst-entry residual of
-    gamma_hat @ M = gamma. Returns (M, residual).
+def best_transform(gamma_hat, gamma):
+    """Row-stochastic M for gamma_hat @ M = gamma and its worst-entry
+    residual. Returns (M, residual).
 
-    With eps given, clear-cut cases at A=2 are settled by a least-squares
-    shortcut whose feasible/infeasible verdict relative to eps is exact (the
-    residual it reports is then an upper bound on the true minimum, on the
-    correct side of eps). All other cases go through an LP minimizing the
-    maximum residual subject to stochasticity.
+    Clear-cut cases at A=2 are settled by a least-squares shortcut whose
+    verdict relative to GARBLING_TOL is exact (the residual it reports is then
+    an upper bound on the true minimum, on the same side of GARBLING_TOL).
+    All other cases go through an LP minimizing the maximum residual subject
+    to stochasticity.
     """
     ghat = np.atleast_2d(np.asarray(gamma_hat, dtype=float))
     g = np.atleast_2d(np.asarray(gamma, dtype=float))
@@ -77,14 +78,14 @@ def best_transform(gamma_hat, gamma, eps=None):
             f"channel families must share shape, got {ghat.shape} vs {g.shape}"
         )
     m, A = ghat.shape
-    if A == 2 and eps is not None:
-        got = _transform_two_actions(ghat, g, eps)
+    if A == 2:
+        got = _transform_two_actions(ghat, g)
         if got is not None:
             return got
     return _transform_linprog(ghat, g)
 
 
-def _transform_two_actions(ghat, g, eps):
+def _transform_two_actions(ghat, g):
     # M = [[m1, 1-m1], [m2, 1-m2]]; matching the first column suffices.
     c = g[:, 0]
     sol, res2, rank, _ = np.linalg.lstsq(ghat, c, rcond=None)
@@ -92,13 +93,13 @@ def _transform_two_actions(ghat, g, eps):
     err = ghat @ mvec - c
     resid = float(np.abs(err).max())
     M = np.column_stack([mvec, 1.0 - mvec])
-    if resid <= eps:
+    if resid <= GARBLING_TOL:
         return M, resid
     if rank == ghat.shape[1] and res2.size:
         # unconstrained L2 residual lower-bounds the constrained minimax:
         # t* >= ||e||_inf >= ||e||_2 / sqrt(m) for any feasible point
         lower = float(np.sqrt(res2[0] / ghat.shape[0]))
-        if lower > eps:
+        if lower > GARBLING_TOL:
             return M, resid
     return None
 
@@ -302,21 +303,21 @@ class ScanRow:
     worst_V_margin: float     # min over grid of V(garbled) - V(source)
 
 
-def _row_verdict(src_fam, dst_fam, eps):
+def _row_verdict(src_fam, dst_fam):
     """Worst residual of one pair direction, from 0.0: a garbling search at
     every sampled belief, in belief order."""
-    return float(max([0.0] + [best_transform(src, dst, eps=eps)[1]
+    return float(max([0.0] + [best_transform(src, dst)[1]
                               for src, dst in zip(src_fam, dst_fam)]))
 
 
-def _map_rows(src_fams, dst_fams, eps):
+def _map_rows(src_fams, dst_fams):
     """_row_verdict over the rows, in order, on one forked worker per CPU this
     process may run on; serially in this process on one CPU or without
     os.sched_getaffinity. A worker's exception is raised here."""
     affinity = getattr(os, "sched_getaffinity", None)
     workers = min(len(affinity(0)), len(src_fams)) if affinity else 1
     if workers < 2:
-        return list(map(_row_verdict, src_fams, dst_fams, repeat(eps)))
+        return list(map(_row_verdict, src_fams, dst_fams))
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
@@ -325,13 +326,12 @@ def _map_rows(src_fams, dst_fams, eps):
     import scipy.optimize  # noqa: F401
 
     # fork, not spawn: a spawned worker would import numpy and scipy anew and
-    # would not see a patched dominance.linprog. The executor forks every
-    # worker before it starts its own manager thread.
+    # would not see a patched dominance.linprog or GARBLING_TOL. The executor
+    # forks every worker before it starts its own manager thread.
     context = multiprocessing.get_context("fork")
     chunk = math.ceil(len(src_fams) / (4 * workers))
     with ProcessPoolExecutor(workers, mp_context=context) as pool:
-        return list(pool.map(_row_verdict, src_fams, dst_fams, repeat(eps),
-                             chunksize=chunk))
+        return list(pool.map(_row_verdict, src_fams, dst_fams, chunksize=chunk))
 
 
 # a box's tag from the certified flags of its own directions and the other box's
@@ -348,7 +348,6 @@ def region_scan(
     costs,
     grid,
     pi_samples=11,
-    eps=1e-6,
     tol=VI_TOL,
     max_iter=MAX_ITER,
 ):
@@ -356,8 +355,9 @@ def region_scan(
 
     For every (ref, test) pair and both directions, looks for a shared
     garbling matrix at each sampled belief; a direction is certified when
-    every belief admits one. Certified directions also record the value
-    ordering margin (garbled side should cost at least as much everywhere).
+    every belief admits one within GARBLING_TOL. Certified directions also
+    record the value ordering margin (garbled side should cost at least as
+    much everywhere).
 
     The channel families, kernels and value functions are built here, in
     order. The garbling searches of each pair direction are one job; the jobs
@@ -389,10 +389,11 @@ def region_scan(
             ("test_to_ref", fam_test, fam_ref, V_test, V_ref),
         )
     ]
-    verdicts = _map_rows([j[3] for j in jobs], [j[4] for j in jobs], eps)
+    verdicts = _map_rows([j[3] for j in jobs], [j[4] for j in jobs])
     rows = [
-        ScanRow(ref=p_ref, test=p_test, direction=direction, certified=worst <= eps,
-                residual=worst, worst_V_margin=float(np.min(V_dst - V_src)))
+        ScanRow(ref=p_ref, test=p_test, direction=direction,
+                certified=worst <= GARBLING_TOL, residual=worst,
+                worst_V_margin=float(np.min(V_dst - V_src)))
         for (p_ref, p_test, direction, _, _, V_src, V_dst), worst in zip(jobs, verdicts)
     ]
     fwd = [r.certified for r in rows if r.direction == "ref_to_test"]

@@ -316,7 +316,7 @@ def _raise_impossible(sigma, error, kind, values, episodes, n, pi):
                 belief=pi[k], **{kind: int(values[k])})
 
 
-def simulate_episodes(frame, params, change, obs, policy, kernel, seeds, costs=None):
+def simulate_episodes(frame, params, change, obs, policy, kernel, seeds, costs):
     """Run the protocol once per seed, every running episode advancing one
     step per iteration on arrays: the chain may jump, the sensor observes y
     and updates its private belief, the agent draws an action from the steady
@@ -338,7 +338,6 @@ def simulate_episodes(frame, params, change, obs, policy, kernel, seeds, costs=N
         raise InvalidModel("need at least one episode")
     amap = ActionMap(frame, params)
     step_cap = int(min(10 * change.mean_change_time + 1000, MAX_STEPS))
-    f, d = (costs.f, costs.d) if costs is not None else (0.0, 0.0)
     tau0 = np.array([rng.geometric(change.p) for rng in rngs])
     stop = np.zeros_like(tau0)
     obs_cdf = _cdf(obs.B, np.zeros(2, int))       # y's cdf rows by state, checked once
@@ -376,20 +375,19 @@ def simulate_episodes(frame, params, change, obs, policy, kernel, seeds, costs=N
             stop[act[stopped]] = n
             running = ~stopped
             act, tau, pi, rows = act[running], tau[running], pi[running], rows[running]
-    cost = d * np.maximum(stop - tau0, 0) + np.where(stop < tau0, f, 0.0)
+    cost = costs.d * np.maximum(stop - tau0, 0) + np.where(stop < tau0, costs.f, 0.0)
     return EpisodeBatch(tau0, stop, cost)
 
 
-def simulate_episode(frame, params, change, obs, policy, kernel, seed, costs=None):
+def simulate_episode(frame, params, change, obs, policy, kernel, seed, costs):
     """One run of the protocol from one seed: a one-episode EpisodeBatch."""
-    return simulate_episodes(frame, params, change, obs, policy, kernel, [seed], costs=costs)
+    return simulate_episodes(frame, params, change, obs, policy, kernel, [seed], costs)
 
 
 def estimate_cost(frame, params, change, obs, policy, kernel, costs, n_episodes, seed):
     """Mean realized cost and its standard error over independent episodes,
     one per child of SeedSequence(seed)."""
     realized = simulate_episodes(frame, params, change, obs, policy, kernel,
-                                 np.random.SeedSequence(seed).spawn(n_episodes),
-                                 costs=costs).cost
+                                 np.random.SeedSequence(seed).spawn(n_episodes), costs).cost
     stderr = float(realized.std(ddof=1) / np.sqrt(n_episodes)) if n_episodes > 1 else 0.0
     return float(realized.mean()), stderr

@@ -81,7 +81,7 @@ class PsychParams:
 
 @dataclass(frozen=True)
 class DecisionFrame:
-    """State/action spaces and the strictly positive utility table u(a | x),
+    """State/action spaces and the finite, positive utility table u(a | x),
     shaped (n_actions, n_states)."""
 
     n_states: int
@@ -98,8 +98,8 @@ class DecisionFrame:
                 f"utility must be (n_actions, n_states) = "
                 f"({self.n_actions}, {self.n_states}), got {u.shape}"
             )
-        if not np.all(u > 0):
-            raise InvalidModel("utilities must be strictly positive")
+        if not np.all(np.isfinite(u) & (u > 0)):
+            raise InvalidModel("utilities must be finite and strictly positive")
 
     @property
     def dim(self):

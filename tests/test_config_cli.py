@@ -752,6 +752,13 @@ def test_cli_exit_codes(tmp_path, capsys):
     for command in ("solve", "stp-sweep"):
         assert main(["--config", inf_lam, "--out", out, command]) == 2
         assert capsys.readouterr().err.startswith("error [config]: lam must be finite")
+    # an infinite utility used to reach the logit and fail as non-finite choices
+    inf_u = write_ini(tmp_path, BASE_INI.replace("utility = 20 5 ; 25 10",
+                                                 "utility = inf 5 ; 25 10"), "infu.ini")
+    for command in ("solve", "stp-sweep"):
+        assert main(["--config", inf_u, "--out", out, command]) == 2
+        assert capsys.readouterr().err.startswith(
+            "error [config]: utilities must be finite and strictly positive")
     assert not os.path.exists(out)
 
     # impossible [solver] values exit 2 at load, before anything is written

@@ -75,7 +75,7 @@ def scan_min_residual(ghat, g, step=1e-4):
 
 def test_identity_family_certifies(pd_frame, pd_change, pd_obs):
     fam = family_at(pd_frame, PAIR_HI, pd_change, pd_obs, 0.5)
-    M, resid = best_transform(fam, fam, eps=1e-6)
+    M, resid = best_transform(fam, fam)
     assert resid <= 1e-9
     np.testing.assert_allclose(fam @ M, fam, atol=1e-9)
 
@@ -83,7 +83,7 @@ def test_identity_family_certifies(pd_frame, pd_change, pd_obs):
 def test_degenerate_source_forces_row():
     ghat = np.array([[1.0, 0.0], [1.0, 0.0], [1.0, 0.0]])
     g = np.array([[0.3, 0.7], [0.3, 0.7], [0.3, 0.7]])
-    M, resid = best_transform(ghat, g, eps=1e-6)
+    M, resid = best_transform(ghat, g)
     assert resid <= 1e-12
     np.testing.assert_allclose(M[0], [0.3, 0.7], atol=1e-12)
 
@@ -91,7 +91,7 @@ def test_degenerate_source_forces_row():
 def test_lp_matches_exhaustive_scan(pd_frame, pd_change, pd_obs):
     # at this coarse verdict scale only the saturated pair is infeasible;
     # the low-to-high direction's small-but-real residual shows up under
-    # the stricter eps in test_region_scan_asymmetric_pair
+    # the stricter tolerance in test_region_scan_asymmetric_pair
     cases = [
         (PAIR_LO, PAIR_HI, True),
         (LAM_HI, LAM_LO, False),
@@ -100,7 +100,7 @@ def test_lp_matches_exhaustive_scan(pd_frame, pd_change, pd_obs):
     for src, dst, feasible in cases:
         fs = family_at(pd_frame, src, pd_change, pd_obs, 0.5)
         fd = family_at(pd_frame, dst, pd_change, pd_obs, 0.5)
-        _, lp = best_transform(fs, fd, eps=None)     # force the LP path
+        _, lp = dominance._transform_linprog(fs, fd)     # the LP, never the shortcut
         scan = scan_min_residual(fs, fd)
         assert scan >= lp - 1e-9
         assert scan <= lp + 1.5e-4
@@ -132,8 +132,8 @@ def dense_garbling_lp(ghat, g):
 
 def linprog_oracle(ghat, g):
     """The garbling LP as scipy.optimize.linprog(method="highs") solves it,
-    from dense_garbling_lp's rows. best_transform hands HiGHS the same model
-    through milp, so it must return the same x to the bit."""
+    from dense_garbling_lp's rows. _transform_linprog hands HiGHS the same
+    model through milp, so it must return the same x to the bit."""
     from scipy.optimize import linprog
 
     m, A = ghat.shape
@@ -171,14 +171,14 @@ def channel_pairs(draw):
 @given(channel_pairs())
 def test_lp_matches_linprog_oracle_bit_for_bit(pair):
     ghat, g = pair
-    M, resid = best_transform(ghat, g, eps=None)         # always the LP
+    M, resid = dominance._transform_linprog(ghat, g)
     M_oracle, resid_oracle = linprog_oracle(ghat, g)
     assert M.tobytes() == M_oracle.tobytes()
     assert resid == resid_oracle
 
 
 def lp_inputs(ghat, g):
-    """The (cost, constraints, bounds) that best_transform hands the LP
+    """The (cost, constraints, bounds) that _transform_linprog hands the LP
     forwarder for one pair, and its answer."""
     seen = []
     forward = dominance.linprog
@@ -189,7 +189,7 @@ def lp_inputs(ghat, g):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(dominance, "linprog", capture)
-        got = best_transform(ghat, g, eps=None)
+        got = dominance._transform_linprog(ghat, g)
     [inputs] = seen
     return inputs, got
 
@@ -244,10 +244,10 @@ def test_saturated_pair_one_way(pd_frame, pd_change, pd_obs):
     # reproduce the lambda = 10 family; the reverse direction is trivial
     fs = family_at(pd_frame, LAM_HI, pd_change, pd_obs, 0.5)
     fd = family_at(pd_frame, LAM_LO, pd_change, pd_obs, 0.5)
-    _, resid = best_transform(fs, fd, eps=None)
+    _, resid = dominance._transform_linprog(fs, fd)
     assert abs(resid - 0.003884773831369648) <= 1e-9
-    assert best_transform(fs, fd, eps=1e-6)[1] > 1e-6
-    _, back = best_transform(fd, fs, eps=1e-6)
+    assert best_transform(fs, fd)[1] > 1e-6
+    _, back = best_transform(fd, fs)
     assert back <= 1e-9
 
 
@@ -257,7 +257,7 @@ def test_certificate_soundness_lp_path():
         ghat = random_stochastic(rng, 5, 3)
         M_true = random_stochastic(rng, 3, 3)
         g = ghat @ M_true
-        M, resid = best_transform(ghat, g, eps=1e-6)
+        M, resid = best_transform(ghat, g)
         assert resid <= 1e-6
         assert np.abs(ghat @ M - g).max() <= 1e-6
         assert np.abs(M.sum(axis=1) - 1.0).max() <= 1e-9
@@ -428,11 +428,12 @@ def test_region_scan_self_pair(
 
 
 def test_region_scan_asymmetric_pair(
-    pd_frame, pd_change, pd_obs, pd_costs, small_grid
+    pd_frame, pd_change, pd_obs, pd_costs, small_grid, monkeypatch
 ):
+    # forked workers inherit the stricter tolerance, as they do a patched linprog
+    monkeypatch.setattr(dominance, "GARBLING_TOL", 1e-7)
     tags, rows = region_scan(
-        pd_frame, [PAIR_HI], [PAIR_LO], pd_change, pd_obs, pd_costs,
-        small_grid, eps=1e-7,
+        pd_frame, [PAIR_HI], [PAIR_LO], pd_change, pd_obs, pd_costs, small_grid,
     )
     fwd = next(r for r in rows if r.direction == "ref_to_test")
     bwd = next(r for r in rows if r.direction == "test_to_ref")
@@ -509,7 +510,7 @@ def test_region_scan_sound_against_vertex_certificate(
         src, dst = ((row.ref, row.test) if row.direction == "ref_to_test"
                     else (row.test, row.ref))
         _, resid = best_transform(ActionMap(pd_frame, src).vertices,
-                                  ActionMap(pd_frame, dst).vertices, eps=1e-6)
+                                  ActionMap(pd_frame, dst).vertices)
         if resid <= 1e-6:
             vertex_certified += 1
             assert row.certified, (row, resid)

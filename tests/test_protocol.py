@@ -55,6 +55,8 @@ from qdetect.quantum import assemble_lindbladian
 
 from oracles import always_stop_policy, observation_likelihood, predict
 
+NO_COSTS = DetectionCosts(f=0.0, d=0.0)     # for episodes whose costs no test reads
+
 
 def test_change_model_matrix_and_prior():
     change = ChangeModel(p=0.95)
@@ -463,13 +465,12 @@ class StepRecorder:
                                          batch.cost.tolist())]
 
 
-def _simulate(frame, params, change, obs, policy, kernel, seeds, costs=None):
+def _simulate(frame, params, change, obs, policy, kernel, seeds, costs):
     """simulate_episodes under a StepRecorder, as one Episode per seed."""
     recorder = StepRecorder(policy)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr("qdetect.protocol.ActionMap", recorder.action_map)
-        batch = simulate_episodes(frame, params, change, obs, recorder, kernel, seeds,
-                                  costs=costs)
+        batch = simulate_episodes(frame, params, change, obs, recorder, kernel, seeds, costs)
     return recorder.episodes(batch)
 
 
@@ -503,7 +504,7 @@ def test_simulate_runaway(monkeypatch, pd_frame, pd_params, pd_change, pd_obs,
     with pytest.raises(RunawayEpisode):
         simulate_episode(
             pd_frame, pd_params, pd_change, pd_obs, never_stop,
-            pd_kernel_small, 1,
+            pd_kernel_small, 1, NO_COSTS,
         )
 
 
@@ -590,7 +591,7 @@ def _oracle_episode(
     policy,
     kernel,
     seed,
-    costs=None,
+    costs,
     action_map=None,
     step_cap=None,
 ):
@@ -599,8 +600,6 @@ def _oracle_episode(
     amap = action_map if action_map is not None else ActionMap(frame, params)
     if step_cap is None:
         step_cap = int(10 * change.mean_change_time + 1000)
-    f = costs.f if costs is not None else 0.0
-    d = costs.d if costs is not None else 0.0
 
     tau0 = int(rng.geometric(change.p))
     pi = change.pi0
@@ -621,7 +620,7 @@ def _oracle_episode(
         if u == 1:
             break
     tau = n
-    cost = d * max(tau - tau0, 0) + (f if tau < tau0 else 0.0)
+    cost = costs.d * max(tau - tau0, 0) + (costs.f if tau < tau0 else 0.0)
     return Episode(
         change_time=tau0, stop_time=tau, records=tuple(records), cost=float(cost)
     )
@@ -776,12 +775,12 @@ def test_lockstep_impossible_action(pd_frame, pd_params, pd_change, pd_obs):
     for i, seed in enumerate(seeds):
         with pytest.raises(ImpossibleAction) as alone:
             simulate_episode(pd_frame, pd_params, pd_change, pd_obs, never_stop,
-                             kernel, seed)
+                             kernel, seed, NO_COSTS)
         assert alone.value.episode == 0
         first.append((alone.value.step, i))
     with pytest.raises(ImpossibleAction) as info:
         simulate_episodes(pd_frame, pd_params, pd_change, pd_obs, never_stop,
-                          kernel, seeds)
+                          kernel, seeds, NO_COSTS)
     err = info.value
     assert (err.step, err.episode) == min(first)
     assert max(first)[0] > 1               # some episodes fail later than others
@@ -803,10 +802,12 @@ def test_lockstep_impossible_observation(pd_frame, pd_params):
     first = []                              # (step, check order, episode) of each failure
     for i, seed in enumerate(seeds):
         with pytest.raises((ImpossibleObservation, ImpossibleAction)) as alone:
-            simulate_episode(pd_frame, pd_params, change, obs, never_stop, kernel, seed)
+            simulate_episode(pd_frame, pd_params, change, obs, never_stop, kernel, seed,
+                             NO_COSTS)
         first.append((alone.value.step, isinstance(alone.value, ImpossibleAction), i))
     with pytest.raises(ImpossibleObservation) as info:
-        simulate_episodes(pd_frame, pd_params, change, obs, never_stop, kernel, seeds)
+        simulate_episodes(pd_frame, pd_params, change, obs, never_stop, kernel, seeds,
+                          NO_COSTS)
     err = info.value
     assert (err.step, False, err.episode) == min(first) == (2, False, 1)
     assert err.observation == 3
@@ -819,7 +820,7 @@ def test_lockstep_one_runaway_episode(
 ):
     seeds = list(range(40))
     taus = simulate_episodes(pd_frame, pd_params, slow_change, pd_obs,
-                             slow_policy, slow_kernel, seeds).stop_time
+                             slow_policy, slow_kernel, seeds, NO_COSTS).stop_time
     longest = int(np.argmax(taus))
     cap = int(taus[longest]) - 1
     # one episode that outlasts the cap, placed among episodes that stop in time
@@ -829,15 +830,15 @@ def test_lockstep_one_runaway_episode(
     monkeypatch.setattr("qdetect.protocol.MAX_STEPS", cap)
     with pytest.raises(RunawayEpisode) as info:
         simulate_episodes(pd_frame, pd_params, slow_change, pd_obs, slow_policy,
-                          slow_kernel, batch)
+                          slow_kernel, batch, NO_COSTS)
     assert info.value.episode == 3
     assert info.value.step_cap == cap
     with pytest.raises(RunawayEpisode):
         _oracle_episode(pd_frame, pd_params, slow_change, pd_obs, slow_policy,
-                        slow_kernel, seeds[longest], step_cap=cap)
+                        slow_kernel, seeds[longest], NO_COSTS, step_cap=cap)
     del batch[3]
     simulate_episodes(pd_frame, pd_params, slow_change, pd_obs, slow_policy,
-                      slow_kernel, batch)
+                      slow_kernel, batch, NO_COSTS)
 
 
 def _never_stop(frame, params, obs, p):
@@ -853,7 +854,8 @@ def test_tiny_p_batch_stops_at_max_steps(monkeypatch, pd_frame, pd_params, pd_ob
     change, kernel, never_stop = _never_stop(pd_frame, pd_params, pd_obs, p)
     monkeypatch.setattr("qdetect.protocol.MAX_STEPS", 100)
     with pytest.raises(RunawayEpisode) as info:
-        simulate_episodes(pd_frame, pd_params, change, pd_obs, never_stop, kernel, [0, 1, 2])
+        simulate_episodes(pd_frame, pd_params, change, pd_obs, never_stop, kernel, [0, 1, 2],
+                          NO_COSTS)
     err = info.value
     assert (err.episode, err.step_cap) == (0, 100)
     assert str(err) == "episode 0: no stop after 100 steps"
@@ -871,7 +873,7 @@ def test_tiny_p_batch_memory_does_not_grow_with_steps(monkeypatch, pd_frame, pd_
         try:
             with pytest.raises(RunawayEpisode) as info:
                 simulate_episodes(pd_frame, pd_params, change, pd_obs, never_stop, kernel,
-                                  range(50))
+                                  range(50), NO_COSTS)
             assert info.value.step_cap == max_steps
             return tracemalloc.get_traced_memory()[1]
         finally:
@@ -879,7 +881,8 @@ def test_tiny_p_batch_memory_does_not_grow_with_steps(monkeypatch, pd_frame, pd_
 
     faulthandler.dump_traceback_later(120, exit=True)     # a hang fails loudly
     try:
-        short, long = peak_bytes(2000), peak_bytes(8000)
+        # both caps pass the 1024-step block, so a per-step leak shows in the ratio
+        short, long = peak_bytes(1100), peak_bytes(4400)
     finally:
         faulthandler.cancel_dump_traceback_later()
     assert long < 1.5 * short, (short, long)

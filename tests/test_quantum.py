@@ -398,6 +398,9 @@ def test_frame_validation():
         DecisionFrame(2, 2, np.array([[20.0, 5.0], [25.0, 0.0]]))
     with pytest.raises(InvalidModel):
         DecisionFrame(2, 2, np.array([[20.0, 5.0]]))
+    for bad in (np.inf, np.nan):
+        with pytest.raises(InvalidModel, match="finite and strictly positive"):
+            DecisionFrame(2, 2, np.array([[bad, 5.0], [25.0, 10.0]]))
     with pytest.raises(InvalidModel):
         PsychParams(alpha=1.2, lam=1.0, phi=0.5)
     with pytest.raises(InvalidModel):
