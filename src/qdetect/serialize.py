@@ -2,7 +2,9 @@
 
 Dialect: comma separator, dot decimal, LF line endings, one header row.
 Every file starts with comment lines carrying the config hash (and any
-artifact-specific metadata), so a cache can be validated before reuse.
+artifact-specific metadata), so a cache can be validated before reuse; the
+rows follow the header with no blank or comment line among them, and a file
+that differs from this layout, CRLF line endings included, is corrupt.
 Writes are atomic: content goes to a temp file in the target directory,
 then a rename.
 """
@@ -66,33 +68,45 @@ def write_csv(path, columns, data, config_hash, meta=None):
 
 
 def _read_lines(path):
-    """(meta, header, body lines) of an artifact: a line starting with "#",
-    anywhere in the file, is a meta line, a blank line is skipped, and the
-    first other line is the header. Raises CacheMiss when the file is absent
-    or has no header."""
+    """(meta, header, rows) of an artifact laid out as write_csv writes it:
+    the leading "#" lines are the meta block, the next line is the header and
+    every later line is a row, each line ending in LF. The text is split once,
+    with no loop over the rows; a blank line or a "#" line after the meta
+    block raises CacheMiss naming its line, as does a file that is absent or
+    has no header."""
     try:
         with open(path, encoding="utf-8", newline="") as fh:
-            raw = fh.read().splitlines()
+            text = fh.read()
     except OSError as exc:
         raise CacheMiss(f"missing artifact {path}: {exc}") from None
-    meta = {}
-    body = []
-    for line in raw:
-        if line.startswith("#"):
-            stripped = line[1:].strip()
-            if "=" in stripped:
-                key, value = stripped.split("=", 1)
-                meta[key.strip()] = value.strip()
-        elif line:
-            body.append(line)
-    if not body:
+    lines = text.split("\n")
+    if not lines[-1]:
+        lines.pop()                     # after the LF that ends the last line
+    meta, top, start = {}, 0, 0         # start: the offset of line top in text
+    while top < len(lines) and lines[top].startswith("#"):
+        key, eq, value = lines[top][1:].partition("=")
+        if eq:
+            meta[key.strip()] = value.strip()
+        start += len(lines[top]) + 1
+        top += 1
+    if top == len(lines):
         raise CacheMiss(f"artifact {path} has no table")
-    return meta, body[0], body[1:]
+    stray = []
+    if "" in lines:
+        stray.append((lines.index("") + 1, "is blank"))
+    # a one-character find is a memchr, and no row of an artifact holds a "#"
+    first_hash = text.find("#", start)
+    if first_hash >= 0 and (i := text.find("\n#", first_hash - 1)) >= 0:
+        stray.append((text.count("\n", 0, i) + 2, 'is a "#" line among the rows'))
+    if stray:
+        line, what = min(stray)
+        raise CacheMiss(f"artifact {path} is corrupt: line {line} {what}")
+    return meta, lines[top], lines[top + 1:]
 
 
 def read_csv(path):
-    """Returns (meta, columns, rows-of-strings). Raises CacheMiss when the
-    file is absent or malformed."""
+    """Returns (meta, columns, rows-of-strings) of an artifact in write_csv's
+    layout. Raises CacheMiss when the file is absent or malformed."""
     meta, header, body = _read_lines(path)
     return meta, header.split(","), [line.split(",") for line in body]
 

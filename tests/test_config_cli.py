@@ -1,5 +1,8 @@
 """Config parsing, CSV cache, and end-to-end CLI runs (in process)."""
 
+import contextlib
+import glob
+import io
 import os
 import re
 import tempfile
@@ -339,7 +342,7 @@ def test_kernel_read_rejects_missing_or_repeated_cells(tmp_path, pd_kernel_small
                                         r"expected \(pi1=0\.0, x=1\.0, a=1\.0\)"):
         read_kernel(str(tmp_path / "swapped.csv"), "cafe01234567")
     rest = lines[header + 1][len("0.0,1,1"):]
-    # a "#" line or a blank line in place of a row leaves that cell missing;
+    # a "#" line or a blank line in place of a row is not a row;
     # "0_0.0" and an Arabic-Indic digit one, which float() would read as
     # 0.0 and 1, are not decimal numbers of the CSV dialect
     for bad_row in ("0.0,3,1,0.5", "0.0,1,1.5,0.5", "0.0,1,1", "2.0,1,1,0.5", "nan,1,1,0.5",
@@ -349,11 +352,16 @@ def test_kernel_read_rejects_missing_or_repeated_cells(tmp_path, pd_kernel_small
         (tmp_path / "bad.csv").write_text("\n".join(bad) + "\n", encoding="utf-8")
         with pytest.raises(CacheMiss, match="is corrupt"):
             read_kernel(str(tmp_path / "bad.csv"), "cafe01234567")
-    # among the rows, a "#" line and a blank line are skipped
-    spaced = lines[:header + 2] + ["# note", ""] + lines[header + 2:]
-    (tmp_path / "spaced.csv").write_text("\n".join(spaced) + "\n", encoding="utf-8")
-    assert np.array_equal(read_kernel(str(tmp_path / "spaced.csv"), "cafe01234567").table,
-                          pd_kernel_small.table)
+    # among the rows, a "#" line or a blank line is corrupt, named by its line
+    for extra, what in (("# note", 'is a "#" line among the rows'), ("", "is blank")):
+        spaced = lines[:header + 2] + [extra] + lines[header + 2:]
+        (tmp_path / "spaced.csv").write_text("\n".join(spaced) + "\n", encoding="utf-8")
+        with pytest.raises(CacheMiss, match=f"is corrupt: line {header + 3} {what}"):
+            read_kernel(str(tmp_path / "spaced.csv"), "cafe01234567")
+    # the dialect's line ending is LF: CRLF leaves a CR on the header
+    (tmp_path / "crlf.csv").write_text("\r\n".join(lines) + "\r\n", encoding="utf-8")
+    with pytest.raises(CacheMiss, match="is corrupt: header " + re.escape(repr("pi1,x,a,R\r"))):
+        read_kernel(str(tmp_path / "crlf.csv"), "cafe01234567")
     # a pi1 off its grid point (cells are 0.005 wide) would round onto it
     bad = list(lines)
     bad[header + 1] = "0.001,1,1" + lines[header + 1][len("0.0,1,1"):]
@@ -393,10 +401,11 @@ def test_value_policy_roundtrip_exact(tmp_path, pd_kernel_small, pd_change, pd_c
 
 
 def assert_rows_checked(path, read, rng):
-    """Four corruptions of the rows of a typed artifact, each a CacheMiss that
-    names a row: two rows swapped, one row copied over another, one pi1 moved
-    one ulp off its grid point, and one row deleted. A deleted kernel row is
-    named by the row count, which grid_n fixes."""
+    """Six corruptions of the rows of a typed artifact, each a CacheMiss that
+    names a row or a line: two rows swapped, one row copied over another, one
+    pi1 moved one ulp off its grid point, one row deleted, and a blank line or
+    a "# note=1" line inserted between two rows. A deleted kernel row is named
+    by the row count, which grid_n fixes."""
     lines = open(path, encoding="utf-8").read().splitlines()
     top = next(k for k, line in enumerate(lines) if not line.startswith("#")) + 1
     head, rows = lines[:top], lines[top:]
@@ -409,7 +418,9 @@ def assert_rows_checked(path, read, rng):
     deleted = rows[:i] + rows[i + 1:]
     cases = [(swapped, rf"row {i + 1} has \("), (copied, rf"row {i + 1} has \("),
              (rows[:i] + [f"{moved},{rest}"] + rows[i + 1:],
-              rf"row {i + 1} has \(pi1={re.escape(moved)}[,)]")]
+              rf"row {i + 1} has \(pi1={re.escape(moved)}[,)]"),
+             (rows[:j] + [""] + rows[j:], f"line {top + j + 1} is blank"),
+             (rows[:j] + ["# note=1"] + rows[j:], f'line {top + j + 1} is a "#" line')]
     if read is read_kernel:
         cases.append((deleted, rf"{len(rows) - 1} rows, expected {len(rows)}"))
     elif len(rows) == 2:
@@ -577,6 +588,21 @@ def test_cli_simulate_corrupt_kernel_is_cache_miss(tmp_path, capsys):
     assert main(["--config", ini, "--out", out, "simulate", "--episodes", "5"]) == 4
     assert ("kernel.csv is corrupt: row 244 has (pi1=1.0, x=2.0, a=1.0), "
             "expected (pi1=1.0, x=2.0, a=2.0)") in capsys.readouterr().err
+
+
+def test_cli_simulate_blank_line_in_policy_is_cache_miss(tmp_path, capsys):
+    ini = write_ini(tmp_path)
+    out = str(tmp_path / "out")
+    assert main(["--config", ini, "--out", out, "solve"]) == 0
+    path = os.path.join(out, load_config(BASE_INI).hash, "policy.csv")
+    text = open(path, encoding="utf-8").read()
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text + "\n")
+    capsys.readouterr()
+    assert main(["--config", ini, "--out", out, "simulate", "--episodes", "5"]) == 4
+    blank = text.count("\n") + 1
+    assert (f"policy.csv is corrupt: line {blank} is blank; "
+            "run the solve command first") in capsys.readouterr().err
 
 
 def _header_only(text):
@@ -779,6 +805,58 @@ def test_cli_exit_codes(tmp_path, capsys):
         assert main(["--config", tiny_p, "--out", out, command]) == 2
         assert capsys.readouterr().err.startswith("error [config]: [change] p = 1e-310 ")
     assert not os.path.exists(out)
+
+
+LIKELIHOOD = st.sampled_from([0.0, 5e-324, 1e-300, 1.0]) | st.floats(0.0, 1.0)
+
+
+@st.composite
+def schema_configs(draw):
+    """INI text of a config inside load_config's schema, its ends included:
+    up to 4 actions, alpha and phi at 0 and 1, lambda up to 1e6, p from
+    subnormal to 1, observation rows with zeros, f and d from 0, grid_n up
+    to 50 and a small max_iter."""
+    n_actions, n_obs = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    utility = [draw(st.lists(st.sampled_from([1e-6, 1.0, 1e6]) | st.floats(1e-3, 1e3),
+                             min_size=2, max_size=2)) for _ in range(n_actions)]
+    rows = []
+    for _ in range(2):
+        w = np.array(draw(st.lists(LIKELIHOOD, min_size=n_obs, max_size=n_obs)))
+        rows.append(w / w.sum() if w.sum() > 0 else np.eye(n_obs)[0])
+    p = draw(st.sampled_from([1.0, 1e-9, 1e-300]) | st.floats(0.0, 1.0, exclude_min=True))
+    unit, cost = st.floats(0.0, 1.0), st.sampled_from([0.0]) | st.floats(0.0, 1e6)
+
+    def matrix(table):
+        return " ; ".join(" ".join(map(repr, map(float, row))) for row in table)
+
+    return (f"[frame]\nn_states = 2\nn_actions = {n_actions}\nutility = {matrix(utility)}\n"
+            f"[params]\nalpha = {draw(unit)!r}\nlambda = {draw(st.floats(0.0, 1e6))!r}\n"
+            f"phi = {draw(unit)!r}\n[change]\np = {p!r}\n[observation]\nb = {matrix(rows)}\n"
+            f"[costs]\nf = {draw(cost)!r}\nd = {draw(cost)!r}\n"
+            f"[solver]\ngrid_n = {draw(st.integers(1, 50))}\n"
+            f"max_iter = {draw(st.integers(1, 30))}\nseed = {draw(st.integers(0, 2**32 - 1))}\n")
+
+
+@settings(max_examples=25)
+@given(schema_configs())
+def test_every_schema_config_ends_in_a_result_or_a_typed_error(text):
+    # each command returns 0 or a typed exit code with its error line, and
+    # every artifact it leaves holds finite numbers only
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
+        patch.setattr("qdetect.protocol.MAX_STEPS", 100)
+        ini, out = os.path.join(tmp, "c.ini"), os.path.join(tmp, "out")
+        with open(ini, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        for command in (["solve"], ["simulate", "--episodes", "5"],
+                        ["stp-sweep", "--phi-points", "3"]):
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main(["--config", ini, "--out", out, *command])
+            assert code in (0, 2, 3, 4), (command, code)
+            assert (code == 0) == ("error [" not in err.getvalue()), (command, err.getvalue())
+        for name in ("kernel.csv", "value.csv", "policy.csv", "episodes.csv"):
+            for path in glob.glob(os.path.join(out, "*", name)):
+                assert np.isfinite(np.array(read_csv(path)[2], dtype=float)).all(), name
 
 
 def test_cli_cache_keyed_by_hash(tmp_path, capsys):
