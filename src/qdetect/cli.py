@@ -2,14 +2,17 @@
 
 Subcommands: stp-sweep | solve | threshold-sweep | simulate | sensitivity |
 region-scan. Every run is determined by one INI config (plus explicit
-overrides); artifacts land in <out>/<config-hash>/ with the hash embedded in
-every file header. Exit codes: 0 ok, 2 config error, 3 numerical failure,
-4 cache miss.
+overrides). A cmd_* only computes: it returns its artifacts (file name ->
+serialize writer, in write order), its first stdout line and any further
+lines. main then writes them to <out>/<config-hash>/, every file header
+carrying the hash, and prints each line as "<command>: <line>". Exit codes:
+0 ok, 2 config error, 3 numerical failure, 4 cache miss.
 """
 
 import argparse
 import os
 import sys
+from functools import partial
 
 import numpy as np
 
@@ -64,18 +67,11 @@ def violation_onset(rows):
 
 def cmd_stp_sweep(config, args):
     rows = sweep_stp(config.frame, config.params, args.phi_points)
-    path = os.path.join(_cache_dir(config), "stp_sweep.csv")
-    serialize.write_csv(
-        path,
-        ("phi", "p_defect_given_defect", "p_defect_given_coop",
-         "p_defect_unknown", "violation"),
-        tuple(zip(*rows)),
-        config.hash,
-    )
+    table = partial(serialize.write_csv, data=tuple(zip(*rows)), columns=(
+        "phi", "p_defect_given_defect", "p_defect_given_coop", "p_defect_unknown", "violation"))
     onset = violation_onset(rows)
-    print(f"stp-sweep: {len(rows)} rows -> {path}")
-    print(f"stp-sweep: violation onset "
-          f"{'none' if onset is None else f'{onset:.4g}'}")
+    return ({"stp_sweep.csv": table}, f"{len(rows)} rows",
+            [f"violation onset {'none' if onset is None else f'{onset:.4g}'}"])
 
 
 def cmd_solve(config, args):
@@ -87,13 +83,12 @@ def cmd_solve(config, args):
         kernel, config.change, config.costs,
         tol=config.vi_tol, max_iter=config.max_iter,
     )
-    cache = _cache_dir(config)
-    serialize.write_kernel(os.path.join(cache, "kernel.csv"), kernel, config.hash)
-    serialize.write_value(os.path.join(cache, "value.csv"), table, config.hash)
-    serialize.write_policy(os.path.join(cache, "policy.csv"), policy, config.hash)
+    artifacts = {"kernel.csv": partial(serialize.write_kernel, kernel=kernel),
+                 "value.csv": partial(serialize.write_value, table=table),
+                 "policy.csv": partial(serialize.write_policy, policy=policy)}
     thr = "none" if policy.threshold is None else f"{policy.threshold:.6g}"
-    print(f"solve: threshold {thr} ({policy.crossings} crossings), "
-          f"{table.sweeps} sweeps -> {cache}")
+    return (artifacts, f"threshold {thr} ({policy.crossings} crossings), "
+            f"{table.sweeps} sweeps", [])
 
 
 def _parse_f_values(text):
@@ -132,11 +127,9 @@ def cmd_threshold_sweep(config, args):
         thr_q = np.nan if pol_q.threshold is None else pol_q.threshold
         thr_c = np.nan if pol_c.threshold is None else pol_c.threshold
         rows.append((float(f), float(thr_q), float(thr_c)))
-    path = os.path.join(_cache_dir(config), "thresholds.csv")
-    serialize.write_csv(
-        path, ("f", "thr_quantum", "thr_classical"), tuple(zip(*rows)), config.hash
-    )
-    print(f"threshold-sweep: {len(rows)} rows -> {path}")
+    table = partial(serialize.write_csv, columns=("f", "thr_quantum", "thr_classical"),
+                    data=tuple(zip(*rows)))
+    return {"thresholds.csv": table}, f"{len(rows)} rows", []
 
 
 def cmd_simulate(config, args):
@@ -160,19 +153,18 @@ def cmd_simulate(config, args):
     for c in batch.cost.tolist():        # in order: the printed statistics depend on it
         costs_sum += c
         costs_sq += c**2
-    path = os.path.join(cache, "episodes.csv")
-    serialize.write_csv(path, ("episode", "tau0", "tau", "delay", "false_alarm", "cost"),
-                        (np.arange(n_episodes), batch.change_time, batch.stop_time, delay,
-                         false_alarm, batch.cost),
-                        config.hash)
+    table = partial(serialize.write_csv,
+                    columns=("episode", "tau0", "tau", "delay", "false_alarm", "cost"),
+                    data=(np.arange(n_episodes), batch.change_time, batch.stop_time, delay,
+                          false_alarm, batch.cost))
     mean = costs_sum / n_episodes
     var = max(costs_sq / n_episodes - mean**2, 0.0)
     stderr = (var * n_episodes / max(n_episodes - 1, 1)) ** 0.5 / n_episodes**0.5
     p_fa = float(false_alarm.mean())
     mean_delay = float(delay[~false_alarm].mean()) if not false_alarm.all() else float("nan")
-    print(f"simulate: {n_episodes} episodes -> {path}")
-    print(f"simulate: mean cost {mean:.6g} +- {stderr:.3g}, "
-          f"P(false alarm) {p_fa:.4g}, mean delay | detection {mean_delay:.4g}")
+    return ({"episodes.csv": table}, f"{n_episodes} episodes",
+            [f"mean cost {mean:.6g} +- {stderr:.3g}, "
+             f"P(false alarm) {p_fa:.4g}, mean delay | detection {mean_delay:.4g}"])
 
 
 def cmd_sensitivity(config, args):
@@ -182,14 +174,11 @@ def cmd_sensitivity(config, args):
         config.obs, config.costs, config.grid,
         tol=config.vi_tol, max_iter=config.max_iter,
     )
-    path = os.path.join(_cache_dir(config), "sensitivity.csv")
-    serialize.write_csv(
-        path, ("pi1", "lhs", "rhs", "slack"),
-        (report.points, report.lhs, report.rhs, report.rhs - report.lhs), config.hash,
-        meta={"K": report.K, "distance": report.distance},
-    )
-    print(f"sensitivity: K {report.K:.6g}, distance {report.distance:.6g}, "
-          f"worst slack {report.worst_slack:.6g} -> {path}")
+    table = partial(serialize.write_csv, columns=("pi1", "lhs", "rhs", "slack"),
+                    data=(report.points, report.lhs, report.rhs, report.rhs - report.lhs),
+                    meta={"K": report.K, "distance": report.distance})
+    return ({"sensitivity.csv": table}, f"K {report.K:.6g}, distance {report.distance:.6g}, "
+            f"worst slack {report.worst_slack:.6g}", [])
 
 
 def _parse_box(text):
@@ -224,22 +213,16 @@ def cmd_region_scan(config, args):
          r.direction, r.certified, r.residual, r.worst_V_margin)
         for r in rows
     ]
-    path = os.path.join(_cache_dir(config), "region_scan.csv")
-    serialize.write_csv(
-        path,
-        ("alpha_ref", "lambda_ref", "phi_ref",
-         "alpha_test", "lambda_test", "phi_test",
-         "direction", "certified", "residual", "worst_V_margin"),
-        tuple(zip(*csv_rows)),
-        config.hash,
-    )
+    table = partial(serialize.write_csv, data=tuple(zip(*csv_rows)), columns=(
+        "alpha_ref", "lambda_ref", "phi_ref", "alpha_test", "lambda_test", "phi_test",
+        "direction", "certified", "residual", "worst_V_margin"))
     # the sampled points, not the box ends: one point per axis is the lo corner
     separated = (tags == ("dominating", "dominated")
                  and min(p.alpha for p in ref_points) > max(p.alpha for p in test_points))
-    print(f"region-scan: {len(rows)} pair records -> {path}")
-    print(f"region-scan: ref box {tags[0]}, test box {tags[1]}; "
-          f"alpha-separated dominating/dominated pair certified: "
-          f"{'yes' if separated else 'no'}")
+    return ({"region_scan.csv": table}, f"{len(rows)} pair records",
+            [f"ref box {tags[0]}, test box {tags[1]}; "
+             f"alpha-separated dominating/dominated pair certified: "
+             f"{'yes' if separated else 'no'}"])
 
 
 # (global flag, type, help, the dotted config key it overrides)
@@ -283,7 +266,7 @@ def build_parser():
     p.add_argument("--ref-box", default="0.8:1.0,10:100,0.1:0.5",
                    help="alpha lo:hi, lambda lo:hi, phi lo:hi")
     p.add_argument("--test-box", default="0.1:0.5,10:100,0.1:0.5")
-    p.add_argument("--points-per-axis", type=int, default=5)
+    p.add_argument("--points-per-axis", type=int, default=3)
     p.add_argument("--pi-samples", type=int, default=11)
     p.set_defaults(run=cmd_region_scan)
     return parser
@@ -298,7 +281,11 @@ def main(argv=None):
             if getattr(args, name, 1) < 1:
                 raise ConfigError(f"--{name.replace('_', '-')} must be at least 1, "
                                   f"got {getattr(args, name)}")
-        args.run(load_config_file(args.config, overrides), args)
+        config = load_config_file(args.config, overrides)
+        artifacts, summary, lines = args.run(config, args)
+        cache = _cache_dir(config)
+        for name, write in artifacts.items():
+            write(os.path.join(cache, name), config_hash=config.hash)
     except (NumericalFailure, NonConvergence, RunawayEpisode) as exc:
         print(f"error [numerical]: {exc}", file=sys.stderr)
         return 3
@@ -308,6 +295,9 @@ def main(argv=None):
     except QDetectError as exc:                 # ConfigError and the model errors
         print(f"error [config]: {exc}", file=sys.stderr)
         return 2
+    target = os.path.join(cache, *artifacts) if len(artifacts) == 1 else cache
+    for line in (f"{summary} -> {target}", *lines):
+        print(f"{args.command}: {line}")
     return 0
 
 

@@ -51,6 +51,13 @@ def _parse_matrix(text, what):
     return np.array(rows)
 
 
+def _parse_atom(text):
+    toks = text.split()
+    if len(toks) != 4:
+        raise ValueError(f"needs 4 fields 'alpha lambda phi weight', got {len(toks)}")
+    return [float(t) for t in toks]
+
+
 def _read_ini(text):
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
     try:
@@ -159,12 +166,7 @@ def load_config(text, overrides=None):
         if "mixture" in sections:
             atoms = []
             for key in sorted(sections["mixture"]):
-                toks = sections["mixture"][key].split()
-                if len(toks) != 4:
-                    raise ConfigError(
-                        f"[mixture] {key} needs 'alpha lambda phi weight'"
-                    )
-                a, l, ph, w = (float(t) for t in toks)
+                a, l, ph, w = _get(sections, "mixture", key, _parse_atom)
                 atoms.append((PsychParams(alpha=a, lam=l, phi=ph), w))
             mixture = ParameterMixture(atoms=tuple(atoms))
         p = _get(sections, "change", "p", float)

@@ -5,6 +5,7 @@ import glob
 import io
 import os
 import re
+import shutil
 import tempfile
 
 import numpy as np
@@ -24,7 +25,7 @@ from qdetect import (
     load_config,
     value_iteration,
 )
-from qdetect.cli import _parse_box, _parse_f_values, main
+from qdetect.cli import _parse_box, _parse_f_values, build_parser, cmd_solve, cmd_stp_sweep, main
 from qdetect.serialize import (
     atomic_write_text,
     read_csv,
@@ -195,6 +196,12 @@ def test_load_config_bad_values():
         load_config(BASE_INI.replace("b = 0.6 0.25 0.15 ; 0.15 0.25 0.6", "b = nan 0.5; 0.5 0.5"))
     with pytest.raises(ConfigError, match="mixture weights"):
         load_config(BASE_INI + "\n[mixture]\natom1 = 0.5 10 0.3 nan\n")
+    # a [mixture] atom that does not parse names its key and raw text
+    with pytest.raises(ConfigError, match=r"bad \[mixture\] atom1 = '0\.8 x 0\.9 0\.5': "
+                       r"could not convert string to float: 'x'"):
+        load_config(BASE_INI + "\n[mixture]\natom1 = 0.8 x 0.9 0.5\n")
+    with pytest.raises(ConfigError, match=r"bad \[mixture\] atom2 = '0\.8 0\.9': needs 4 fields"):
+        load_config(BASE_INI + "\n[mixture]\natom1 = 0.5 10 0.3 1\natom2 = 0.8 0.9\n")
     # the change model and both filters are two-state
     with pytest.raises(ConfigError, match=r"\[frame\] n_states = 3 must be 2: the change model"):
         load_config(BASE_INI.replace("n_states = 2", "n_states = 3"))
@@ -573,6 +580,26 @@ def test_cli_solve_then_simulate(tmp_path, capsys):
                  "--episodes", "40"]) == 0
     assert open(episodes, "rb").read() == first
     assert "simulate: mean cost" in capsys.readouterr().out
+
+
+def test_commands_return_their_artifacts_and_leave_writing_to_main(tmp_path, capsys):
+    ini = write_ini(tmp_path)
+    out = tmp_path / "out"
+    config = load_config(BASE_INI, overrides={"output.dir": str(out), "solver.grid_n": "20"})
+    for command, argv, names in (
+            (cmd_stp_sweep, ["stp-sweep", "--phi-points", "3"], ["stp_sweep.csv"]),
+            (cmd_solve, ["solve"], ["kernel.csv", "value.csv", "policy.csv"])):
+        args = build_parser().parse_args(["--config", ini, *argv])
+        artifacts, summary, lines = command(config, args)
+        assert not out.exists() and capsys.readouterr().out == ""
+        assert list(artifacts) == names
+        assert main(["--config", ini, "--out", str(out), "--grid", "20", *argv]) == 0
+        assert sorted(os.listdir(out / config.hash)) == sorted(names)
+        shutil.rmtree(out)
+        first, *rest = capsys.readouterr().out.splitlines()
+        target = out / config.hash / names[0] if len(names) == 1 else out / config.hash
+        assert first == f"{argv[0]}: {summary} -> {target}"
+        assert rest == [f"{argv[0]}: {line}" for line in lines]
 
 
 def test_cli_simulate_corrupt_kernel_is_cache_miss(tmp_path, capsys):

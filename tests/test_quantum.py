@@ -407,3 +407,24 @@ def test_frame_validation():
         PsychParams(alpha=0.5, lam=-1.0, phi=0.5)
     with pytest.raises(InvalidModel):
         PsychParams(alpha=0.5, lam=1.0, phi=-0.1)
+
+
+@given(st.integers(1, 3), st.data())
+def test_lindblad_long_time_state_is_one_density_from_any_start(n, data):
+    # alpha < 1 and phi > 0 keep the steady state unique (proof step 3); the
+    # evolution runs for 40 times the slowest decay, from two starts
+    A = data.draw(st.integers(1 if n > 1 else 2, 6 // n))
+    utility = data.draw(st.lists(st.floats(1.0, 30.0), min_size=n * A, max_size=n * A))
+    frame = DecisionFrame(n, A, np.reshape(utility, (A, n)))
+    params = PsychParams(alpha=data.draw(st.floats(0.05, 0.95)),
+                         lam=data.draw(st.floats(0.0, 50.0)), phi=data.draw(st.floats(0.05, 1.0)))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    eta = rng.dirichlet(np.ones(n))
+    L = assemble_lindbladian(frame, params, eta)
+    decay = np.sort(-np.linalg.eigvals(L).real)
+    assert abs(decay[0]) <= 1e-12 and decay[1] > 1e-6
+    rho, other = (check_density(evolve(L, rho0, 40.0 / decay[1]))
+                  for rho0 in (maximally_mixed(frame), random_density(rng, frame.dim)))
+    np.testing.assert_allclose(other, rho, rtol=0, atol=1e-9)
+    np.testing.assert_allclose(np.real(np.diag(rho)).reshape(n, A).sum(axis=0),
+                               steady_state_distribution(frame, params, eta), rtol=0, atol=1e-9)
