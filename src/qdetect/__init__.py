@@ -37,6 +37,7 @@ from .protocol import (
     ParameterMixture,
     build_action_kernel,
     build_mismatched_kernel,
+    episode_generators,
     estimate_cost,
     private_belief_update,
     public_belief_update,

@@ -27,7 +27,13 @@ from .errors import (
     QDetectError,
     RunawayEpisode,
 )
-from .protocol import DetectionCosts, build_action_kernel, simulate_episodes
+from .protocol import (
+    MAX_EPISODES,
+    DetectionCosts,
+    build_action_kernel,
+    episode_generators,
+    simulate_episodes,
+)
 from .quantum import ActionMap, PsychParams
 from .stopping import classical_value_iteration, value_iteration
 
@@ -134,6 +140,8 @@ def cmd_threshold_sweep(config, args):
 
 def cmd_simulate(config, args):
     n_episodes = args.episodes
+    if n_episodes > MAX_EPISODES:
+        raise ConfigError(f"--episodes must be at most {MAX_EPISODES} (2**32), got {n_episodes}")
     config.require("change", "obs", "costs", "seed")
     cache = _cache_dir(config)
     try:
@@ -145,7 +153,7 @@ def cmd_simulate(config, args):
     except CacheMiss as exc:
         raise CacheMiss(f"{exc}; run the solve command first") from None
     batch = simulate_episodes(config.frame, config.params, config.change, config.obs, policy,
-                              kernel, np.random.SeedSequence(config.seed).spawn(n_episodes),
+                              kernel, episode_generators(config.seed, n_episodes),
                               costs=config.costs)
     delay = np.maximum(batch.stop_time - batch.change_time, 0)
     false_alarm = batch.stop_time < batch.change_time

@@ -12,6 +12,7 @@ parameter p is the per-step probability that the change occurs, so the change
 time is geometric(p) with mean 1/p.
 """
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -268,6 +269,88 @@ def public_belief_update(pi, a, change, kernel):
 MAX_STEPS = 2**20
 
 
+# episode k seeds from the spawn key (k,), which is one uint32 word only below this
+MAX_EPISODES = 2**32
+
+# numpy.random.SeedSequence's mixing, which numpy keeps stream-stable: a pool
+# of 4 uint32 words, the hash constants of its entropy mixing (A) and of its
+# generate_state (B), and the multipliers of mix
+_MASK = 0xFFFFFFFF
+_POOL = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+
+
+def _hash_consts(init, mult):
+    """The (before, after) hash constants of successive hashmix calls."""
+    while True:
+        after = init * mult & _MASK
+        yield init, after
+        init = after
+
+
+def _hashmix(value, consts):
+    """SeedSequence's hashmix of a word (a Python int or a uint32 array) with
+    the next pair of hash constants."""
+    before, after = next(consts)
+    value = (value ^ before) * after & _MASK
+    return value ^ value >> 16
+
+
+def _mix(x, y):
+    """SeedSequence's mix of a pool word x with a hashed word y."""
+    result = (_MIX_L * x & _MASK) - (_MIX_R * y & _MASK) & _MASK
+    return result ^ result >> 16
+
+
+def episode_generators(seed, n):
+    """One Generator(PCG64) per child of SeedSequence(seed).spawn(n), each in
+    exactly the state default_rng(child) gives, for seed >= 0 and
+    n <= MAX_EPISODES.
+
+    SeedSequence's mixing runs once for all the children. Child k's entropy
+    is the seed's 32-bit words, zero-padded to the pool size, then its spawn
+    key k. The seed's words are common to every child and mix as Python
+    ints; the spawn key mixes as one uint32 array over k, so the pool becomes
+    one array per word and then the (n, 8) state words PCG64 seeds from."""
+    from numpy.random import PCG64, Generator
+    from numpy.random.bit_generator import ISeedSequence
+
+    class StateWords(ISeedSequence):
+        """A seed sequence whose state words are already generated."""
+
+        def __init__(self, words):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words                       # PCG64 asks for 4 uint64 words
+
+    seed = operator.index(seed)
+    if seed < 0:
+        raise InvalidModel(f"seed must be >= 0, got {seed}")
+    if n > MAX_EPISODES:
+        raise InvalidModel(f"at most {MAX_EPISODES} (2**32) episodes, got {n}")
+    entropy = [seed >> shift & _MASK for shift in range(0, max(seed.bit_length(), 1), 32)]
+    entropy += [0] * (_POOL - len(entropy))
+    entropy.append(np.arange(n, dtype=np.uint32))
+    consts = _hash_consts(_INIT_A, _MULT_A)
+    pool = [_hashmix(word, consts) for word in entropy[:_POOL]]
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hashmix(pool[src], consts))
+    for word in entropy[_POOL:]:
+        for dst in range(_POOL):
+            pool[dst] = _mix(pool[dst], _hashmix(word, consts))
+    state = np.empty((n, 2 * _POOL), dtype=np.uint32)
+    consts = _hash_consts(_INIT_B, _MULT_B)
+    for i in range(2 * _POOL):
+        state[:, i] = _hashmix(pool[i % _POOL], consts)
+    words = state.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
+    return [Generator(PCG64(StateWords(w))) for w in words]
+
+
 @dataclass(frozen=True)
 class EpisodeBatch:
     """The episode record of simulate_episodes: per-episode change and stop
@@ -316,14 +399,14 @@ def _raise_impossible(sigma, error, kind, values, episodes, n, pi):
                 belief=pi[k], **{kind: int(values[k])})
 
 
-def simulate_episodes(frame, params, change, obs, policy, kernel, seeds, costs):
-    """Run the protocol once per seed, every running episode advancing one
+def simulate_episodes(frame, params, change, obs, policy, kernel, rngs, costs):
+    """Run the protocol once per generator, every running episode advancing one
     step per iteration on arrays: the chain may jump, the sensor observes y
     and updates its private belief, the agent draws an action from the steady
     state there, the detector updates the public belief through the kernel
     and applies the policy, and an episode stops at its first u = 1.
 
-    Episode k draws from default_rng(seeds[k]): the change time, then two
+    Episode k draws from the Generator rngs[k]: the change time, then two
     uniforms per step that _cdf's rows turn into y and a as Generator.choice
     would, drawn in blocks of at most 1024 steps, so memory is bounded by
     the running episodes, not by the steps. The filters keep the scalar
@@ -333,7 +416,6 @@ def simulate_episodes(frame, params, change, obs, policy, kernel, seeds, costs):
     index. A batch stops with RunawayEpisode when an episode passes the step
     cap, 10 / p + 1000 steps but at most MAX_STEPS.
     """
-    rngs = [np.random.default_rng(s) for s in seeds]
     if not rngs:
         raise InvalidModel("need at least one episode")
     amap = ActionMap(frame, params)
@@ -380,14 +462,15 @@ def simulate_episodes(frame, params, change, obs, policy, kernel, seeds, costs):
 
 
 def simulate_episode(frame, params, change, obs, policy, kernel, seed, costs):
-    """One run of the protocol from one seed: a one-episode EpisodeBatch."""
-    return simulate_episodes(frame, params, change, obs, policy, kernel, [seed], costs)
+    """One run of the protocol from default_rng(seed): a one-episode EpisodeBatch."""
+    return simulate_episodes(frame, params, change, obs, policy, kernel,
+                             [np.random.default_rng(seed)], costs)
 
 
 def estimate_cost(frame, params, change, obs, policy, kernel, costs, n_episodes, seed):
     """Mean realized cost and its standard error over independent episodes,
-    one per child of SeedSequence(seed)."""
+    one per child of SeedSequence(seed), seeded by episode_generators."""
     realized = simulate_episodes(frame, params, change, obs, policy, kernel,
-                                 np.random.SeedSequence(seed).spawn(n_episodes), costs).cost
+                                 episode_generators(seed, n_episodes), costs).cost
     stderr = float(realized.std(ddof=1) / np.sqrt(n_episodes)) if n_episodes > 1 else 0.0
     return float(realized.mean()), stderr

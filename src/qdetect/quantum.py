@@ -245,9 +245,15 @@ def evolve(superop, rho0, t):
         raise InvalidModel(f"time must be >= 0, got {t}")
     from scipy.linalg import expm
 
+    return _propagate(expm(superop * t), rho0, t)
+
+
+def _propagate(propagator, rho0, t):
+    """rho0 carried by the propagator exp(L t), checked finite and made
+    Hermitian."""
     rho0 = np.asarray(rho0, dtype=complex)
     d = rho0.shape[0]
-    rho_t = (expm(superop * t) @ rho0.reshape(-1)).reshape(d, d)
+    rho_t = (propagator @ rho0.reshape(-1)).reshape(d, d)
     if not np.all(np.isfinite(rho_t)):
         raise NumericalFailure(f"evolution produced non-finite entries at t={t}")
     return 0.5 * (rho_t + rho_t.conj().T)
@@ -265,12 +271,21 @@ def _finalize_distribution(probs):
 
 def _steady_rho_from_probes(superop, frame):
     """Long-time evolution fallback from the maximally mixed start; probes at
-    t and 2t must agree elementwise before the result is accepted."""
+    t and 2t must agree elementwise before the result is accepted.
+
+    The propagator is exponentiated once, at PROBE_T0, and squared at each
+    doubling: exp(2tL) = exp(tL)^2. expm scales and squares too, so where it
+    picks its top Pade degree at t, as on every frame tried, this repeats
+    its own squarings and each probe is evolve's to the bit."""
+    from scipy.linalg import expm
+
     rho0 = maximally_mixed(frame)
     t = PROBE_T0
-    probe = evolve(superop, rho0, t)
+    propagator = expm(superop * t)
+    probe = _propagate(propagator, rho0, t)
     for _ in range(MAX_PROBE_DOUBLINGS):
-        probe2 = evolve(superop, rho0, 2 * t)
+        propagator = propagator @ propagator
+        probe2 = _propagate(propagator, rho0, 2 * t)
         if np.abs(probe - probe2).max() <= PROBE_TOL:
             return probe2 / np.trace(probe2).real
         probe, t = probe2, 2 * t

@@ -793,6 +793,11 @@ def test_cli_exit_codes(tmp_path, capsys):
         assert main(["--config", ini, "--out", out, *argv]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error [config]: " + argv[1] + " must be at least 1")
+    # past 2**32 episodes a spawn key needs two words: refused before the cache
+    # is read, so this is a config error, not the cache miss of an unsolved model
+    assert main(["--config", ini, "--out", out, "simulate", "--episodes", str(2**32 + 1)]) == 2
+    assert capsys.readouterr().err == ("error [config]: --episodes must be at most 4294967296 "
+                                       "(2**32), got 4294967297\n")
     # a reversed box would collapse its axis to one point
     assert main(["--config", ini, "--out", out, "region-scan", "--ref-box",
                  "1.0:0.8,100:10,0.5:0.1", "--points-per-axis", "2"]) == 2

@@ -4,8 +4,10 @@ and off the commands that do not need them.
 `scipy.linalg` (about 0.3 s to import) serves only `evolve` and the
 steady-state probe fallback, and `scipy.optimize` (about 0.25 s) and
 `scipy.sparse` (about 0.18 s on its own, by `python -X importtime`) only the
-garbling LP, so each is imported where it runs. Each check runs in a fresh
-interpreter, because the rest of the suite has long since loaded scipy.
+garbling LP, so each is imported where it runs. `numpy.random` serves only
+the episodes, so import and `solve` leave it unloaded too. Each check runs in
+a fresh interpreter, because the rest of the suite has long since loaded
+scipy.
 """
 
 import json
@@ -79,6 +81,23 @@ print(json.dumps({{"codes": codes, "loaded": {LOADED}}}))
 """
     got = run_fresh(code, str(ini), str(tmp_path / "out"))
     assert got == {"codes": [0, 0], "loaded": {m: False for m in LAZY}}
+
+
+def test_only_simulate_loads_numpy_random(tmp_path):
+    # numpy loads numpy.random on first use; only the episodes draw from it
+    ini = tmp_path / "exp.ini"
+    ini.write_text(README_INI, encoding="utf-8")
+    code = """
+import json, sys
+import qdetect.cli
+ini, out = sys.argv[1:]
+loaded = ["numpy.random" in sys.modules]
+for argv in (["solve"], ["simulate", "--episodes", "20"]):
+    assert qdetect.cli.main(["--config", ini, "--out", out, *argv]) == 0
+    loaded.append("numpy.random" in sys.modules)
+print(json.dumps(loaded))
+"""
+    assert run_fresh(code, str(ini), str(tmp_path / "out")) == [False, False, True]
 
 
 POOL = ("multiprocessing", "concurrent.futures")

@@ -39,6 +39,7 @@ from qdetect import (
     RunawayEpisode,
     build_action_kernel,
     build_mismatched_kernel,
+    episode_generators,
     estimate_cost,
     evolve,
     maximally_mixed,
@@ -465,12 +466,18 @@ class StepRecorder:
                                          batch.cost.tolist())]
 
 
+def _rngs(seeds):
+    """One default_rng per seed, as simulate_episodes takes them."""
+    return [np.random.default_rng(s) for s in seeds]
+
+
 def _simulate(frame, params, change, obs, policy, kernel, seeds, costs):
     """simulate_episodes under a StepRecorder, as one Episode per seed."""
     recorder = StepRecorder(policy)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr("qdetect.protocol.ActionMap", recorder.action_map)
-        batch = simulate_episodes(frame, params, change, obs, recorder, kernel, seeds, costs)
+        batch = simulate_episodes(frame, params, change, obs, recorder, kernel, _rngs(seeds),
+                                  costs)
     return recorder.episodes(batch)
 
 
@@ -763,6 +770,35 @@ def test_estimate_cost_equals_oracle(
     assert got == want
 
 
+# seeds of one word, of up to the 4-word pool, and longer than the pool, whose
+# words past the fourth go through SeedSequence's remaining-entropy stage
+SEEDS = st.integers(0, 2**32 - 1) | st.integers(2**32, 2**128 - 1) | st.integers(2**128, 2**300)
+
+
+@settings(max_examples=60)
+@given(SEEDS, st.integers(1, 300), st.floats(0.01, 1.0))
+def test_episode_generators_are_numpys_spawned_generators(seed, n, p):
+    got = episode_generators(seed, n)
+    want = [np.random.default_rng(c) for c in np.random.SeedSequence(seed).spawn(n)]
+    assert len(got) == len(want) == n
+    for g, w in zip(got, want):
+        assert g.bit_generator.state == w.bit_generator.state
+        assert g.geometric(p) == w.geometric(p)
+        np.testing.assert_array_equal(g.random(64), w.random(64))
+
+
+def test_episode_generators_refuse_two_word_spawn_keys_and_bad_seeds():
+    # a spawn key of 2**32 or more is two words, which the one-pass mixing
+    # does not cover; nothing is allocated before the refusal
+    with pytest.raises(InvalidModel, match=r"at most 4294967296 \(2\*\*32\) episodes"):
+        episode_generators(0, 2**32 + 1)
+    with pytest.raises(InvalidModel, match="seed must be >= 0"):
+        episode_generators(-1, 3)
+    with pytest.raises(TypeError):
+        episode_generators(1.5, 3)
+    assert episode_generators(7, 0) == []
+
+
 def test_lockstep_impossible_action(pd_frame, pd_params, pd_change, pd_obs):
     # the kernel says action 2 never happens, but the agent plays it
     grid = BeliefGrid(20)
@@ -780,7 +816,7 @@ def test_lockstep_impossible_action(pd_frame, pd_params, pd_change, pd_obs):
         first.append((alone.value.step, i))
     with pytest.raises(ImpossibleAction) as info:
         simulate_episodes(pd_frame, pd_params, pd_change, pd_obs, never_stop,
-                          kernel, seeds, NO_COSTS)
+                          kernel, _rngs(seeds), NO_COSTS)
     err = info.value
     assert (err.step, err.episode) == min(first)
     assert max(first)[0] > 1               # some episodes fail later than others
@@ -806,7 +842,7 @@ def test_lockstep_impossible_observation(pd_frame, pd_params):
                              NO_COSTS)
         first.append((alone.value.step, isinstance(alone.value, ImpossibleAction), i))
     with pytest.raises(ImpossibleObservation) as info:
-        simulate_episodes(pd_frame, pd_params, change, obs, never_stop, kernel, seeds,
+        simulate_episodes(pd_frame, pd_params, change, obs, never_stop, kernel, _rngs(seeds),
                           NO_COSTS)
     err = info.value
     assert (err.step, False, err.episode) == min(first) == (2, False, 1)
@@ -820,7 +856,7 @@ def test_lockstep_one_runaway_episode(
 ):
     seeds = list(range(40))
     taus = simulate_episodes(pd_frame, pd_params, slow_change, pd_obs,
-                             slow_policy, slow_kernel, seeds, NO_COSTS).stop_time
+                             slow_policy, slow_kernel, _rngs(seeds), NO_COSTS).stop_time
     longest = int(np.argmax(taus))
     cap = int(taus[longest]) - 1
     # one episode that outlasts the cap, placed among episodes that stop in time
@@ -830,7 +866,7 @@ def test_lockstep_one_runaway_episode(
     monkeypatch.setattr("qdetect.protocol.MAX_STEPS", cap)
     with pytest.raises(RunawayEpisode) as info:
         simulate_episodes(pd_frame, pd_params, slow_change, pd_obs, slow_policy,
-                          slow_kernel, batch, NO_COSTS)
+                          slow_kernel, _rngs(batch), NO_COSTS)
     assert info.value.episode == 3
     assert info.value.step_cap == cap
     with pytest.raises(RunawayEpisode):
@@ -838,7 +874,7 @@ def test_lockstep_one_runaway_episode(
                         slow_kernel, seeds[longest], NO_COSTS, step_cap=cap)
     del batch[3]
     simulate_episodes(pd_frame, pd_params, slow_change, pd_obs, slow_policy,
-                      slow_kernel, batch, NO_COSTS)
+                      slow_kernel, _rngs(batch), NO_COSTS)
 
 
 def _never_stop(frame, params, obs, p):
@@ -854,8 +890,8 @@ def test_tiny_p_batch_stops_at_max_steps(monkeypatch, pd_frame, pd_params, pd_ob
     change, kernel, never_stop = _never_stop(pd_frame, pd_params, pd_obs, p)
     monkeypatch.setattr("qdetect.protocol.MAX_STEPS", 100)
     with pytest.raises(RunawayEpisode) as info:
-        simulate_episodes(pd_frame, pd_params, change, pd_obs, never_stop, kernel, [0, 1, 2],
-                          NO_COSTS)
+        simulate_episodes(pd_frame, pd_params, change, pd_obs, never_stop, kernel,
+                          _rngs([0, 1, 2]), NO_COSTS)
     err = info.value
     assert (err.episode, err.step_cap) == (0, 100)
     assert str(err) == "episode 0: no stop after 100 steps"
@@ -873,7 +909,7 @@ def test_tiny_p_batch_memory_does_not_grow_with_steps(monkeypatch, pd_frame, pd_
         try:
             with pytest.raises(RunawayEpisode) as info:
                 simulate_episodes(pd_frame, pd_params, change, pd_obs, never_stop, kernel,
-                                  range(50), NO_COSTS)
+                                  _rngs(range(50)), NO_COSTS)
             assert info.value.step_cap == max_steps
             return tracemalloc.get_traced_memory()[1]
         finally:

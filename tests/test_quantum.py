@@ -311,6 +311,45 @@ def test_steady_probes_reject_a_non_finite_generator(pd_frame, pd_params):
         quantum._steady_rho_from_probes(L, pd_frame)
 
 
+def probes_by_evolve(superop, frame):
+    """The probe fallback with a fresh evolve at every probe time, as it ran
+    before it squared the propagator."""
+    rho0 = maximally_mixed(frame)
+    t = quantum.PROBE_T0
+    probe = evolve(superop, rho0, t)
+    for _ in range(quantum.MAX_PROBE_DOUBLINGS):
+        probe2 = evolve(superop, rho0, 2 * t)
+        if np.abs(probe - probe2).max() <= quantum.PROBE_TOL:
+            return probe2 / np.trace(probe2).real
+        probe, t = probe2, 2 * t
+    raise AssertionError(f"probes did not settle by t={t}")
+
+
+def test_squared_probes_are_evolves_to_the_bit(monkeypatch):
+    # 150 random n = 2 frames with A = 2-4 and phi often at 0 or 1, where the
+    # vertex generators are degenerate; every fallback result must keep the
+    # bits of the re-exponentiating loop, so no vertex moves
+    probes = quantum._steady_rho_from_probes
+    compared = []
+
+    def both(superop, frame):
+        got = probes(superop, frame)
+        assert got.tobytes() == probes_by_evolve(superop, frame).tobytes()
+        compared.append(frame.n_actions)
+        return got
+
+    monkeypatch.setattr(quantum, "_steady_rho_from_probes", both)
+    rng = np.random.default_rng(20260501)
+    for _ in range(150):
+        A = int(rng.integers(2, 5))
+        frame = DecisionFrame(2, A, rng.uniform(1.0, 30.0, (A, 2)))
+        alpha = 1.0 if rng.random() < 0.25 else float(rng.uniform(0.05, 1.0))
+        r = rng.random()
+        phi = 0.0 if r < 0.3 else 1.0 if r < 0.6 else float(rng.random())
+        ActionMap(frame, PsychParams(alpha, float(rng.uniform(0.0, 50.0)), phi))
+    assert len(compared) >= 100 and set(compared) == {2, 3, 4}
+
+
 @st.composite
 def frames_and_params(draw):
     n = draw(st.integers(1, 4))
