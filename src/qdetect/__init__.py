@@ -2,6 +2,8 @@
 two-layer filtering protocol built on it, the resulting optimal stopping
 problem, and Blackwell-style robustness comparisons."""
 
+from types import ModuleType as _ModuleType
+
 from .errors import (
     CacheMiss,
     ConfigError,
@@ -66,4 +68,6 @@ from .config import ExperimentConfig, config_hash, load_config, load_config_file
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the public names, not the submodules that importing them binds here
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _ModuleType))

@@ -5,8 +5,10 @@ region-scan. Every run is determined by one INI config (plus explicit
 overrides). A cmd_* only computes: it returns its artifacts (file name ->
 serialize writer, in write order), its first stdout line and any further
 lines. main then writes them to <out>/<config-hash>/, every file header
-carrying the hash, and prints each line as "<command>: <line>". Exit codes:
-0 ok, 2 config error, 3 numerical failure, 4 cache miss.
+carrying the hash, and prints each line as "<command>: <line>". A run exits 0;
+a failed one prints "error [<tag>]: <message>" on stderr and exits with its
+error type's code: the exit codes and tags live on the types in errors.py
+(2 config, 3 numerical, 4 cache-miss).
 """
 
 import argparse
@@ -19,14 +21,7 @@ import numpy as np
 from . import serialize
 from .config import load_config_file
 from .dominance import box_grid, region_scan, sensitivity_bound_check
-from .errors import (
-    CacheMiss,
-    ConfigError,
-    NonConvergence,
-    NumericalFailure,
-    QDetectError,
-    RunawayEpisode,
-)
+from .errors import CacheMiss, ConfigError, QDetectError
 from .protocol import (
     MAX_EPISODES,
     DetectionCosts,
@@ -80,11 +75,15 @@ def cmd_stp_sweep(config, args):
             [f"violation onset {'none' if onset is None else f'{onset:.4g}'}"])
 
 
-def cmd_solve(config, args):
+def _kernel(config):
+    """The config's action kernel; a missing change, obs or costs section is a ConfigError."""
     config.require("change", "obs", "costs")
-    kernel = build_action_kernel(
-        config.frame, config.params, config.change, config.obs, config.grid
-    )
+    return build_action_kernel(config.frame, config.params, config.change, config.obs,
+                               config.grid)
+
+
+def cmd_solve(config, args):
+    kernel = _kernel(config)
     table, policy = value_iteration(
         kernel, config.change, config.costs,
         tol=config.vi_tol, max_iter=config.max_iter,
@@ -115,10 +114,7 @@ def _parse_f_values(text):
 
 def cmd_threshold_sweep(config, args):
     f_values = _parse_f_values(args.f_values)
-    config.require("change", "obs", "costs")
-    kernel = build_action_kernel(
-        config.frame, config.params, config.change, config.obs, config.grid
-    )
+    kernel = _kernel(config)
     rows = []
     for f in f_values:
         costs = DetectionCosts(f=float(f), d=config.costs.d)
@@ -294,15 +290,9 @@ def main(argv=None):
         cache = _cache_dir(config)
         for name, write in artifacts.items():
             write(os.path.join(cache, name), config_hash=config.hash)
-    except (NumericalFailure, NonConvergence, RunawayEpisode) as exc:
-        print(f"error [numerical]: {exc}", file=sys.stderr)
-        return 3
-    except CacheMiss as exc:
-        print(f"error [cache-miss]: {exc}", file=sys.stderr)
-        return 4
-    except QDetectError as exc:                 # ConfigError and the model errors
-        print(f"error [config]: {exc}", file=sys.stderr)
-        return 2
+    except QDetectError as exc:
+        print(f"error [{exc.tag}]: {exc}", file=sys.stderr)
+        return exc.exit_code
     target = os.path.join(cache, *artifacts) if len(artifacts) == 1 else cache
     for line in (f"{summary} -> {target}", *lines):
         print(f"{args.command}: {line}")

@@ -1,9 +1,13 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package. Each type carries the exit code
+and the stderr tag that the command line reports it with."""
 
 
 class QDetectError(Exception):
     """Base class for all package errors. Keyword arguments become attributes
-    carrying the failing quantities; each subclass lists its own (default None)."""
+    carrying the failing quantities; each subclass lists its own (default None).
+    A config or model error exits 2, tagged "config"."""
+
+    exit_code, tag = 2, "config"
 
     def __init__(self, message, **quantities):
         super().__init__(message)
@@ -33,18 +37,21 @@ class ImpossibleAction(QDetectError):
 class NonConvergence(QDetectError):
     """An iterative solver failed to converge within its budget."""
 
-    last_delta = probes = None
+    exit_code, tag = 3, "numerical"
+    last_delta = rate = None
 
 
 class NumericalFailure(QDetectError):
     """A numerical routine produced non-finite or inconsistent output."""
 
+    exit_code, tag = 3, "numerical"
     residual = None
 
 
 class RunawayEpisode(QDetectError):
     """An episode passed its step cap without stopping (episode, step_cap)."""
 
+    exit_code, tag = 3, "numerical"
     episode = step_cap = None
 
 
@@ -54,3 +61,5 @@ class ConfigError(QDetectError):
 
 class CacheMiss(QDetectError):
     """A required persisted artifact is absent or has a stale config hash."""
+
+    exit_code, tag = 4, "cache-miss"

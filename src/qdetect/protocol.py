@@ -382,21 +382,21 @@ def _draw(probs, uniforms, episodes):
     return (_cdf(probs, episodes) <= uniforms[:, None]).sum(axis=1)
 
 
-def _posterior(num1, num2, sigma):
-    """The posterior pairs (num1, num2) / sigma as one (k, 2) array."""
+def _update(pi, like1, like2, p, error, kind, values, episodes, n):
+    """bayes_step of the running episodes' beliefs pi, shape (k, 2), on the
+    evidence values with likelihoods (like1, like2): the posterior rows as
+    one (k, 2) array. The first episode whose evidence has zero likelihood
+    raises the typed error, naming its episode, step n, belief and value."""
+    _, num1, num2, sigma = bayes_step(pi[:, 0], pi[:, 1], like1, like2, p)
+    if (sigma <= 0.0).any():
+        k = np.flatnonzero(sigma <= 0.0)[0]
+        raise error(f"episode {episodes[k]} step {n}: {kind} {values[k]} has zero "
+                    f"likelihood at belief {pi[k]}", episode=int(episodes[k]), step=n,
+                    belief=pi[k], **{kind: int(values[k])})
     out = np.empty((sigma.size, 2))
     np.divide(num1, sigma, out=out[:, 0])
     np.divide(num2, sigma, out=out[:, 1])
     return out
-
-
-def _raise_impossible(sigma, error, kind, values, episodes, n, pi):
-    """Raise the typed error for the first episode whose evidence has zero
-    likelihood; some sigma must be <= 0."""
-    k = np.flatnonzero(sigma <= 0.0)[0]
-    raise error(f"episode {episodes[k]} step {n}: {kind} {values[k]} has zero "
-                f"likelihood at belief {pi[k]}", episode=int(episodes[k]), step=n,
-                belief=pi[k], **{kind: int(values[k])})
 
 
 def simulate_episodes(frame, params, change, obs, policy, kernel, rngs, costs):
@@ -440,17 +440,11 @@ def simulate_episodes(frame, params, change, obs, policy, kernel, rngs, costs):
         x = np.where(n >= tau, 1, 2)
         y = (obs_cdf[x - 1] <= uniforms[rows, col][:, None]).sum(axis=1) + 1
         pi = check_belief(pi, 2)
-        _, num1, num2, sigma = bayes_step(pi[:, 0], pi[:, 1], obs.B[0, y - 1], obs.B[1, y - 1],
-                                          change.p)
-        if (sigma <= 0.0).any():
-            _raise_impossible(sigma, ImpossibleObservation, "observation", y, act, n, pi)
-        etas = _posterior(num1, num2, sigma)
+        etas = _update(pi, obs.B[0, y - 1], obs.B[1, y - 1], change.p,
+                       ImpossibleObservation, "observation", y, act, n)
         a = _draw(amap.batch(etas), uniforms[rows, col + 1], act) + 1
         like = kernel.at(pi[:, 0])[:, a - 1, np.arange(act.size)]
-        _, num1, num2, sigma = bayes_step(pi[:, 0], pi[:, 1], like[0], like[1], change.p)
-        if (sigma <= 0.0).any():
-            _raise_impossible(sigma, ImpossibleAction, "action", a, act, n, pi)
-        pi = _posterior(num1, num2, sigma)
+        pi = _update(pi, like[0], like[1], change.p, ImpossibleAction, "action", a, act, n)
         u = policy.decide(pi[:, 0])
         stopped = u == 1
         if stopped.any():

@@ -47,6 +47,16 @@ pi_x = p(. | x) for the choice rates and q for the action marginal:
    1/A + g (pi_x - 1/A) with g = (1 - phi) k / (1 - phi k), g = 0 at phi = 1,
    and pi_x replaced by its mean over the states at phi = 0. alpha and phi act
    only through the scalar g, in [0, 1] for A >= 2.
+5. Two parameter points with the same lam share pi_x, so for phi in (0, 1) the
+   vertex matrices V_i (rows Gamma(e_x)) have V_i - 1/A = g_i (pi_x - 1/A).
+   For g_1 >= g_2 >= 0 with g_1 > 0, r = g_2 / g_1 is in [0, 1] and
+   M = r I + (1 - r) J/A is row-stochastic; the rows of V_1 sum to 1, so
+   V_1 M = r V_1 + (1 - r)/A = 1/A + g_2 (pi_x - 1/A) = V_2. Every channel row
+   is eta @ V_i with eta on the simplex, so the one M garbles the larger-g
+   family into the smaller-g one at every belief and observation at once,
+   and by Blackwell (1953) the detector's optimal cost with the larger-g
+   opponent is no higher. The exception is phi = 0, where pi_x is replaced by
+   its state mean: such a point shares that mean, not pi_x, with the others.
 """
 
 from dataclasses import dataclass
@@ -289,17 +299,16 @@ def _steady_rho_from_probes(superop, frame):
         if np.abs(probe - probe2).max() <= PROBE_TOL:
             return probe2 / np.trace(probe2).real
         probe, t = probe2, 2 * t
-    raise NonConvergence(
-        f"steady-state probes did not settle by t={t}",
-        probes=(probe, probe2),
-    )
+    raise NonConvergence(f"steady-state probes did not settle by t={t}")
 
 
 def _steady_batch(gens, frame):
     """Steady-state action distributions of a stack of generators: one batched
     eigendecomposition, with long-time evolution where the null space is
     degenerate or empty at tolerance. Either way the density operator's
-    populations, summed over states, give the action distribution."""
+    populations, summed over states, give the action distribution. Probes
+    that do not settle raise NonConvergence with the generator's slowest
+    non-zero relaxation rate, its second-smallest |eigenvalue|, as .rate."""
     w, V = np.linalg.eig(gens)
     simple = (np.abs(w) <= NULL_TOL).sum(axis=1) == 1
     d = frame.dim
@@ -310,7 +319,12 @@ def _steady_batch(gens, frame):
         raise NumericalFailure("null-space candidate has zero trace")
     rhos[simple] /= traces[:, None, None]
     for i in np.flatnonzero(~simple):
-        rhos[i] = _steady_rho_from_probes(gens[i], frame)
+        try:
+            rhos[i] = _steady_rho_from_probes(gens[i], frame)
+        except NonConvergence as exc:
+            rate = float(np.sort(np.abs(w[i]))[1])
+            raise NonConvergence(f"{exc}: the slowest relaxation rate {rate:.3g} is below "
+                                 f"what probes up to that t can resolve", rate=rate) from None
     diags = np.real(np.diagonal(rhos, axis1=1, axis2=2))
     probs = diags.reshape(-1, frame.n_states, frame.n_actions).sum(axis=1)
     return np.stack([_finalize_distribution(p) for p in probs])

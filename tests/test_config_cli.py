@@ -839,6 +839,16 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert not os.path.exists(out)
 
 
+def test_cli_unsettled_probes_exit_3_naming_the_rate(tmp_path, capsys):
+    slow = BASE_INI.replace("alpha = 0.812", "alpha = 0.1").replace("phi = 0.9", "phi = 1e-8")
+    ini = write_ini(tmp_path, slow, "slow.ini")
+    assert main(["--config", ini, "--out", str(tmp_path / "o"), "--grid", "2", "solve"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error [numerical]: steady-state probes did not settle by "
+                          "t=52428800.0: the slowest relaxation rate 1e-09 is below")
+    assert not (tmp_path / "o").exists()
+
+
 LIKELIHOOD = st.sampled_from([0.0, 5e-324, 1e-300, 1.0]) | st.floats(0.0, 1.0)
 
 

@@ -20,6 +20,7 @@ from qdetect import (
     ActionMap,
     BeliefGrid,
     ChangeModel,
+    DecisionFrame,
     DetectionCosts,
     ParameterMixture,
     PsychParams,
@@ -36,6 +37,8 @@ from qdetect import (
 from qdetect import dominance
 from qdetect.dominance import _channel_family, _mix_params
 from qdetect.errors import InvalidModel, QDetectError
+from qdetect.protocol import _transitions
+from qdetect.quantum import closed_form_vertices
 
 PAIR_HI = PsychParams(0.9, 50.0, 0.3)    # dominating side of the test pair
 PAIR_LO = PsychParams(0.2, 50.0, 0.3)
@@ -316,6 +319,67 @@ def test_betweenness_flags_real_violation(pd_frame, pd_change, pd_obs):
     )
     assert report.violations > 0
     assert abs(report.worst_margin - (-2.0652097155893223e-04)) <= 1e-9
+
+
+def closed_form_family(frame, params, change, obs, pi_values):
+    """_channel_family with closed_form_vertices in place of the eigensolve:
+    the sensor posteriors T(pi, y) times the vertex matrix."""
+    post = _transitions(pi_values, obs.B[0][:, None], obs.B[1][:, None], change.p)[0].T
+    return np.stack([post, 1.0 - post], axis=-1) @ closed_form_vertices(frame, params)
+
+
+def test_criterion_8_violations_are_the_closed_forms(pd_frame, pd_change, pd_obs):
+    # criterion 8's 100 draws with every family built from the closed form
+    # (proof step 4): the same three pairs break betweenness with the same
+    # worst margins, so the violations are the model's (g and the logit
+    # choice are not linear in the parameters), not eigensolver error
+    rng = np.random.default_rng(20250808)
+    pi_values = np.linspace(0.0, 1.0, 11)
+    flagged = []
+    for draw in range(100):
+        p1, p2 = [PsychParams(alpha=float(rng.uniform(0.1, 0.5)),
+                              lam=float(rng.uniform(10.0, 100.0)),
+                              phi=float(rng.uniform(0.1, 0.5))) for _ in range(2)]
+        fam1, fam2 = (closed_form_family(pd_frame, p, pd_change, pd_obs, pi_values)
+                      for p in (p1, p2))
+        lo, hi = np.minimum(fam1, fam2), np.maximum(fam1, fam2)
+        worst = np.inf
+        for eps in np.linspace(0.1, 0.9, 9):
+            fam3 = closed_form_family(pd_frame, _mix_params(p1, p2, eps), pd_change, pd_obs,
+                                      pi_values)
+            worst = min(worst, float(np.minimum(fam3 - lo, hi - fam3).min()))
+        if worst < -1e-6:
+            flagged.append(draw)
+        report = interpolation_betweenness_check(pd_frame, p1, p2, pd_change, pd_obs)
+        assert abs(worst - report.worst_margin) <= 1e-12, (draw, worst, report)
+    assert flagged == [4, 72, 96]
+
+
+@settings(max_examples=25)
+@given(st.integers(2, 3), st.data())
+def test_larger_g_garbles_into_smaller_g_at_equal_lambda(pd_change, pd_obs, pd_costs, A, data):
+    # proof step 5: at one lam and phi in (0, 1), M = r I + (1 - r) J/A with
+    # r = g_2 / g_1 maps the larger-g vertex matrix onto the smaller-g one, so
+    # region_scan certifies that direction; the reverse need not hold
+    utility = data.draw(st.lists(st.floats(1.0, 30.0), min_size=2 * A, max_size=2 * A))
+    frame = DecisionFrame(2, A, np.reshape(utility, (A, 2)))
+    lam = data.draw(st.floats(0.1, 20.0))
+    points = [PsychParams(alpha=data.draw(st.floats(0.05, 1.0)), lam=lam,
+                          phi=data.draw(st.floats(1e-3, 0.999))) for _ in range(2)]
+    V1, V2 = (closed_form_vertices(frame, p) for p in points)
+    D1, D2 = V1 - 1.0 / A, V2 - 1.0 / A
+    if np.abs(D1).max() < np.abs(D2).max():
+        (V1, D1), (V2, D2), points = (V2, D2), (V1, D1), points[::-1]
+    scale = float((D1 * D1).sum())
+    r = float((D1 * D2).sum()) / scale if scale > 0.0 else 1.0
+    assert -1e-12 <= r <= 1.0 + 1e-12
+    M = r * np.eye(A) + (1.0 - r) / A
+    assert np.abs(V1 @ M - V2).max() <= 1e-12
+    _, rows = region_scan(frame, points[:1], points[1:], pd_change, pd_obs, pd_costs,
+                          BeliefGrid(n_cells=20), pi_samples=5)
+    fwd = next(row for row in rows if row.direction == "ref_to_test")
+    assert fwd.certified, fwd
+    assert fwd.worst_V_margin >= -1e-6
 
 
 def test_model_distance_zero_and_symmetry_breaking(pd_change):

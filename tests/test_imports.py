@@ -10,13 +10,16 @@ a fresh interpreter, because the rest of the suite has long since loaded
 scipy.
 """
 
+import ast
 import json
 import os
 import subprocess
 import sys
+import types
 
 import numpy as np
 
+import qdetect
 from qdetect import best_transform, dominance
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -167,3 +170,20 @@ def test_linprog_is_a_patchable_module_function(monkeypatch):
     assert len(calls) == 1
     assert resid <= 1e-6
     np.testing.assert_allclose(M.sum(axis=1), 1.0, atol=1e-9)
+
+
+def test_star_import_binds_names_not_modules():
+    # __all__ is built from the package namespace, which also holds the
+    # submodules its own imports bound; those stay out of a star import
+    with open(os.path.join(os.path.dirname(SRC), "README.md"), encoding="utf-8") as fh:
+        readme = fh.read()
+    quickstart = readme.split("## Library quickstart", 1)[1].split("```python\n", 1)[1]
+    imported = {alias.name for node in ast.walk(ast.parse(quickstart.split("```", 1)[0]))
+                if isinstance(node, ast.ImportFrom) and node.module == "qdetect"
+                for alias in node.names}
+    assert len(imported) == 8 and imported <= set(qdetect.__all__)
+    assert not [name for name in qdetect.__all__
+                if isinstance(getattr(qdetect, name), types.ModuleType)]
+    namespace = {}
+    exec("from qdetect import *", namespace)
+    assert "quantum" not in namespace and "ActionMap" in namespace

@@ -14,6 +14,7 @@ from qdetect import (
     ActionMap,
     DecisionFrame,
     InvalidModel,
+    NonConvergence,
     NumericalFailure,
     PsychParams,
     UnsupportedParameter,
@@ -430,6 +431,15 @@ def test_action_map_guard_on_the_readme_frame(pd_frame, alpha, phi, gap):
         with pytest.raises(NumericalFailure) as exc:
             ActionMap(pd_frame, params)
         assert exc.value.residual == pytest.approx(gap, rel=0.02)
+
+
+def test_unsettled_probes_name_the_slow_rate(pd_frame):
+    # both vertex generators relax the state marginal at alpha phi = 1e-9, too
+    # slowly for probes doubling up to t = 5.2e7 to settle; the error says so
+    with pytest.raises(NonConvergence, match=r"t=52428800\.0: the slowest relaxation rate "
+                                             r"1e-09 is below what probes") as exc:
+        ActionMap(pd_frame, PsychParams(alpha=0.1, lam=10.495, phi=1e-8))
+    assert exc.value.rate == pytest.approx(1e-9, rel=1e-3)
 
 
 def test_frame_validation():
