@@ -54,20 +54,36 @@ from .stopping import (
     extract_threshold,
     value_iteration,
 )
-from .dominance import (
-    BetweennessReport,
-    KLBoundReport,
-    best_transform,
-    box_grid,
-    interpolation_betweenness_check,
-    model_distance,
-    region_scan,
-    sensitivity_bound_check,
-)
 from .config import ExperimentConfig, config_hash, load_config, load_config_file
 
 __version__ = "0.1.0"
 
+# dominance takes about 3 ms to import and serves only the robustness
+# comparisons, so its names load it on first access (PEP 562)
+_DOMINANCE = (
+    "BetweennessReport",
+    "KLBoundReport",
+    "best_transform",
+    "box_grid",
+    "interpolation_betweenness_check",
+    "model_distance",
+    "region_scan",
+    "sensitivity_bound_check",
+)
+
+
+def __getattr__(name):
+    if name in _DOMINANCE:
+        from . import dominance
+        return getattr(dominance, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *_DOMINANCE})
+
+
 # the public names, not the submodules that importing them binds here
-__all__ = sorted(name for name, value in globals().items()
-                 if not name.startswith("_") and not isinstance(value, _ModuleType))
+__all__ = sorted([*_DOMINANCE, *(name for name, value in globals().items()
+                                 if not name.startswith("_")
+                                 and not isinstance(value, _ModuleType))])

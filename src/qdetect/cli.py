@@ -20,7 +20,6 @@ import numpy as np
 
 from . import serialize
 from .config import load_config_file
-from .dominance import box_grid, region_scan, sensitivity_bound_check
 from .errors import CacheMiss, ConfigError, QDetectError
 from .protocol import (
     MAX_EPISODES,
@@ -172,6 +171,8 @@ def cmd_simulate(config, args):
 
 
 def cmd_sensitivity(config, args):
+    from .dominance import sensitivity_bound_check    # loaded only where it runs: ~3 ms
+
     config.require("change", "obs", "costs", "mixture")
     report = sensitivity_bound_check(
         config.frame, config.params, config.mixture, config.change,
@@ -202,6 +203,8 @@ def _parse_box(text):
 
 
 def cmd_region_scan(config, args):
+    from .dominance import box_grid, region_scan
+
     ref_box, test_box = _parse_box(args.ref_box), _parse_box(args.test_box)
     config.require("change", "obs", "costs")
     ref_points = box_grid(*ref_box, args.points_per_axis)
@@ -229,12 +232,14 @@ def cmd_region_scan(config, args):
              f"{'yes' if separated else 'no'}"])
 
 
-# (global flag, type, help, the dotted config key it overrides)
+# (global flag, help, the dotted config key it overrides). An override is
+# passed on as typed, so it is hashed as the same text in the INI would be;
+# load_config casts and checks it as it does that key.
 _OVERRIDES = (
-    ("out", str, "output directory (overrides config)", "output.dir"),
-    ("seed", int, "seed override", "solver.seed"),
-    ("grid", int, "belief grid cells override", "solver.grid_n"),
-    ("tol", float, "value iteration tolerance override", "solver.vi_tol"),
+    ("out", "output directory (overrides config)", "output.dir"),
+    ("seed", "seed override", "solver.seed"),
+    ("grid", "belief grid cells override", "solver.grid_n"),
+    ("tol", "value iteration tolerance override", "solver.vi_tol"),
 )
 
 
@@ -244,8 +249,8 @@ def build_parser():
         description="Quantum-decision change detection experiments",
     )
     parser.add_argument("--config", required=True, help="INI config path")
-    for flag, cast, text, _ in _OVERRIDES:
-        parser.add_argument(f"--{flag}", type=cast, help=text)
+    for flag, text, _ in _OVERRIDES:
+        parser.add_argument(f"--{flag}", help=text)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("stp-sweep", help="coupling sweep with violation flags")
@@ -278,7 +283,7 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    overrides = {key: getattr(args, flag) for flag, _, _, key in _OVERRIDES
+    overrides = {key: getattr(args, flag) for flag, _, key in _OVERRIDES
                  if getattr(args, flag) is not None}
     try:
         for name in ("phi_points", "episodes", "points_per_axis", "pi_samples"):

@@ -19,10 +19,10 @@ where artifacts are written.
 
 import configparser
 import hashlib
-from dataclasses import dataclass
 
 import numpy as np
 
+from ._record import record
 from .errors import ConfigError
 from .protocol import (
     BeliefGrid,
@@ -81,8 +81,11 @@ def config_hash(sections):
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()[:12]
 
 
-@dataclass(frozen=True)
+@record
 class ExperimentConfig:
+    """The parsed config: model parts (None where a section is absent), solver
+    settings, output directory and the config hash."""
+
     frame: DecisionFrame
     params: PsychParams
     mixture: ParameterMixture | None

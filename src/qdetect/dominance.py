@@ -12,10 +12,10 @@ KL-based robustness bound used by the sensitivity harness.
 import functools
 import math
 import os
-from dataclasses import dataclass
 
 import numpy as np
 
+from ._record import record
 from .errors import InvalidModel
 from .protocol import _channel_family, build_action_kernel, build_mismatched_kernel
 from .quantum import PsychParams
@@ -39,7 +39,7 @@ def linprog(*args, **kwargs):
     return milp(*args, **kwargs)
 
 
-@dataclass(frozen=True)
+@record
 class KLBoundReport:
     """Per-grid-point check of the mismatch robustness bound."""
 
@@ -54,8 +54,11 @@ class KLBoundReport:
         return float(np.min(self.rhs - self.lhs))
 
 
-@dataclass(frozen=True)
+@record
 class BetweennessReport:
+    """Result of interpolation_betweenness_check: components checked, how many
+    fell outside their endpoint interval by more than tol, and the worst margin."""
+
     checks: int
     violations: int
     worst_margin: float
@@ -291,7 +294,7 @@ def box_grid(alpha, lam, phi, points_per_axis):
     return pts
 
 
-@dataclass(frozen=True)
+@record
 class ScanRow:
     """One (ref point, test point, direction) record from a region scan."""
 

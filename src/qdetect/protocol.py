@@ -13,10 +13,10 @@ time is geometric(p) with mean 1/p.
 """
 
 import operator
-from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._record import derived, record
 from .errors import (
     ImpossibleAction,
     ImpossibleObservation,
@@ -27,7 +27,7 @@ from .errors import (
 from .quantum import ActionMap, check_belief
 
 
-@dataclass(frozen=True)
+@record
 class ChangeModel:
     """Absorbing two-state chain: P = [[1, 0], [p, 1-p]], initial belief (0, 1)."""
 
@@ -50,7 +50,7 @@ class ChangeModel:
         return 1.0 / self.p
 
 
-@dataclass(frozen=True)
+@record
 class ObservationModel:
     """Observation likelihood table B[x-1, y-1] = p(y | x), rows summing to 1."""
 
@@ -71,7 +71,7 @@ class ObservationModel:
         return self.B.shape[1]
 
 
-@dataclass(frozen=True)
+@record
 class DetectionCosts:
     """False alarm penalty f and per-step delay penalty d."""
 
@@ -85,12 +85,12 @@ class DetectionCosts:
             raise InvalidModel("costs must be >= 0")
 
 
-@dataclass(frozen=True)
+@record
 class BeliefGrid:
     """N+1 uniformly spaced values of pi(1) on [0, 1]."""
 
     n_cells: int
-    points: np.ndarray = field(init=False, repr=False, compare=False)
+    points: np.ndarray = derived(hidden=True)
 
     def __post_init__(self):
         if self.n_cells < 1:
@@ -141,7 +141,7 @@ def grid_interp(F, slopes, stencil):
     return out
 
 
-@dataclass(frozen=True)
+@record
 class ParameterMixture:
     """Finite mixture of parameter points with nonnegative weights summing to 1."""
 
@@ -159,13 +159,13 @@ class ParameterMixture:
             raise InvalidModel(f"mixture weights must sum to 1, got {w.sum()!r}")
 
 
-@dataclass(frozen=True)
+@record
 class ActionKernel:
     """Action likelihoods R[x-1, i, a-1] = p(a | state x, public belief grid[i])."""
 
     grid: BeliefGrid
     table: np.ndarray
-    slopes: np.ndarray = field(init=False, repr=False, compare=False)
+    slopes: np.ndarray = derived(hidden=True)
 
     def __post_init__(self):
         R = np.asarray(self.table, dtype=float)
@@ -351,7 +351,7 @@ def episode_generators(seed, n):
     return [Generator(PCG64(StateWords(w))) for w in words]
 
 
-@dataclass(frozen=True)
+@record
 class EpisodeBatch:
     """The episode record of simulate_episodes: per-episode change and stop
     times and realized costs, one entry per seed."""

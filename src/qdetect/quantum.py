@@ -59,10 +59,9 @@ pi_x = p(. | x) for the choice rates and q for the action marginal:
    its state mean: such a point shares that mean, not pi_x, with the others.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from ._record import record
 from .errors import (
     InvalidModel,
     NonConvergence,
@@ -71,7 +70,7 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True)
+@record
 class PsychParams:
     """Evolution parameters: dissipation weight alpha, choice sharpness lam,
     belief-coupling weight phi."""
@@ -89,7 +88,7 @@ class PsychParams:
             raise InvalidModel(f"lam must be finite and >= 0, got {self.lam}")
 
 
-@dataclass(frozen=True)
+@record
 class DecisionFrame:
     """State/action spaces and the finite, positive utility table u(a | x),
     shaped (n_actions, n_states)."""

@@ -10,10 +10,9 @@ with expectations under the one-step action (or observation) likelihoods and
 V read off the grid by linear interpolation. Ties break toward stopping.
 """
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
+from ._record import derived, record
 from .errors import InvalidModel, NonConvergence
 from .protocol import BeliefGrid, _transitions, grid_interp, grid_slopes, grid_stencil
 
@@ -22,7 +21,7 @@ VI_TOL = 1e-8
 MAX_ITER = 10000
 
 
-@dataclass(frozen=True)
+@record
 class ValueTable:
     """Optimal (or fixed-policy) expected cost at each point of its grid."""
 
@@ -38,15 +37,15 @@ class ValueTable:
             raise InvalidModel("values must be finite")
 
 
-@dataclass(frozen=True)
+@record
 class Policy:
     """Stop/continue decision u at each grid point. u is the whole rule: the
     threshold and crossing count are derived from it by extract_threshold."""
 
     grid: BeliefGrid
     u: np.ndarray
-    threshold: float | None = field(init=False)
-    crossings: int = field(init=False)
+    threshold: float | None = derived()
+    crossings: int = derived()
 
     def __post_init__(self):
         u = np.asarray(self.u)

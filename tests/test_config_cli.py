@@ -911,6 +911,22 @@ def test_cli_cache_keyed_by_hash(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_cli_override_is_hashed_as_typed(tmp_path, capsys):
+    # the overrides restate the INI: cast to float before hashing, --tol 1e-8
+    # was hashed as 1e-08 and looked for the solve in another cache directory
+    text = BASE_INI.replace("seed = 11", "seed = 11\nvi_tol = 1e-8")
+    ini = write_ini(tmp_path, text)
+    out = str(tmp_path / "out")
+    assert main(["--config", ini, "--out", out, "solve"]) == 0
+    assert main(["--config", ini, "--out", out, "--tol", "1e-8", "--grid", "60",
+                 "--seed", "11", "simulate", "--episodes", "5"]) == 0
+    episodes = os.path.join(out, load_config(text).hash, "episodes.csv")
+    assert f"-> {episodes}\n" in capsys.readouterr().out
+    # load_config casts and checks the typed text as it does the INI's
+    assert main(["--config", ini, "--out", out, "--grid", "1.5", "solve"]) == 2
+    assert capsys.readouterr().err.startswith("error [config]: bad [solver] grid_n = '1.5'")
+
+
 def test_cli_stp_sweep(tmp_path, capsys):
     ini = write_ini(tmp_path)
     out = str(tmp_path / "out")

@@ -1,5 +1,6 @@
-"""Start-up cost: scipy and the process-pool modules stay off the import path
-and off the commands that do not need them.
+"""Start-up cost: scipy, the process-pool modules, dataclasses and
+qdetect.dominance stay off the import path and off the commands that do not
+need them.
 
 `scipy.linalg` (about 0.3 s to import) serves only `evolve` and the
 steady-state probe fallback, and `scipy.optimize` (about 0.25 s) and
@@ -187,3 +188,59 @@ def test_star_import_binds_names_not_modules():
     namespace = {}
     exec("from qdetect import *", namespace)
     assert "quantum" not in namespace and "ActionMap" in namespace
+
+
+# dataclasses' per-class code generation (about 5 ms) is gone from the
+# package, and qdetect.dominance (about 3 ms) loads only where it runs
+HEAVY = ("dataclasses", "qdetect.dominance")
+MIXTURE = """
+[mixture]
+atom1 = 0.712 10.495 0.9 0.5
+atom2 = 0.912 10.495 0.9 0.5
+"""
+REGION_SCAN = ["region-scan", "--ref-box", "0.9:0.9,50:50,0.3:0.3",
+               "--test-box", "0.2:0.2,50:50,0.3:0.3", "--points-per-axis", "1",
+               "--pi-samples", "3"]
+
+
+def test_dataclasses_and_dominance_stay_off_solve_sweep_and_simulate(tmp_path):
+    ini = tmp_path / "exp.ini"
+    ini.write_text(README_INI + MIXTURE, encoding="utf-8")
+    code = f"""
+import json, sys
+import qdetect.cli
+def loaded():
+    return [m for m in {HEAVY!r} if m in sys.modules]
+ini, out = sys.argv[1:]
+steps = [["import", loaded()]]
+for argv in (["solve"], ["threshold-sweep", "--f-values", "1:3"],
+             ["simulate", "--episodes", "20"], ["sensitivity"]):
+    assert qdetect.cli.main(["--config", ini, "--out", out, *argv]) == 0
+    steps.append([argv[0], loaded()])
+print(json.dumps(steps))
+"""
+    steps = dict(run_fresh(code, str(ini), str(tmp_path / "out")))
+    assert steps.pop("sensitivity")[-1] == "qdetect.dominance"
+    assert steps == {"import": [], "solve": [], "threshold-sweep": [], "simulate": []}
+
+
+def test_region_scan_and_the_package_names_load_dominance(tmp_path):
+    ini = tmp_path / "exp.ini"
+    ini.write_text(README_INI, encoding="utf-8")
+    code = f"""
+import json, sys
+import qdetect.cli
+before = "qdetect.dominance" in sys.modules
+assert qdetect.cli.main(["--config", sys.argv[1], "--out", sys.argv[2], *{REGION_SCAN!r}]) == 0
+print(json.dumps([before, "qdetect.dominance" in sys.modules]))
+"""
+    assert run_fresh(code, str(ini), str(tmp_path / "out")) == [False, True]
+    code = """
+import json, sys
+import qdetect
+before = "qdetect.dominance" in sys.modules
+from qdetect import region_scan
+print(json.dumps([before, region_scan is sys.modules["qdetect.dominance"].region_scan,
+                  "region_scan" in qdetect.__all__, "region_scan" in dir(qdetect)]))
+"""
+    assert run_fresh(code) == [False, True, True, True]
