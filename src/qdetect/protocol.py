@@ -24,7 +24,7 @@ from .errors import (
     NumericalFailure,
     RunawayEpisode,
 )
-from .quantum import ActionMap, check_belief
+from .quantum import ActionMap, check_belief, first_bad_row
 
 
 @record
@@ -111,7 +111,7 @@ def grid_stencil(x, q):
     -(x[lo] - q): the same number, except -0.0 for a query on a grid point,
     so that slope * step + F[lo] keeps a -0.0 entry there."""
     q = np.minimum(np.maximum(q, x[0]), x[-1])
-    lo = np.searchsorted(x, q, "right") - 1
+    lo = x.searchsorted(q, "right") - 1
     return lo, -(x[lo] - q)
 
 
@@ -165,6 +165,7 @@ class ActionKernel:
 
     grid: BeliefGrid
     table: np.ndarray
+    columns: np.ndarray = derived(hidden=True)
     slopes: np.ndarray = derived(hidden=True)
 
     def __post_init__(self):
@@ -176,9 +177,11 @@ class ActionKernel:
             raise InvalidModel("kernel entries must be finite and >= 0")
         if np.abs(R.sum(axis=2) - 1.0).max() > 1e-9:
             raise InvalidModel("kernel rows must sum to 1")
-        # grid_slopes of each (state, action) column, shape (2, n_actions, size)
-        slopes = grid_slopes(R.transpose(0, 2, 1), np.diff(self.grid.points))
-        object.__setattr__(self, "slopes", slopes)
+        # each (state, action) column of R contiguous, shape (2, n_actions, size),
+        # and its grid_slopes
+        columns = np.ascontiguousarray(R.transpose(0, 2, 1))
+        object.__setattr__(self, "columns", columns)
+        object.__setattr__(self, "slopes", grid_slopes(columns, np.diff(self.grid.points)))
 
     @property
     def n_actions(self):
@@ -188,7 +191,7 @@ class ActionKernel:
         """Kernel values at off-grid beliefs, interpolated linearly in pi(1)
         per (state, action) column; shape (2, n_actions) + shape of pi1."""
         stencil = grid_stencil(self.grid.points, pi1)
-        return grid_interp(self.table.transpose(0, 2, 1), self.slopes, stencil)
+        return grid_interp(self.columns, self.slopes, stencil)
 
 
 def bayes_step(pi1, pi2, like1, like2, p):
@@ -361,17 +364,19 @@ class EpisodeBatch:
     cost: np.ndarray
 
 
+# how far from 1 Generator.choice lets the sum of p be
+_SQRT_EPS = np.sqrt(np.finfo(float).eps)
+
+
 def _cdf(probs, episodes):
     """Row-wise cdf that Generator.choice(len(p), p=p) draws from:
     cumsum(p) / sum(p). choice's checks stay: entries finite and >= 0, sum
     within sqrt(eps) of 1."""
-    residual = np.abs(probs.sum(axis=1) - 1.0)
-    ok = (probs >= 0).all(axis=1) & (residual <= np.sqrt(np.finfo(float).eps))  # NaN, inf fail
-    if not ok.all():
-        k = int(np.argmin(ok))
+    k, residual = first_bad_row(probs, 0.0, _SQRT_EPS)
+    if k is not None:
         raise NumericalFailure(f"episode {episodes[k]}: {probs[k]} is not a probability "
                                f"vector", residual=float(residual[k]))
-    cdf = np.cumsum(probs, axis=1)
+    cdf = np.add.accumulate(probs, axis=1)
     cdf /= cdf[:, -1:]
     return cdf
 
@@ -379,7 +384,7 @@ def _cdf(probs, episodes):
 def _draw(probs, uniforms, episodes):
     """Row-wise index that Generator.choice(len(p), p=p) draws with uniform
     u: the count of entries of the _cdf of p that are <= u."""
-    return (_cdf(probs, episodes) <= uniforms[:, None]).sum(axis=1)
+    return np.add.reduce(_cdf(probs, episodes) <= uniforms[:, None], axis=1)
 
 
 def _update(pi, like1, like2, p, error, kind, values, episodes, n):
@@ -434,14 +439,18 @@ def simulate_episodes(frame, params, change, obs, policy, kernel, rngs, costs):
                                  episode=int(act[0]), step_cap=step_cap)
         if n > block_end:                           # the next uniforms of each running episode
             width = min(max(32, n), 1024)
-            uniforms = np.array([rngs[k].random(2 * width) for k in act])
+            uniforms = np.empty((act.size, 2 * width))
+            for k, row in zip(act.tolist(), uniforms):
+                rngs[k].random(out=row)
             rows, block_start, block_end = np.arange(act.size), n, n + width - 1
         col = 2 * (n - block_start)
-        x = np.where(n >= tau, 1, 2)
-        y = (obs_cdf[x - 1] <= uniforms[rows, col][:, None]).sum(axis=1) + 1
+        # y's cdf row is state 2's (index 1) until the change at step tau
+        y = np.add.reduce(obs_cdf.take(tau > n, axis=0) <= uniforms[rows, col][:, None],
+                          axis=1) + 1
         pi = check_belief(pi, 2)
-        etas = _update(pi, obs.B[0, y - 1], obs.B[1, y - 1], change.p,
-                       ImpossibleObservation, "observation", y, act, n)
+        like = obs.B.take(y - 1, axis=1)            # p(y | state 1), p(y | state 2)
+        etas = _update(pi, like[0], like[1], change.p, ImpossibleObservation, "observation",
+                       y, act, n)
         a = _draw(amap.batch(etas), uniforms[rows, col + 1], act) + 1
         like = kernel.at(pi[:, 0])[:, a - 1, np.arange(act.size)]
         pi = _update(pi, like[0], like[1], change.p, ImpossibleAction, "action", a, act, n)

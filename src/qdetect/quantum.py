@@ -126,6 +126,19 @@ PSD_TOL = 1e-9
 CLOSED_FORM_TOL = 1e-10         # ActionMap's vertices against the closed form
 
 
+def first_bad_row(rows, floor, tol):
+    """The index of the first row of a stack, shape (m, n), with an entry
+    below floor or a sum more than tol from 1 (NaN and +-inf fail), or None
+    when every row passes; and each row's |sum - 1|. Two reductions over the
+    whole stack give the verdict; the rows' own are formed only on
+    rejection, to find the first."""
+    residual = np.abs(np.add.reduce(rows, axis=1) - 1.0)
+    if (np.minimum.reduce(rows, axis=None, initial=np.inf) >= floor
+            and np.maximum.reduce(residual, initial=0.0) <= tol):
+        return None, residual
+    return int(np.argmin((rows >= floor).all(axis=1) & (residual <= tol))), residual
+
+
 def check_belief(eta, n):
     """Validate a length-n belief vector or a stack of them, shape (m, n):
     each row nonnegative (to -1e-12) and summing to 1 within 1e-12. NaN fails.
@@ -134,9 +147,8 @@ def check_belief(eta, n):
     if eta.ndim not in (1, 2) or eta.shape[-1] != n:
         raise InvalidModel(f"belief must have length {n}, got shape {eta.shape}")
     rows = eta.reshape(-1, n)
-    ok = (rows >= -1e-12).all(axis=1) & (np.abs(rows.sum(axis=1) - 1.0) <= 1e-12)
-    if not ok.all():
-        row = int(np.argmin(ok))
+    row, _ = first_bad_row(rows, -1e-12, 1e-12)
+    if row is not None:
         raise InvalidModel(f"belief row {row} is not a distribution: {rows[row]}")
     return np.maximum(eta, 0.0)
 
@@ -229,15 +241,21 @@ def _dissipator(gamma):
     S = np.zeros((d * d, d * d))
     idx = np.arange(d) * (d + 1)                    # positions of diagonal entries
     S[np.ix_(idx, idx)] = gamma
-    S -= 0.5 * (np.kron(np.diag(g), np.eye(d)) + np.kron(np.eye(d), np.diag(g)))
+    # the anticommutator 0.5 (g_i + g_j) of entry (i, j): diagonal in S
+    S.reshape(-1)[:: d * d + 1] -= 0.5 * (g[:, None] + g).reshape(-1)
     return S
 
 
 def _coherent(frame, alpha):
     """Superoperator of the coherent part -i(1-alpha)[H, .] on row-major
     vectorized density operators."""
-    H, eye = hamiltonian(frame), np.eye(frame.dim)
-    return -1j * (1.0 - alpha) * (np.kron(H, eye) - np.kron(eye, H.T))
+    d = frame.dim
+    H, eye = hamiltonian(frame), np.eye(d)
+    # kron(H, I) - kron(I, H^T): entry (i d + k, j d + l) is
+    # H[i, j] I[k, l] - I[i, j] H[l, k], the products formed by broadcasting
+    left = H[:, None, :, None] * eye[None, :, None, :]
+    right = eye[:, None, :, None] * H.T[None, :, None, :]
+    return -1j * (1.0 - alpha) * (left - right).reshape(d * d, d * d)
 
 
 def assemble_lindbladian(frame, params, eta):

@@ -50,11 +50,18 @@ from qdetect import (
     value_iteration,
 )
 from qdetect.protocol import (
-    _draw, _transitions, bayes_step, grid_interp, grid_slopes, grid_stencil,
+    _cdf, _draw, _transitions, bayes_step, grid_interp, grid_slopes, grid_stencil,
 )
 from qdetect.quantum import assemble_lindbladian
 
-from oracles import always_stop_policy, observation_likelihood, predict
+from oracles import (
+    SQRT_EPS,
+    always_stop_policy,
+    edge_stacks,
+    observation_likelihood,
+    predict,
+    probability_rows_residual,
+)
 
 NO_COSTS = DetectionCosts(f=0.0, d=0.0)     # for episodes whose costs no test reads
 
@@ -937,3 +944,62 @@ def test_draw_rule_and_checks():
     for bad in ([[1.5, -0.5]], [[np.nan, 1.0]], [[np.inf, 0.0]]):
         with pytest.raises(NumericalFailure):
             _draw(np.array(bad), np.array([0.1]), np.array([0]))
+
+
+@settings(max_examples=300)
+@given(edge_stacks(0.0, SQRT_EPS), st.integers(0, 1000))
+def test_cdf_accepts_exactly_choices_per_row_rule(probs, first):
+    # the whole-stack verdict against each row's own; a rejection names the
+    # first bad row's episode and carries its residual. A row holding inf and
+    # -inf sums to NaN with numpy's RuntimeWarning, on either side.
+    probs = probs.reshape(-1, probs.shape[-1])
+    episodes = first + 3 * np.arange(len(probs))
+    with np.errstate(invalid="ignore"):
+        residual, ok = probability_rows_residual(probs)
+        if ok.all():
+            want = np.cumsum(probs, axis=1)
+            want /= want[:, -1:]
+            assert same_bits(_cdf(probs, episodes), want)
+        else:
+            k = int(np.flatnonzero(~ok)[0])
+            with pytest.raises(NumericalFailure) as info:
+                _cdf(probs, episodes)
+            assert str(info.value) == (f"episode {episodes[k]}: {probs[k]} is not a "
+                                       f"probability vector")
+            assert same_bits(info.value.residual, residual[k])
+
+
+@pytest.mark.parametrize("nan_first", [True, False])
+def test_lockstep_names_the_first_episode_with_a_bad_action_distribution(
+    monkeypatch, pd_frame, pd_params, slow_change, pd_obs, slow_kernel, slow_policy, nan_first
+):
+    # at a step after some episodes have stopped, one running episode's
+    # action distribution is NaN and a later one's has a negative entry, or
+    # the other way round: the first of the two is named
+    seeds = list(range(30))
+    stop = simulate_episodes(pd_frame, pd_params, slow_change, pd_obs, slow_policy,
+                             slow_kernel, _rngs(seeds), NO_COSTS).stop_time
+    step = int(np.sort(stop)[len(seeds) // 3]) + 1
+    running = np.flatnonzero(stop >= step)
+    assert running.size > 7 and running[3] != 3
+    bad = {3: np.array([np.nan, np.nan]), 7: np.array([1.5, -0.5])}
+    if not nan_first:
+        bad = {3: bad[7], 7: bad[3]}
+    calls = []
+
+    class SpoiledActionMap(ActionMap):
+        def batch(self, beliefs):
+            gammas = super().batch(beliefs)
+            calls.append(len(gammas))
+            if len(calls) == step:
+                for row, gamma in bad.items():
+                    gammas[row] = gamma
+            return gammas
+
+    monkeypatch.setattr("qdetect.protocol.ActionMap", SpoiledActionMap)
+    with pytest.raises(NumericalFailure) as info:
+        simulate_episodes(pd_frame, pd_params, slow_change, pd_obs, slow_policy, slow_kernel,
+                          _rngs(seeds), NO_COSTS)
+    assert calls[-1] == running.size
+    assert str(info.value) == (f"episode {running[3]}: {bad[3]} is not a probability vector")
+    assert same_bits(info.value.residual, np.nan if nan_first else 0.0)

@@ -8,7 +8,7 @@ matrix exponential as a cross-check on the eigendecomposition path.
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from qdetect import (
     ActionMap,
@@ -31,11 +31,17 @@ from qdetect import quantum
 from qdetect.cli import sweep_stp
 from qdetect.quantum import check_belief, check_density
 
+from oracles import belief_rows_ok, edge_stacks, kron_coherent, kron_dissipator
+
 
 def direct_choice_probs(utility, lam):
     # plain power softmax, no log trick: independent of the implementation path
     w = np.asarray(utility, dtype=float) ** lam
     return w / w.sum(axis=0, keepdims=True)
+
+
+def same_bytes(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def random_density(rng, d):
@@ -133,6 +139,25 @@ def test_belief_matrix_rejects_bad_beliefs(pd_frame):
         check_belief([np.nan, np.nan], 2)
     with pytest.raises(InvalidModel, match="row 1"):
         check_belief([[0.5, 0.5], [np.nan, 1.0]], 2)
+
+
+@settings(max_examples=300)
+@given(edge_stacks(-1e-12, 1e-12))
+def test_check_belief_accepts_exactly_the_per_row_rule(eta):
+    # the whole-stack verdict against each row's own; a rejection names the
+    # first bad row. A row holding inf and -inf sums to NaN with numpy's
+    # RuntimeWarning, on either side.
+    n = eta.shape[-1]
+    rows = eta.reshape(-1, n)
+    with np.errstate(invalid="ignore"):
+        ok = belief_rows_ok(rows)
+        if ok.all():
+            assert same_bytes(check_belief(eta, n), np.maximum(eta, 0.0))
+        else:
+            row = int(np.flatnonzero(~ok)[0])
+            with pytest.raises(InvalidModel) as info:
+                check_belief(eta, n)
+            assert str(info.value) == f"belief row {row} is not a distribution: {rows[row]}"
 
 
 def test_cognitive_matrix_blend_endpoints(pd_frame):
@@ -477,3 +502,49 @@ def test_lindblad_long_time_state_is_one_density_from_any_start(n, data):
     np.testing.assert_allclose(other, rho, rtol=0, atol=1e-9)
     np.testing.assert_allclose(np.real(np.diag(rho)).reshape(n, A).sum(axis=0),
                                steady_state_distribution(frame, params, eta), rtol=0, atol=1e-9)
+
+
+@st.composite
+def frames_and_rates(draw):
+    # n = 2 and up to 8 actions; nonnegative rates with exact zeros, as every
+    # cognitive matrix has; a certain belief or an interior one
+    A = draw(st.integers(1, 8))
+    d = 2 * A
+    frame = DecisionFrame(2, A, np.reshape(
+        draw(st.lists(st.floats(1.0, 30.0), min_size=d, max_size=d)), (A, 2)))
+    params = PsychParams(alpha=draw(st.floats(0.0, 1.0)), lam=draw(st.floats(0.0, 50.0)),
+                         phi=draw(st.floats(0.0, 1.0)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    gamma = rng.exponential(size=(d, d)) * (rng.random((d, d)) < 0.7)
+    eta = draw(st.sampled_from([[1.0, 0.0], [0.0, 1.0]]) | st.just(rng.dirichlet([1.0, 1.0])))
+    return frame, params, gamma, np.asarray(eta)
+
+
+@settings(max_examples=60)
+@given(frames_and_rates())
+def test_superoperators_are_the_kron_forms_to_the_byte(case):
+    frame, params, gamma, eta = case
+    assert same_bytes(quantum._dissipator(gamma), kron_dissipator(gamma))
+    assert same_bytes(quantum._coherent(frame, params.alpha), kron_coherent(frame, params.alpha))
+    want = (kron_coherent(frame, params.alpha)
+            + params.alpha * kron_dissipator(cognitive_matrix(frame, params, eta)))
+    assert same_bytes(assemble_lindbladian(frame, params, eta), want)
+
+
+@settings(max_examples=30)
+@given(st.integers(1, 4), st.data())
+def test_action_map_vertices_are_the_kron_assemblys_to_the_byte(A, data):
+    # ActionMap's generators assembled from the np.kron forms, through the
+    # same eigensolve (or probes, at phi 0 and 1)
+    frame = DecisionFrame(2, A, np.reshape(
+        data.draw(st.lists(st.floats(1.0, 30.0), min_size=2 * A, max_size=2 * A)), (A, 2)))
+    params = PsychParams(
+        alpha=data.draw(st.floats(0.05, 1.0)), lam=data.draw(st.floats(0.0, 50.0)),
+        phi=data.draw(st.sampled_from([0.0, 1.0]) | st.floats(1e-3, 1.0 - 1e-3)))
+    alpha, phi = params.alpha, params.phi
+    Pi = subjective_choice_matrix(frame, params.lam)
+    base = kron_coherent(frame, alpha) + alpha * kron_dissipator((1.0 - phi) * Pi.T)
+    parts = np.stack([alpha * kron_dissipator(phi * belief_matrix(frame, e).T)
+                      for e in np.eye(2)])
+    assert same_bytes(ActionMap(frame, params).vertices,
+                      quantum._steady_batch(base + parts, frame))

@@ -1,8 +1,8 @@
 """The value types are frozen records: constructed by position or keyword,
 refusing assignment, and compared, hashed, printed and pickled over their
-fields. BeliefGrid.points and ActionKernel.slopes are derived from the other
-fields and left out of ==, hash and repr; Policy's threshold and crossings
-are derived too but kept in them.
+fields. BeliefGrid.points and ActionKernel.columns and .slopes are derived
+from the other fields and left out of ==, hash and repr; Policy's threshold
+and crossings are derived too but kept in them.
 """
 
 import inspect
@@ -118,6 +118,8 @@ def test_derived_fields_stay_out_of_the_comparison():
     assert a == b and hash(a) == hash(b) and a != BeliefGrid(5)
     kernel = ActionKernel(GRID, TABLE)
     assert "slopes" not in repr(kernel) and kernel.slopes.shape == (2, 2, 5)
+    assert "columns" not in repr(kernel) and kernel.columns.flags.c_contiguous
+    np.testing.assert_array_equal(kernel.columns, TABLE.transpose(0, 2, 1))
 
 
 def test_constructor_argument_errors():
