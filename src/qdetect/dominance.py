@@ -10,6 +10,7 @@ KL-based robustness bound used by the sensitivity harness.
 """
 
 import functools
+import itertools
 import math
 import os
 
@@ -282,16 +283,10 @@ def sensitivity_bound_check(
 
 def box_grid(alpha, lam, phi, points_per_axis):
     """Cartesian sample of a parameter box, points_per_axis per axis."""
-    axes = [
-        np.linspace(lo, hi, points_per_axis) if hi > lo else np.array([lo])
-        for lo, hi in (alpha, lam, phi)
-    ]
-    pts = []
-    for a in axes[0]:
-        for l in axes[1]:
-            for ph in axes[2]:
-                pts.append(PsychParams(alpha=float(a), lam=float(l), phi=float(ph)))
-    return pts
+    axes = [np.linspace(lo, hi, points_per_axis) if hi > lo else np.array([lo])
+            for lo, hi in (alpha, lam, phi)]
+    return [PsychParams(alpha=float(a), lam=float(l), phi=float(ph))
+            for a, l, ph in itertools.product(*axes)]
 
 
 @record

@@ -27,6 +27,15 @@ from .errors import (
 from .quantum import ActionMap, check_belief, first_bad_row
 
 
+def _check_rows(rows, tol, name):
+    """InvalidModel naming the first row of rows that fails first_bad_row at
+    floor 0 and tol: ">= 0" if it holds NaN or a negative entry, else "sum to 1"."""
+    k, residual, low = first_bad_row(rows, 0.0, tol)
+    if k is not None:
+        rule = "must be >= 0" if low else f"must sum to 1 (off by {float(residual[k])!r})"
+        raise InvalidModel(f"{name} {rule}, got row {k}: {rows[k].tolist()}")
+
+
 @record
 class ChangeModel:
     """Absorbing two-state chain: P = [[1, 0], [p, 1-p]], initial belief (0, 1)."""
@@ -61,10 +70,7 @@ class ObservationModel:
         object.__setattr__(self, "B", B)
         if B.ndim != 2 or B.shape[0] != 2:
             raise InvalidModel(f"B must be 2 x n_obs, got {B.shape}")
-        if not np.all(B >= 0):                      # NaN fails here
-            raise InvalidModel(f"observation likelihoods must be >= 0, got {B.tolist()}")
-        if not np.all(np.abs(B.sum(axis=1) - 1.0) <= 1e-12):
-            raise InvalidModel("each row of B must sum to 1")
+        _check_rows(B, 1e-12, "observation likelihoods")
 
     @property
     def n_obs(self):
@@ -152,11 +158,7 @@ class ParameterMixture:
         object.__setattr__(self, "atoms", atoms)
         if not atoms:
             raise InvalidModel("mixture needs at least one atom")
-        w = np.array([weight for _, weight in atoms], dtype=float)
-        if not np.all(w >= 0):                      # NaN fails here
-            raise InvalidModel(f"mixture weights must be >= 0, got {w.tolist()}")
-        if not abs(w.sum() - 1.0) <= 1e-12:
-            raise InvalidModel(f"mixture weights must sum to 1, got {w.sum()!r}")
+        _check_rows(np.array([[w for _, w in atoms]], dtype=float), 1e-12, "mixture weights")
 
 
 @record
@@ -173,10 +175,7 @@ class ActionKernel:
         object.__setattr__(self, "table", R)
         if R.ndim != 3 or R.shape[0] != 2 or R.shape[1] != self.grid.size:
             raise InvalidModel(f"kernel table has shape {R.shape}")
-        if not np.all(np.isfinite(R)) or np.any(R < 0):
-            raise InvalidModel("kernel entries must be finite and >= 0")
-        if np.abs(R.sum(axis=2) - 1.0).max() > 1e-9:
-            raise InvalidModel("kernel rows must sum to 1")
+        _check_rows(R.reshape(2 * self.grid.size, -1), 1e-9, "kernel rows")
         # each (state, action) column of R contiguous, shape (2, n_actions, size),
         # and its grid_slopes
         columns = np.ascontiguousarray(R.transpose(0, 2, 1))
@@ -372,7 +371,7 @@ def _cdf(probs, episodes):
     """Row-wise cdf that Generator.choice(len(p), p=p) draws from:
     cumsum(p) / sum(p). choice's checks stay: entries finite and >= 0, sum
     within sqrt(eps) of 1."""
-    k, residual = first_bad_row(probs, 0.0, _SQRT_EPS)
+    k, residual, _ = first_bad_row(probs, 0.0, _SQRT_EPS)
     if k is not None:
         raise NumericalFailure(f"episode {episodes[k]}: {probs[k]} is not a probability "
                                f"vector", residual=float(residual[k]))

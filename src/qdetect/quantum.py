@@ -127,16 +127,21 @@ CLOSED_FORM_TOL = 1e-10         # ActionMap's vertices against the closed form
 
 
 def first_bad_row(rows, floor, tol):
-    """The index of the first row of a stack, shape (m, n), with an entry
-    below floor or a sum more than tol from 1 (NaN and +-inf fail), or None
-    when every row passes; and each row's |sum - 1|. Two reductions over the
-    whole stack give the verdict; the rows' own are formed only on
-    rejection, to find the first."""
-    residual = np.abs(np.add.reduce(rows, axis=1) - 1.0)
-    if (np.minimum.reduce(rows, axis=None, initial=np.inf) >= floor
-            and np.maximum.reduce(residual, initial=0.0) <= tol):
-        return None, residual
-    return int(np.argmin((rows >= floor).all(axis=1) & (residual <= tol))), residual
+    """The one probability-row rule, for a stack of rows, shape (m, n):
+    entries >= floor and the sum within tol of 1; NaN and +-inf fail.
+    Returns the first bad row's index (None if all pass), each row's
+    |sum - 1| and whether that row fails at the floor. Two reductions over
+    the whole stack decide; the floor's runs first, so a row holding -inf
+    and inf is rejected without numpy's RuntimeWarning from its sum."""
+    if np.minimum.reduce(rows, axis=None, initial=np.inf) >= floor:
+        residual = np.abs(np.add.reduce(rows, axis=1) - 1.0)
+        if np.maximum.reduce(residual, initial=0.0) <= tol:
+            return None, residual, False
+    with np.errstate(invalid="ignore"):             # inf + -inf in a row sum
+        residual = np.abs(np.add.reduce(rows, axis=1) - 1.0)
+    low = ~(rows >= floor).all(axis=1)
+    row = int(np.argmax(low | ~(residual <= tol)))
+    return row, residual, bool(low[row])
 
 
 def check_belief(eta, n):
@@ -147,7 +152,7 @@ def check_belief(eta, n):
     if eta.ndim not in (1, 2) or eta.shape[-1] != n:
         raise InvalidModel(f"belief must have length {n}, got shape {eta.shape}")
     rows = eta.reshape(-1, n)
-    row, _ = first_bad_row(rows, -1e-12, 1e-12)
+    row, _, _ = first_bad_row(rows, -1e-12, 1e-12)
     if row is not None:
         raise InvalidModel(f"belief row {row} is not a distribution: {rows[row]}")
     return np.maximum(eta, 0.0)
@@ -286,16 +291,6 @@ def _propagate(propagator, rho0, t):
     return 0.5 * (rho_t + rho_t.conj().T)
 
 
-def _finalize_distribution(probs):
-    if probs.min() < -1e-12:
-        raise NumericalFailure(f"action distribution has entry {probs.min()} < 0")
-    probs = np.clip(probs, 0.0, None)
-    total = probs.sum()
-    if abs(total - 1.0) > 1e-9:
-        raise NumericalFailure(f"action distribution sums to {total}, not 1")
-    return probs / total
-
-
 def _steady_rho_from_probes(superop, frame):
     """Long-time evolution fallback from the maximally mixed start; probes at
     t and 2t must agree elementwise before the result is accepted.
@@ -325,7 +320,10 @@ def _steady_batch(gens, frame):
     degenerate or empty at tolerance. Either way the density operator's
     populations, summed over states, give the action distribution. Probes
     that do not settle raise NonConvergence with the generator's slowest
-    non-zero relaxation rate, its second-smallest |eigenvalue|, as .rate."""
+    non-zero relaxation rate, its second-smallest |eigenvalue|, as .rate.
+    A stack failing first_bad_row at -1e-12 and 1e-9 raises NumericalFailure
+    with the bad row's |sum - 1| as .residual; one passing is clipped at 0
+    and normalized."""
     w, V = np.linalg.eig(gens)
     simple = (np.abs(w) <= NULL_TOL).sum(axis=1) == 1
     d = frame.dim
@@ -344,7 +342,12 @@ def _steady_batch(gens, frame):
                                  f"what probes up to that t can resolve", rate=rate) from None
     diags = np.real(np.diagonal(rhos, axis1=1, axis2=2))
     probs = diags.reshape(-1, frame.n_states, frame.n_actions).sum(axis=1)
-    return np.stack([_finalize_distribution(p) for p in probs])
+    k, residual, _ = first_bad_row(probs, -1e-12, 1e-9)
+    if k is not None:
+        raise NumericalFailure(f"steady action distribution {k} is not a probability "
+                               f"vector: {probs[k]}", residual=float(residual[k]))
+    probs = np.clip(probs, 0.0, None)
+    return probs / np.add.reduce(probs, axis=1, keepdims=True)
 
 
 def steady_state_distribution(frame, params, eta):

@@ -75,7 +75,7 @@ class Policy:
 
 def _action_transitions(kernel, change):
     """_transitions for the actions of the kernel."""
-    return _transitions(kernel.grid.points, kernel.table[0].T, kernel.table[1].T, change.p)
+    return _transitions(kernel.grid.points, *kernel.columns, change.p)
 
 
 def _iterate(grid, transitions, costs, tol, max_iter, stop_mask=None):

@@ -1,8 +1,8 @@
 """Reference pieces that only the tests use: the one-step prediction P' pi,
 the observation likelihood sigma(pi, y) written through it, the policy that
-stops at once, the Lindblad superoperators in their np.kron form, and the
-per-row verdicts of the belief and probability checks with the stacks they
-are tried on."""
+stops at once, the Lindblad superoperators in their np.kron form, the
+probability-row rule row by row with the stacks it is tried on, and the
+former per-row normalization of a steady action distribution."""
 
 import math
 
@@ -48,26 +48,37 @@ def kron_coherent(frame, alpha):
     return -1j * (1.0 - alpha) * (np.kron(H, eye) - np.kron(eye, H.T))
 
 
-def belief_rows_ok(rows):
-    """check_belief's rule, row by row: entries >= -1e-12 and a sum within
-    1e-12 of 1."""
-    return (rows >= -1e-12).all(axis=1) & (np.abs(rows.sum(axis=1) - 1.0) <= 1e-12)
+def row_rule(rows, floor, tol):
+    """The probability-row rule, one row at a time: each row's |sum - 1|,
+    whether it holds an entry below floor (NaN counts), and whether it
+    passes, every entry >= floor and the sum within tol of 1. A row holding
+    inf and -inf sums to NaN, here without numpy's RuntimeWarning."""
+    with np.errstate(invalid="ignore"):
+        residual = np.array([abs(row.sum() - 1.0) for row in rows])
+    low = np.array([not (row >= floor).all() for row in rows], dtype=bool)
+    return residual, low, ~low & (residual <= tol)
 
 
-def probability_rows_residual(probs):
-    """|sum - 1| of each row, and Generator.choice's verdict on it: entries
-    >= 0 and the sum within sqrt(eps) of 1."""
-    residual = np.abs(probs.sum(axis=1) - 1.0)
-    return residual, (probs >= 0).all(axis=1) & (residual <= SQRT_EPS)
+def finalize_distribution(probs):
+    """One steady action distribution the former per-row way: its least
+    entry not below -1e-12, clipped at 0 and divided by its sum, which must
+    be within 1e-9 of 1."""
+    assert not probs.min() < -1e-12
+    probs = np.clip(probs, 0.0, None)
+    total = probs.sum()
+    assert not abs(total - 1.0) > 1e-9
+    return probs / total
 
 
 @st.composite
-def edge_stacks(draw, floor, tol):
-    """Stacks of 0-5 rows of 1-4 entries at the edges of a check that wants
-    entries >= floor and row sums within tol of 1. A row sums to 1, to one
-    ulp inside 1 +- tol, or to 1 +- tol and one ulp outside it; its last
-    entry may be -0.0, floor, one ulp below floor, NaN or +-inf. About a
-    third of the rows fail. A one-row stack may come as a 1-D vector."""
+def edge_stacks(draw, floor, tol, n_rows=st.integers(0, 5)):
+    """Stacks of n_rows rows (0-5 by default) of 1-4 entries at the edges of
+    a check that wants entries >= floor and row sums within tol of 1. A row
+    sums to 1, to one ulp inside 1 +- tol, or to 1 +- tol and one ulp
+    outside it; its last entry may be -0.0, floor, one ulp below floor, NaN
+    or +-inf, and in a row of two or more, an infinite last entry makes the
+    first the opposite infinity. About a third of the rows fail. A one-row
+    stack may come as a 1-D vector."""
     n = draw(st.integers(1, 4))
     inside = [1.0, np.nextafter(1.0 + tol, 0.0), np.nextafter(1.0 - tol, 2.0)]
     outside = [1.0 + tol, np.nextafter(1.0 + tol, 2.0), 1.0 - tol, np.nextafter(1.0 - tol, 0.0)]
@@ -75,7 +86,7 @@ def edge_stacks(draw, floor, tol):
              "edge": ([floor, -0.0], inside),
              "bad edge": ([np.nextafter(floor, -np.inf), np.nan, np.inf, -np.inf], inside)}
     rows = []
-    for _ in range(draw(st.integers(0, 5))):
+    for _ in range(draw(n_rows)):
         edges, sums = kinds[draw(st.sampled_from(["plain", "plain", "sum", "edge", "bad edge"]))]
         edge, target = draw(st.sampled_from(edges)), draw(st.sampled_from(sums))
         w = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=n, max_size=n)))

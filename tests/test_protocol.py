@@ -52,7 +52,7 @@ from qdetect import (
 from qdetect.protocol import (
     _cdf, _draw, _transitions, bayes_step, grid_interp, grid_slopes, grid_stencil,
 )
-from qdetect.quantum import assemble_lindbladian
+from qdetect.quantum import assemble_lindbladian, check_belief
 
 from oracles import (
     SQRT_EPS,
@@ -60,7 +60,7 @@ from oracles import (
     edge_stacks,
     observation_likelihood,
     predict,
-    probability_rows_residual,
+    row_rule,
 )
 
 NO_COSTS = DetectionCosts(f=0.0, d=0.0)     # for episodes whose costs no test reads
@@ -950,23 +950,82 @@ def test_draw_rule_and_checks():
 @given(edge_stacks(0.0, SQRT_EPS), st.integers(0, 1000))
 def test_cdf_accepts_exactly_choices_per_row_rule(probs, first):
     # the whole-stack verdict against each row's own; a rejection names the
-    # first bad row's episode and carries its residual. A row holding inf and
-    # -inf sums to NaN with numpy's RuntimeWarning, on either side.
+    # first bad row's episode and carries its residual, with no
+    # RuntimeWarning from a row holding inf and -inf
     probs = probs.reshape(-1, probs.shape[-1])
     episodes = first + 3 * np.arange(len(probs))
-    with np.errstate(invalid="ignore"):
-        residual, ok = probability_rows_residual(probs)
-        if ok.all():
-            want = np.cumsum(probs, axis=1)
-            want /= want[:, -1:]
-            assert same_bits(_cdf(probs, episodes), want)
-        else:
-            k = int(np.flatnonzero(~ok)[0])
-            with pytest.raises(NumericalFailure) as info:
-                _cdf(probs, episodes)
-            assert str(info.value) == (f"episode {episodes[k]}: {probs[k]} is not a "
-                                       f"probability vector")
-            assert same_bits(info.value.residual, residual[k])
+    residual, _, ok = row_rule(probs, 0.0, SQRT_EPS)
+    if ok.all():
+        want = np.cumsum(probs, axis=1)
+        want /= want[:, -1:]
+        assert same_bits(_cdf(probs, episodes), want)
+    else:
+        k = int(np.flatnonzero(~ok)[0])
+        with pytest.raises(NumericalFailure) as info:
+            _cdf(probs, episodes)
+        assert str(info.value) == (f"episode {episodes[k]}: {probs[k]} is not a "
+                                   f"probability vector")
+        assert same_bits(info.value.residual, residual[k])
+
+
+def check_table(build, name, rows, tol):
+    # a table's check against each row's own verdict at floor 0: the table
+    # builds exactly when every row passes; otherwise InvalidModel names the
+    # first bad row, as failing ">= 0" when it holds NaN or a negative
+    # entry, else as failing "sum to 1". Returns the built table or None.
+    residual, low, ok = row_rule(rows, 0.0, tol)
+    if ok.all():
+        return build()
+    k = int(np.flatnonzero(~ok)[0])
+    rule = "must be >= 0" if low[k] else f"must sum to 1 (off by {float(residual[k])!r})"
+    with pytest.raises(InvalidModel) as info:
+        build()
+    assert str(info.value) == f"{name} {rule}, got row {k}: {rows[k].tolist()}"
+    return None
+
+
+@settings(max_examples=200)
+@given(edge_stacks(0.0, 1e-12, n_rows=st.just(2)))
+def test_observation_model_accepts_exactly_the_per_row_rule(B):
+    model = check_table(lambda: ObservationModel(B), "observation likelihoods", B, 1e-12)
+    assert model is None or same_bits(model.B, B)
+
+
+@settings(max_examples=200)
+@given(edge_stacks(0.0, 1e-12, n_rows=st.just(1)))
+def test_mixture_accepts_exactly_the_per_row_rule(weights):
+    w = weights.reshape(1, -1)
+    params = PsychParams(alpha=0.5, lam=10.495, phi=0.5)
+    check_table(lambda: ParameterMixture(tuple((params, x) for x in w[0])),
+                "mixture weights", w, 1e-12)
+
+
+@settings(max_examples=200)
+@given(st.integers(1, 2), st.data())
+def test_action_kernel_accepts_exactly_the_per_row_rule(n_cells, data):
+    # the rows R[x-1, i] in state-major order, on a grid of 2 or 3 points
+    grid = BeliefGrid(n_cells)
+    rows = data.draw(edge_stacks(0.0, 1e-9, n_rows=st.just(2 * grid.size)))
+    table = rows.reshape(2, grid.size, -1)
+    kernel = check_table(lambda: ActionKernel(grid, table), "kernel rows", rows, 1e-9)
+    assert kernel is None or same_bits(kernel.table, table)
+
+
+def test_a_row_of_minus_and_plus_inf_is_a_typed_error(pd_params):
+    # the floor is tested before any row sum is formed, so no check sees
+    # numpy's RuntimeWarning from -inf + inf, which the suite makes an error
+    row, half = [-np.inf, np.inf], [0.5, 0.5]
+    with pytest.raises(InvalidModel, match="belief row 1"):
+        check_belief(np.array([half, row]), 2)
+    with pytest.raises(NumericalFailure, match="episode 7") as info:
+        _cdf(np.array([half, row]), np.array([4, 7]))
+    assert np.isnan(info.value.residual)
+    with pytest.raises(InvalidModel, match=r"observation likelihoods must be >= 0, got row 1"):
+        ObservationModel(np.array([half, row]))
+    with pytest.raises(InvalidModel, match=r"mixture weights must be >= 0, got row 0"):
+        ParameterMixture(((pd_params, -np.inf), (pd_params, np.inf)))
+    with pytest.raises(InvalidModel, match=r"kernel rows must be >= 0, got row 3"):
+        ActionKernel(BeliefGrid(1), np.array([[half, half], [half, row]]))
 
 
 @pytest.mark.parametrize("nan_first", [True, False])

@@ -6,6 +6,8 @@ softmax arithmetic for the choice rates, and long-time evolution under the
 matrix exponential as a cross-check on the eigendecomposition path.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -31,7 +33,9 @@ from qdetect import quantum
 from qdetect.cli import sweep_stp
 from qdetect.quantum import check_belief, check_density
 
-from oracles import belief_rows_ok, edge_stacks, kron_coherent, kron_dissipator
+from oracles import (
+    edge_stacks, finalize_distribution, kron_coherent, kron_dissipator, row_rule,
+)
 
 
 def direct_choice_probs(utility, lam):
@@ -145,19 +149,17 @@ def test_belief_matrix_rejects_bad_beliefs(pd_frame):
 @given(edge_stacks(-1e-12, 1e-12))
 def test_check_belief_accepts_exactly_the_per_row_rule(eta):
     # the whole-stack verdict against each row's own; a rejection names the
-    # first bad row. A row holding inf and -inf sums to NaN with numpy's
-    # RuntimeWarning, on either side.
+    # first bad row, with no RuntimeWarning from a row holding inf and -inf
     n = eta.shape[-1]
     rows = eta.reshape(-1, n)
-    with np.errstate(invalid="ignore"):
-        ok = belief_rows_ok(rows)
-        if ok.all():
-            assert same_bytes(check_belief(eta, n), np.maximum(eta, 0.0))
-        else:
-            row = int(np.flatnonzero(~ok)[0])
-            with pytest.raises(InvalidModel) as info:
-                check_belief(eta, n)
-            assert str(info.value) == f"belief row {row} is not a distribution: {rows[row]}"
+    _, _, ok = row_rule(rows, -1e-12, 1e-12)
+    if ok.all():
+        assert same_bytes(check_belief(eta, n), np.maximum(eta, 0.0))
+    else:
+        row = int(np.flatnonzero(~ok)[0])
+        with pytest.raises(InvalidModel) as info:
+            check_belief(eta, n)
+        assert str(info.value) == f"belief row {row} is not a distribution: {rows[row]}"
 
 
 def test_cognitive_matrix_blend_endpoints(pd_frame):
@@ -548,3 +550,54 @@ def test_action_map_vertices_are_the_kron_assemblys_to_the_byte(A, data):
                       for e in np.eye(2)])
     assert same_bytes(ActionMap(frame, params).vertices,
                       quantum._steady_batch(base + parts, frame))
+
+
+@settings(max_examples=300)
+@given(st.integers(1, 6), st.data())
+def test_steady_distributions_are_the_per_row_normalization_to_the_byte(A, data):
+    # the stack _steady_batch checks, normalized row by row the former way,
+    # gives ActionMap's vertices and the steady state at an interior belief
+    # byte for byte; phi = 0, and phi = 1 at alpha = 1, take the probe fallback
+    frame = DecisionFrame(2, A, np.reshape(
+        data.draw(st.lists(st.floats(1.0, 30.0), min_size=2 * A, max_size=2 * A)), (A, 2)))
+    params = PsychParams(
+        alpha=data.draw(st.just(1.0) | st.floats(0.05, 1.0)), lam=data.draw(st.floats(0.0, 50.0)),
+        phi=data.draw(st.sampled_from([0.0, 1.0]) | st.floats(1e-3, 1.0 - 1e-3)))
+    eta = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).dirichlet([1.0, 1.0])
+    checked, rule = [], quantum.first_bad_row
+
+    def seen(rows, floor, tol):
+        if tol == 1e-9:                       # _steady_batch's check, not check_belief's
+            checked.append(rows.copy())
+        return rule(rows, floor, tol)
+
+    with mock.patch.object(quantum, "first_bad_row", seen):
+        vertices = ActionMap(frame, params).vertices
+        gamma = steady_state_distribution(frame, params, eta)
+    want = [np.stack([finalize_distribution(p) for p in probs]) for probs in checked]
+    assert len(want) == 2
+    assert same_bytes(vertices, want[0]) and same_bytes(gamma, want[1][0])
+
+
+@pytest.mark.parametrize("populations, residual", [
+    ([-np.inf, np.inf], np.nan), ([np.nan, 0.5], np.nan), ([1.5, -0.5], 0.0), ([0.5, 0.6], 0.1),
+])
+def test_steady_batch_names_the_first_bad_action_distribution(monkeypatch, pd_frame,
+                                                              populations, residual):
+    # at phi = 0 both vertices come from the long-time probes; the second
+    # probe's populations are spoiled in the first state's block, and the
+    # check names that vertex before the closed-form guard runs. NaN does
+    # not pass, and -inf with inf gives no RuntimeWarning.
+    probe, calls = quantum._steady_rho_from_probes, []
+
+    def spoiled(gen, frame):
+        calls.append(gen)
+        if len(calls) == 2:
+            return np.diag(populations + [0.0] * (frame.dim - 2)).astype(complex)
+        return probe(gen, frame)
+
+    monkeypatch.setattr(quantum, "_steady_rho_from_probes", spoiled)
+    with pytest.raises(NumericalFailure, match="steady action distribution 1 is not a "
+                                               "probability vector") as info:
+        ActionMap(pd_frame, PsychParams(alpha=0.5, lam=10.495, phi=0.0))
+    assert info.value.residual == pytest.approx(residual, nan_ok=True)
