@@ -58,6 +58,15 @@ def _parse_atom(text):
     return [float(t) for t in toks]
 
 
+def _check_logits(frame, lam, key):
+    """ConfigError naming key when a logit lam * log(u), or its distance below
+    its state's largest, overflows: the choice rule would meet inf there."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        logits = lam * np.log(frame.utility)
+        if not np.isfinite(logits - logits.max(axis=0)).all():
+            raise ConfigError(f"{key} = {lam!r} overflows the logits lambda * log(utility)")
+
+
 def _read_ini(text):
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
     try:
@@ -165,12 +174,14 @@ def load_config(text, overrides=None):
             lam=_get(sections, "params", "lambda", float, required=True),
             phi=_get(sections, "params", "phi", float, required=True),
         )
+        _check_logits(frame, params.lam, "[params] lambda")
         mixture = None
         if "mixture" in sections:
             atoms = []
             for key in sorted(sections["mixture"]):
                 a, l, ph, w = _get(sections, "mixture", key, _parse_atom)
                 atoms.append((PsychParams(alpha=a, lam=l, phi=ph), w))
+                _check_logits(frame, l, f"[mixture] {key} lambda")
             mixture = ParameterMixture(atoms=tuple(atoms))
         p = _get(sections, "change", "p", float)
         change = ChangeModel(p=p) if p is not None else None

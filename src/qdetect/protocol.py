@@ -29,8 +29,10 @@ from .quantum import ActionMap, check_belief, first_bad_row
 
 def _check_rows(rows, tol, name):
     """InvalidModel naming the first row of rows that fails first_bad_row at
-    floor 0 and tol: ">= 0" if it holds NaN or a negative entry, else "sum to 1"."""
-    k, residual, low = first_bad_row(rows, 0.0, tol)
+    floor 0 and tol: ">= 0" if it holds NaN or a negative entry, else "sum to 1".
+    A row sum that overflows is inf, off by inf, with no RuntimeWarning."""
+    with np.errstate(over="ignore"):
+        k, residual, low = first_bad_row(rows, 0.0, tol)
     if k is not None:
         rule = "must be >= 0" if low else f"must sum to 1 (off by {float(residual[k])!r})"
         raise InvalidModel(f"{name} {rule}, got row {k}: {rows[k].tolist()}")

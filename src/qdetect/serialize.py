@@ -19,28 +19,15 @@ from .protocol import ActionKernel, BeliefGrid
 from .stopping import Policy, ValueTable
 
 
-def _fmt(value):
-    if isinstance(value, (bool, np.bool_)):
-        return "1" if value else "0"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    return str(value)
-
-
 def _format_column(values):
-    """The _fmt strings of one column; an int, float or bool ndarray is
-    formatted from its .tolist() scalars by dtype kind, to the same strings,
-    and a column of str passes through unchanged."""
-    if isinstance(values, np.ndarray) and values.dtype.kind in "biuf":
-        items = values.tolist()
-        if values.dtype.kind == "b":
-            return ["1" if v else "0" for v in items]
-        return list(map(repr if values.dtype.kind == "f" else str, items))
-    if all(type(v) is str for v in values):
-        return values
-    return [_fmt(v) for v in values]
+    """The cells of one column, by the dtype of np.asarray(values), from its
+    .tolist() items: floats by repr, ints by str, bools as 1 and 0; the items
+    of a str or object column pass through as the cells they already are."""
+    values = np.asarray(values)
+    kind, items = values.dtype.kind, values.tolist()
+    if kind == "b":
+        return ["1" if v else "0" for v in items]
+    return list(map(repr if kind == "f" else str, items)) if kind in "iuf" else items
 
 
 def atomic_write_text(path, text):
@@ -59,9 +46,10 @@ def atomic_write_text(path, text):
 
 def write_csv(path, columns, data, config_hash, meta=None):
     """Header comments, the column names and one line per row. data holds
-    one sequence per column, all of one length."""
+    one sequence per column, all of one length; each column, and each meta
+    value as a column of one, is formatted by _format_column."""
     lines = [f"# config={config_hash}"]
-    lines += [f"# {key}={_fmt(value)}" for key, value in (meta or {}).items()]
+    lines += [f"# {key}={_format_column([value])[0]}" for key, value in (meta or {}).items()]
     lines.append(",".join(columns))
     lines += map(",".join, zip(*map(_format_column, data), strict=True))
     atomic_write_text(path, "\n".join(lines) + "\n")
@@ -139,12 +127,12 @@ _POLICY_COLUMNS = ("pi1", "u")
 
 def write_kernel(path, kernel, config_hash):
     """One row per (x, pi1, a) cell, in that order. Each grid point and
-    action is formatted once; the columns repeat the same str objects."""
+    action is formatted once; the object columns repeat the same str objects."""
     pts, A = kernel.grid.points, kernel.n_actions
-    cells = pts.size * A
-    pi1 = np.repeat(np.array(_format_column(pts), dtype=object), A).tolist()
-    columns = (pi1 * 2, ["1"] * cells + ["2"] * cells,
-               _format_column(np.arange(1, A + 1)) * (2 * pts.size), kernel.table.reshape(-1))
+    pi1, a = (np.array(_format_column(v), dtype=object) for v in (pts, np.arange(1, A + 1)))
+    x = np.array(["1", "2"], dtype=object)
+    columns = (np.tile(np.repeat(pi1, A), 2), np.repeat(x, pts.size * A),
+               np.tile(a, 2 * pts.size), kernel.table.reshape(-1))
     write_csv(
         path, _KERNEL_COLUMNS, columns, config_hash,
         meta={"grid_n": kernel.grid.n_cells, "n_actions": kernel.n_actions},

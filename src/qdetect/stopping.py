@@ -61,15 +61,16 @@ class Policy:
     def decide(self, pi1):
         """Decision at arbitrary beliefs, elementwise over an array of pi(1):
         by threshold when one exists, otherwise the nearest grid point's
-        decision, a tie going to the lower grid index."""
+        decision, a tie going to the lower grid index: hi = lo + 1 wins when
+        pts[hi] - x is below the grid_stencil step x - pts[lo]."""
         x = np.asarray(pi1, dtype=float)
         if self.threshold is not None:
             u = np.where(x >= self.threshold - 1e-12, 1, 2)
         else:
             pts = self.grid.points
-            lo = np.maximum(np.searchsorted(pts, x) - 1, 0)
+            lo, step = grid_stencil(pts, x)
             hi = np.minimum(lo + 1, pts.size - 1)
-            u = self.u[np.where(np.abs(pts[hi] - x) < np.abs(pts[lo] - x), hi, lo)]
+            u = self.u[np.where(pts[hi] - x < step, hi, lo)]
         return int(u) if u.ndim == 0 else u
 
 

@@ -9,9 +9,17 @@ test.
 
 Hypothesis runs under a deterministic profile: derandomized examples and no
 example database, so every run draws the same cases.
+
+The suite runs OpenBLAS on one thread unless OPENBLAS_NUM_THREADS is set:
+the eigensolves of A >= 3 frames are small enough that a second thread costs
+more than it gives. The setting must precede numpy's import, which happens
+below, as pytest loads this file before any test module.
 """
 
+import os
 import sys
+
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 import pytest

@@ -1,8 +1,9 @@
 """Reference pieces that only the tests use: the one-step prediction P' pi,
 the observation likelihood sigma(pi, y) written through it, the policy that
 stops at once, the Lindblad superoperators in their np.kron form, the
-probability-row rule row by row with the stacks it is tried on, and the
-former per-row normalization of a steady action distribution."""
+probability-row rule row by row with the stacks it is tried on, the
+former per-row normalization of a steady action distribution, and the
+former nearest-grid-point rule of Policy.decide."""
 
 import math
 
@@ -68,6 +69,15 @@ def finalize_distribution(probs):
     total = probs.sum()
     assert not abs(total - 1.0) > 1e-9
     return probs / total
+
+
+def nearest_point(points, x):
+    """The grid index that Policy.decide read for a policy with no single
+    threshold, by its own searchsorted: the cell below x (the first cell at
+    or below points[0]), and its upper end only when strictly nearer."""
+    lo = np.maximum(np.searchsorted(points, x) - 1, 0)
+    hi = np.minimum(lo + 1, points.size - 1)
+    return np.where(np.abs(points[hi] - x) < np.abs(points[lo] - x), hi, lo)
 
 
 @st.composite

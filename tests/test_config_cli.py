@@ -6,6 +6,8 @@ import io
 import os
 import re
 import shutil
+import subprocess
+import sys
 import tempfile
 
 import numpy as np
@@ -214,6 +216,16 @@ def test_load_config_bad_values():
                         ("seed = 11\nmax_iter = 0", r"max_iter = 0 must be >= 1")):
         with pytest.raises(ConfigError, match=r"\[solver\] " + match):
             load_config(BASE_INI.replace("seed = 11", line))
+    # a lambda whose logits lambda * log(u), or their spread in one state,
+    # overflow is named at load: the choice rule would meet inf
+    with pytest.raises(ConfigError, match=r"\[params\] lambda = 1e\+308 overflows the logits"):
+        load_config(BASE_INI.replace("lambda = 10.495", "lambda = 1e308"))
+    with pytest.raises(ConfigError, match=r"\[params\] lambda = 1\.5e\+305 overflows"):
+        load_config(BASE_INI.replace("lambda = 10.495", "lambda = 1.5e305").replace(
+            "utility = 20 5 ; 25 10", "utility = 5e-324 5 ; 1e308 10"))
+    with pytest.raises(ConfigError, match=r"\[mixture\] atom2 lambda = 1e\+308 overflows"):
+        load_config(BASE_INI + "\n[mixture]\natom1 = 0.5 10 0.3 0.5\natom2 = 0.5 1e308 0.3 0.5\n")
+    assert load_config(BASE_INI.replace("lambda = 10.495", "lambda = 1e300")).params.lam == 1e300
     # a subnormal p lies in (0, 1], but the mean change time 1/p overflows
     with pytest.raises(ConfigError, match=r"\[change\] p = 1e-310 must have a finite 1/p"):
         load_config(BASE_INI.replace("p = 0.95", "p = 1e-310"))
@@ -227,22 +239,24 @@ def test_load_config_bad_values():
 
 
 def test_write_csv_layout(tmp_path):
+    # a column is formatted by the dtype numpy gives it as a whole: the 1 of
+    # an int and float column is a float
     path = str(tmp_path / "t.csv")
     write_csv(
-        path, ("a", "b"), ((1, 0.5), (True, False)), "deadbeef0123",
+        path, ("a", "b", "c"), ((1, 0.5), (True, False), ("x", "yz")), "deadbeef0123",
         meta={"note": 7},
     )
     lines = open(path, encoding="utf-8").read().splitlines()
     assert lines[0] == "# config=deadbeef0123"
     assert lines[1] == "# note=7"
-    assert lines[2] == "a,b"
-    assert lines[3] == "1,1"
-    assert lines[4] == "0.5,0"
+    assert lines[2] == "a,b,c"
+    assert lines[3] == "1.0,1,x"
+    assert lines[4] == "0.5,0,yz"
 
     meta, columns, rows = read_csv(path)
     assert meta == {"config": "deadbeef0123", "note": "7"}
-    assert columns == ["a", "b"]
-    assert rows == [["1", "1"], ["0.5", "0"]]
+    assert columns == ["a", "b", "c"]
+    assert rows == [["1.0", "1", "x"], ["0.5", "0", "yz"]]
 
 
 def oracle_fmt(value):
@@ -280,10 +294,10 @@ def csv_tables(draw):
             columns.append(draw(hnp.arrays(np.float64, n, elements=FLOAT_VALUES)))
         elif kind == "f4":
             columns.append(draw(hnp.arrays(np.float32, n, elements=st.floats(width=32))))
-        elif kind == "list":                # plain Python values take the _fmt path
-            columns.append(draw(st.lists(st.integers(-10**20, 10**20) | FLOAT_VALUES
-                                         | st.booleans() | st.text("ab", max_size=2),
-                                         min_size=n, max_size=n)))
+        elif kind == "list":                # plain Python values of one type per column
+            values = draw(st.sampled_from([st.integers(-2**63, 2**63 - 1), FLOAT_VALUES,
+                                           st.booleans(), st.text("ab", max_size=2)]))
+            columns.append(draw(st.lists(values, min_size=n, max_size=n)))
         else:
             columns.append(draw(hnp.arrays(np.dtype(kind), n)))
     meta = {"m_float": draw(FLOAT_VALUES), "m_int": draw(st.integers()),
@@ -817,6 +831,14 @@ def test_cli_exit_codes(tmp_path, capsys):
         assert main(["--config", inf_u, "--out", out, command]) == 2
         assert capsys.readouterr().err.startswith(
             "error [config]: utilities must be finite and strictly positive")
+    # so did a finite lambda whose logits overflow, after two RuntimeWarnings;
+    # now load_config names it
+    big_lam = write_ini(tmp_path, BASE_INI.replace("lambda = 10.495", "lambda = 1e308"),
+                        "biglam.ini")
+    for command in ("solve", "stp-sweep"):
+        assert main(["--config", big_lam, "--out", out, command]) == 2
+        assert capsys.readouterr().err == ("error [config]: [params] lambda = 1e+308 overflows "
+                                           "the logits lambda * log(utility)\n")
     assert not os.path.exists(out)
 
     # impossible [solver] values exit 2 at load, before anything is written
@@ -849,20 +871,46 @@ def test_cli_unsettled_probes_exit_3_naming_the_rate(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+def test_cli_overflowing_likelihood_row_exits_2_without_a_warning(tmp_path):
+    # run where a RuntimeWarning is an error: the row sum overflowed, and the
+    # config error named the warning, not the row
+    text = BASE_INI.replace("b = 0.6 0.25 0.15 ; 0.15 0.25 0.6", "b = 1e308 1e308 0 ; 0.5 0.5 0")
+    ini = write_ini(tmp_path, text, "overflow.ini")
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "qdetect.cli",
+                           "--config", ini, "--out", str(tmp_path / "o"), "solve"],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == ("error [config]: observation likelihoods must sum to 1 (off by inf), "
+                           "got row 0: [1e+308, 1e+308, 0.0]\n")
+    assert not (tmp_path / "o").exists()
+
+
+MAX = sys.float_info.max
 LIKELIHOOD = st.sampled_from([0.0, 5e-324, 1e-300, 1.0]) | st.floats(0.0, 1.0)
+# any finite entry: a row holding one above 1 cannot sum to 1, and its sum may overflow
+RAW_LIKELIHOOD = LIKELIHOOD | st.sampled_from([1.0 + 2**-52, 2.0, 1e308, MAX]) | st.floats(0.0, MAX)
+# the whole positive finite range, subnormals included
+POSITIVE = st.sampled_from([5e-324, 1e-300, 1e300, 1e308, MAX]) | st.floats(5e-324, MAX)
 
 
 @st.composite
 def schema_configs(draw):
     """INI text of a config inside load_config's schema, its ends included:
-    up to 4 actions, alpha and phi at 0 and 1, lambda up to 1e6, p from
-    subnormal to 1, observation rows with zeros, f and d from 0, grid_n up
-    to 50 and a small max_iter."""
+    up to 4 actions, utilities and lambda over their whole finite range,
+    alpha and phi at 0 and 1, p from subnormal to 1, observation rows with
+    zeros, one row in four of raw entries (above 1 included), f and d from
+    0, grid_n up to 50 and a small max_iter."""
     n_actions, n_obs = draw(st.integers(1, 4)), draw(st.integers(1, 3))
-    utility = [draw(st.lists(st.sampled_from([1e-6, 1.0, 1e6]) | st.floats(1e-3, 1e3),
+    utility = [draw(st.lists(st.sampled_from([1e-6, 1.0, 1e6]) | st.floats(1e-3, 1e3) | POSITIVE,
                              min_size=2, max_size=2)) for _ in range(n_actions)]
     rows = []
     for _ in range(2):
+        if draw(st.integers(0, 3)) == 0:
+            rows.append(draw(st.lists(RAW_LIKELIHOOD, min_size=n_obs, max_size=n_obs)))
+            continue
         w = np.array(draw(st.lists(LIKELIHOOD, min_size=n_obs, max_size=n_obs)))
         rows.append(w / w.sum() if w.sum() > 0 else np.eye(n_obs)[0])
     p = draw(st.sampled_from([1.0, 1e-9, 1e-300]) | st.floats(0.0, 1.0, exclude_min=True))
@@ -872,7 +920,7 @@ def schema_configs(draw):
         return " ; ".join(" ".join(map(repr, map(float, row))) for row in table)
 
     return (f"[frame]\nn_states = 2\nn_actions = {n_actions}\nutility = {matrix(utility)}\n"
-            f"[params]\nalpha = {draw(unit)!r}\nlambda = {draw(st.floats(0.0, 1e6))!r}\n"
+            f"[params]\nalpha = {draw(unit)!r}\nlambda = {draw(st.floats(0.0, 1e6) | POSITIVE)!r}\n"
             f"phi = {draw(unit)!r}\n[change]\np = {p!r}\n[observation]\nb = {matrix(rows)}\n"
             f"[costs]\nf = {draw(cost)!r}\nd = {draw(cost)!r}\n"
             f"[solver]\ngrid_n = {draw(st.integers(1, 50))}\n"

@@ -96,6 +96,12 @@ def test_observation_model_validation():
         ObservationModel(np.array([[np.nan, 0.5], [0.5, 0.5]]))
     with pytest.raises(InvalidModel, match="sum to 1"):
         ObservationModel(np.array([[np.inf, 0.5], [0.5, 0.5]]))
+    # a row whose sum overflows is off by inf, with no RuntimeWarning
+    with pytest.raises(InvalidModel, match=r"must sum to 1 \(off by inf\), got row 0: "
+                       r"\[1e\+308, 1e\+308, 0\.0\]"):
+        ObservationModel(np.array([[1e308, 1e308, 0.0], [0.5, 0.5, 0.0]]))
+    with pytest.raises(InvalidModel, match=r"must sum to 1 \(off by inf\), got row 1"):
+        ObservationModel(np.array([[0.5, 0.5], [1e308, 1e308]]))
 
 
 def test_costs_validation():
@@ -365,6 +371,8 @@ def test_mixture_validation(pd_params):
         ParameterMixture(((pd_params, np.nan), (pd_params, 1.0)))
     with pytest.raises(InvalidModel, match="sum to 1"):
         ParameterMixture(((pd_params, np.inf), (pd_params, 1.0)))
+    with pytest.raises(InvalidModel, match=r"mixture weights must sum to 1 \(off by inf\)"):
+        ParameterMixture(((pd_params, 1e308), (pd_params, 1e308)))
     with pytest.raises(InvalidModel):
         ParameterMixture(())
 

@@ -9,7 +9,7 @@ first grid point at or above pi*, independent of the action channel.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from qdetect import (
     ActionKernel,
@@ -32,7 +32,7 @@ from qdetect import (
 from qdetect.protocol import _transitions
 from qdetect.stopping import _action_transitions, _iterate
 
-from oracles import always_stop_policy
+from oracles import always_stop_policy, nearest_point
 
 
 def one_step_crossing(costs, change):
@@ -179,6 +179,28 @@ def test_policy_is_its_decision_column(data):
     policy = Policy(grid=grid, u=np.array(u))
     np.testing.assert_array_equal(policy.decide(pts), u)
     assert (policy.threshold, policy.crossings) == extract_threshold(pts, u)
+
+
+@settings(max_examples=200)
+@given(st.data())
+def test_nearest_point_decisions_are_the_searchsorted_rule(data):
+    # with no single threshold, decide reads the grid through grid_stencil;
+    # its index is the former searchsorted rule's at grid points, at exact
+    # midpoints (ties go to the lower index) and one ulp either side of them,
+    # one ulp inside and outside each end, at NaN, +-inf and -0.0
+    grid = BeliefGrid(data.draw(st.integers(1, 60)))
+    pts = grid.points
+    u = np.array(data.draw(st.lists(st.sampled_from([1, 2]), min_size=pts.size,
+                                    max_size=pts.size)))
+    policy = Policy(grid=grid, u=u)
+    assume(policy.threshold is None)
+    mid = (pts[:-1] + pts[1:]) / 2
+    x = np.concatenate([pts, mid, np.nextafter(mid, -1.0), np.nextafter(mid, 2.0),
+                        np.nextafter([0.0, 0.0, 1.0, 1.0], [-1.0, 1.0, 0.0, 2.0]),
+                        [np.nan, np.inf, -np.inf, -0.0]])
+    want = u[nearest_point(pts, x)]
+    np.testing.assert_array_equal(policy.decide(x), want)
+    assert [policy.decide(v) for v in x] == want.tolist()
 
 
 def test_evaluate_always_stop_exact(pd_kernel_small, pd_change, pd_costs):
