@@ -12,9 +12,10 @@ Sections and keys:
     [output]       dir
 
 Only [frame] and [params] are universally required; each command validates
-the sections it needs. The config hash covers every section except [output],
-so identical experiments land in identical cache directories regardless of
-where artifacts are written.
+the sections it needs. Each lambda must pass the logit rule quantum._choice,
+whose error is re-raised naming its section and key. The config hash covers
+every section except [output], so identical experiments land in identical
+cache directories regardless of where artifacts are written.
 """
 
 import configparser
@@ -23,7 +24,7 @@ import hashlib
 import numpy as np
 
 from ._record import record
-from .errors import ConfigError
+from .errors import ConfigError, InvalidModel
 from .protocol import (
     BeliefGrid,
     ChangeModel,
@@ -31,7 +32,7 @@ from .protocol import (
     ObservationModel,
     ParameterMixture,
 )
-from .quantum import DecisionFrame, PsychParams
+from .quantum import DecisionFrame, PsychParams, _choice
 from .stopping import MAX_ITER, VI_TOL
 
 MAX_GENERATOR_BYTES = 2**25     # n_actions <= 16; see the README's config notes
@@ -58,13 +59,13 @@ def _parse_atom(text):
     return [float(t) for t in toks]
 
 
-def _check_logits(frame, lam, key):
-    """ConfigError naming key when a logit lam * log(u), or its distance below
-    its state's largest, overflows: the choice rule would meet inf there."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        logits = lam * np.log(frame.utility)
-        if not np.isfinite(logits - logits.max(axis=0)).all():
-            raise ConfigError(f"{key} = {lam!r} overflows the logits lambda * log(utility)")
+def _check_logits(frame, lam, where):
+    """ConfigError under where (a section, and a key for an atom) when the
+    logit rule quantum._choice refuses lam."""
+    try:
+        _choice(frame, lam)
+    except InvalidModel as exc:
+        raise ConfigError(f"{where} {exc}") from None
 
 
 def _read_ini(text):
@@ -174,14 +175,14 @@ def load_config(text, overrides=None):
             lam=_get(sections, "params", "lambda", float, required=True),
             phi=_get(sections, "params", "phi", float, required=True),
         )
-        _check_logits(frame, params.lam, "[params] lambda")
+        _check_logits(frame, params.lam, "[params]")
         mixture = None
         if "mixture" in sections:
             atoms = []
             for key in sorted(sections["mixture"]):
                 a, l, ph, w = _get(sections, "mixture", key, _parse_atom)
                 atoms.append((PsychParams(alpha=a, lam=l, phi=ph), w))
-                _check_logits(frame, l, f"[mixture] {key} lambda")
+                _check_logits(frame, l, f"[mixture] {key}")
             mixture = ParameterMixture(atoms=tuple(atoms))
         p = _get(sections, "change", "p", float)
         change = ChangeModel(p=p) if p is not None else None

@@ -58,7 +58,7 @@ class KLBoundReport:
 @record
 class BetweennessReport:
     """Result of interpolation_betweenness_check: components checked, how many
-    fell outside their endpoint interval by more than tol, and the worst margin."""
+    fell outside their endpoint interval by more than 1e-6, and the worst margin."""
 
     checks: int
     violations: int
@@ -195,25 +195,14 @@ def _mix_params(p1, p2, eps):
     )
 
 
-def interpolation_betweenness_check(
-    frame,
-    p1,
-    p2,
-    change,
-    obs,
-    eps_values=None,
-    pi_values=None,
-    tol=1e-6,
-):
+def interpolation_betweenness_check(frame, p1, p2, change, obs):
     """Check that steady action distributions interpolate between endpoints.
 
-    For p3 = eps*p1 + (1-eps)*p2, every component of Gamma_{y,3}^pi must lie
-    in the closed interval spanned by the endpoint values, within tol.
+    For p3 = eps*p1 + (1-eps)*p2 at eps = 0.1, 0.2, ..., 0.9, every component
+    of Gamma_{y,3}^pi at pi(1) = 0, 0.1, ..., 1 must lie in the closed
+    interval spanned by the endpoint values, within tol = 1e-6.
     """
-    if eps_values is None:
-        eps_values = np.linspace(0.1, 0.9, 9)
-    if pi_values is None:
-        pi_values = np.linspace(0.0, 1.0, 11)
+    eps_values, pi_values, tol = np.linspace(0.1, 0.9, 9), np.linspace(0.0, 1.0, 11), 1e-6
     fam1 = _channel_family(frame, p1, change, obs, pi_values)
     fam2 = _channel_family(frame, p2, change, obs, pi_values)
     lo = np.minimum(fam1, fam2)
@@ -221,7 +210,7 @@ def interpolation_betweenness_check(
     checks = 0
     violations = 0
     worst = np.inf
-    for eps in np.asarray(eps_values, dtype=float):
+    for eps in eps_values:
         fam3 = _channel_family(frame, _mix_params(p1, p2, eps), change, obs, pi_values)
         margin = np.minimum(fam3 - lo, hi - fam3)
         checks += margin.size

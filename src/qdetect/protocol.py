@@ -357,11 +357,13 @@ def episode_generators(seed, n):
 
 @record
 class EpisodeBatch:
-    """The episode record of simulate_episodes: per-episode change and stop
-    times and realized costs, one entry per seed."""
+    """The episode record of simulate_episodes, one entry per seed: change and
+    stop times, delay max(stop - change, 0), false alarm stop < change, cost."""
 
     change_time: np.ndarray
     stop_time: np.ndarray
+    delay: np.ndarray
+    false_alarm: np.ndarray
     cost: np.ndarray
 
 
@@ -382,10 +384,10 @@ def _cdf(probs, episodes):
     return cdf
 
 
-def _draw(probs, uniforms, episodes):
-    """Row-wise index that Generator.choice(len(p), p=p) draws with uniform
-    u: the count of entries of the _cdf of p that are <= u."""
-    return np.add.reduce(_cdf(probs, episodes) <= uniforms[:, None], axis=1)
+def _draw(cdf, uniforms):
+    """Row-wise 1-based index that Generator.choice(len(p), p=p) draws with
+    uniform u, from the _cdf rows of p: 1 + the count of cdf entries <= u."""
+    return np.add.reduce(cdf <= uniforms[:, None], axis=1) + 1
 
 
 def _update(pi, like1, like2, p, error, kind, values, episodes, n):
@@ -413,7 +415,7 @@ def simulate_episodes(frame, params, change, obs, policy, kernel, rngs, costs):
     and applies the policy, and an episode stops at its first u = 1.
 
     Episode k draws from the Generator rngs[k]: the change time, then two
-    uniforms per step that _cdf's rows turn into y and a as Generator.choice
+    uniforms per step that _draw turns into y and a as Generator.choice
     would, drawn in blocks of at most 1024 steps, so memory is bounded by
     the running episodes, not by the steps. The filters keep the scalar
     expression order, so each episode's times and cost equal those of the
@@ -446,13 +448,12 @@ def simulate_episodes(frame, params, change, obs, policy, kernel, rngs, costs):
             rows, block_start, block_end = np.arange(act.size), n, n + width - 1
         col = 2 * (n - block_start)
         # y's cdf row is state 2's (index 1) until the change at step tau
-        y = np.add.reduce(obs_cdf.take(tau > n, axis=0) <= uniforms[rows, col][:, None],
-                          axis=1) + 1
+        y = _draw(obs_cdf.take(tau > n, axis=0), uniforms[rows, col])
         pi = check_belief(pi, 2)
         like = obs.B.take(y - 1, axis=1)            # p(y | state 1), p(y | state 2)
         etas = _update(pi, like[0], like[1], change.p, ImpossibleObservation, "observation",
                        y, act, n)
-        a = _draw(amap.batch(etas), uniforms[rows, col + 1], act) + 1
+        a = _draw(_cdf(amap.batch(etas), act), uniforms[rows, col + 1])
         like = kernel.at(pi[:, 0])[:, a - 1, np.arange(act.size)]
         pi = _update(pi, like[0], like[1], change.p, ImpossibleAction, "action", a, act, n)
         u = policy.decide(pi[:, 0])
@@ -461,8 +462,10 @@ def simulate_episodes(frame, params, change, obs, policy, kernel, rngs, costs):
             stop[act[stopped]] = n
             running = ~stopped
             act, tau, pi, rows = act[running], tau[running], pi[running], rows[running]
-    cost = costs.d * np.maximum(stop - tau0, 0) + np.where(stop < tau0, costs.f, 0.0)
-    return EpisodeBatch(tau0, stop, cost)
+    delay = np.maximum(stop - tau0, 0)
+    false_alarm = stop < tau0
+    return EpisodeBatch(tau0, stop, delay, false_alarm,
+                        costs.d * delay + np.where(false_alarm, costs.f, 0.0))
 
 
 def simulate_episode(frame, params, change, obs, policy, kernel, seed, costs):

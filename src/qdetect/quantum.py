@@ -179,14 +179,17 @@ def maximally_mixed(frame):
 
 
 def _choice(frame, lam):
-    """Logit choice p(a | x) ~ u(a|x)^lam, shaped (n_actions, n_states), in log
-    space so large lam cannot overflow."""
-    logits = lam * np.log(frame.utility)
-    w = np.exp(logits - logits.max(axis=0, keepdims=True))
-    p = w / w.sum(axis=0, keepdims=True)
-    if not np.all(np.isfinite(p)):
-        raise NumericalFailure(f"choice probabilities not finite at lam={lam}")
-    return p
+    """Logit choice p(a | x) ~ u(a|x)^lam, shaped (n_actions, n_states): the
+    one logit rule. InvalidModel if a logit lam * log(u), or its shift below
+    its state's largest, overflows; else each column holds exp(0) = 1, so p
+    is finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        logits = lam * np.log(frame.utility)
+        shifted = logits - logits.max(axis=0, keepdims=True)
+    if not np.isfinite(shifted).all():
+        raise InvalidModel(f"lambda = {lam!r} overflows the logits lambda * log(utility)")
+    w = np.exp(shifted)
+    return w / w.sum(axis=0, keepdims=True)
 
 
 def subjective_choice_matrix(frame, lam):

@@ -871,6 +871,33 @@ def test_cli_unsettled_probes_exit_3_naming_the_rate(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+def test_cli_region_scan_overflowing_box_lambda_exits_2(tmp_path, capsys):
+    # a box lambda meets the logit rule that [params] and [mixture] lambdas
+    # meet, under the suite's error::RuntimeWarning filter
+    ini = write_ini(tmp_path)
+    out = tmp_path / "o"
+    assert main(["--config", ini, "--out", str(out), "region-scan",
+                 "--ref-box", "0.8:1.0,1e308:1e308,0.1:0.5", "--points-per-axis", "1"]) == 2
+    assert capsys.readouterr().err == ("error [config]: lambda = 1e+308 overflows the logits "
+                                       "lambda * log(utility)\n")
+    assert not out.exists()
+
+
+def test_cli_simulate_overflowing_cost_square_exits_3(tmp_path, capsys):
+    # costs past about 1.3e154 square past the float maximum in the cost
+    # statistics: a numerical error naming the episode, and nothing written
+    huge = (BASE_INI.replace("p = 0.95", "p = 0.02").replace("f = 5", "f = 1e300")
+            .replace("d = 1\n", "d = 1e200\n").replace("grid_n = 60", "grid_n = 1000"))
+    ini = write_ini(tmp_path, huge, "huge.ini")
+    out = tmp_path / "o"
+    assert main(["--config", ini, "--out", str(out), "solve"]) == 0
+    capsys.readouterr()
+    assert main(["--config", ini, "--out", str(out), "simulate", "--episodes", "200"]) == 3
+    assert capsys.readouterr().err == ("error [numerical]: episode 0: cost 1.204e+203 "
+                                       "overflows when squared\n")
+    assert not (out / load_config(huge).hash / "episodes.csv").exists()
+
+
 def test_cli_overflowing_likelihood_row_exits_2_without_a_warning(tmp_path):
     # run where a RuntimeWarning is an error: the row sum overflowed, and the
     # config error named the warning, not the row

@@ -269,13 +269,10 @@ def test_certificate_soundness_lp_path():
 
 def test_betweenness_degenerate_pair(pd_frame, pd_change, pd_obs):
     p = PsychParams(0.5, 30.0, 0.4)
-    report = interpolation_betweenness_check(
-        pd_frame, p, p, pd_change, pd_obs,
-        eps_values=[0.3, 0.7], pi_values=[0.2, 0.8],
-    )
+    report = interpolation_betweenness_check(pd_frame, p, p, pd_change, pd_obs)
     assert report.violations == 0
     assert abs(report.worst_margin) <= 1e-12
-    assert report.checks == 2 * 2 * pd_obs.n_obs * 2
+    assert report.checks == 9 * 11 * pd_obs.n_obs * 2
 
     assert _mix_params(p, PsychParams(0.1, 5.0, 0.9), 1.0) == p
     fam_mix = _channel_family(

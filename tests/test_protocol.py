@@ -940,18 +940,18 @@ def test_tiny_p_batch_memory_does_not_grow_with_steps(monkeypatch, pd_frame, pd_
 
 
 def test_draw_rule_and_checks():
-    # choice's rule: the count of normalized cdf entries <= u
+    # choice's rule: 1 + the count of normalized cdf entries <= u
     probs = np.array([[0.2, 0.3, 0.5], [0.2, 0.3, 0.5], [1.0, 0.0, 0.0]])
     np.testing.assert_array_equal(
-        _draw(probs, np.array([0.2, 0.49, 0.99]), np.arange(3)), [1, 1, 0]
+        _draw(_cdf(probs, np.arange(3)), np.array([0.2, 0.49, 0.99])), [2, 2, 1]
     )
     with pytest.raises(NumericalFailure) as info:
-        _draw(np.array([[0.5, 0.5], [0.5, 0.6]]), np.array([0.1, 0.1]), np.array([4, 9]))
+        _draw(_cdf(np.array([[0.5, 0.5], [0.5, 0.6]]), np.array([4, 9])), np.array([0.1, 0.1]))
     assert abs(info.value.residual - 0.1) <= 1e-12
     assert "episode 9" in str(info.value)
     for bad in ([[1.5, -0.5]], [[np.nan, 1.0]], [[np.inf, 0.0]]):
         with pytest.raises(NumericalFailure):
-            _draw(np.array(bad), np.array([0.1]), np.array([0]))
+            _draw(_cdf(np.array(bad), np.array([0])), np.array([0.1]))
 
 
 @settings(max_examples=300)

@@ -104,6 +104,16 @@ def test_choice_matrix_survives_huge_lambda(pd_frame):
     np.testing.assert_allclose(blocks, 1.0, atol=1e-12)
 
 
+def test_overflowing_logits_are_an_invalid_model(pd_frame, pd_params):
+    # lambda * log(20) overflows at 1e308: the one logit rule refuses it, for
+    # the choice matrix and for every ActionMap, with no RuntimeWarning
+    message = r"^lambda = 1e\+308 overflows the logits lambda \* log\(utility\)$"
+    with pytest.raises(InvalidModel, match=message):
+        subjective_choice_matrix(pd_frame, 1e308)
+    with pytest.raises(InvalidModel, match=message):
+        ActionMap(pd_frame, PsychParams(alpha=pd_params.alpha, lam=1e308, phi=pd_params.phi))
+
+
 def test_choice_matrix_rejects_negative_sharpness(pd_frame):
     with pytest.raises(InvalidModel):
         subjective_choice_matrix(pd_frame, -0.5)

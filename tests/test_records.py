@@ -48,8 +48,9 @@ RECORDS = [
     (BeliefGrid, (4,), "n_cells", True),
     (ParameterMixture, (((PARAMS, 0.25), (OTHER, 0.75)),), "atoms", True),
     (ActionKernel, (GRID, TABLE), "grid table", False),
-    (EpisodeBatch, (np.array([3, 1]), np.array([4, 0]), np.array([1.0, 5.0])),
-     "change_time stop_time cost", False),
+    (EpisodeBatch, (np.array([3, 1]), np.array([4, 0]), np.array([1, 0]),
+                    np.array([False, True]), np.array([1.0, 5.0])),
+     "change_time stop_time delay false_alarm cost", False),
     (ValueTable, (GRID, np.linspace(5.0, 0.0, 5), 7), "grid values sweeps", False),
     (Policy, (GRID, np.array([2, 2, 2, 1, 1])), "grid u threshold crossings", False),
     (KLBoundReport, (0.5, 0.1, GRID.points, np.zeros(5), np.ones(5)),
