@@ -138,17 +138,16 @@ def cmd_simulate(config, args):
     if n_episodes > MAX_EPISODES:
         raise ConfigError(f"--episodes must be at most {MAX_EPISODES} (2**32), got {n_episodes}")
     config.require("change", "obs", "costs", "seed")
-    cache = _cache_dir(config)
     try:
-        kernel = serialize.read_kernel(os.path.join(cache, "kernel.csv"), config.hash)
-        policy = serialize.read_policy(os.path.join(cache, "policy.csv"), config.hash)
-        if policy.grid != kernel.grid:
+        policy = serialize.read_policy(os.path.join(_cache_dir(config), "policy.csv"),
+                                       config.hash)
+        if policy.grid != config.grid:
             raise CacheMiss(f"policy.csv is on a {policy.grid.n_cells}-cell grid, "
-                            f"kernel.csv on a {kernel.grid.n_cells}-cell grid")
+                            f"the config's grid has {config.grid.n_cells} cells")
     except CacheMiss as exc:
         raise CacheMiss(f"{exc}; run the solve command first") from None
     batch = simulate_episodes(config.frame, config.params, config.change, config.obs, policy,
-                              kernel, episode_generators(config.seed, n_episodes),
+                              _kernel(config), episode_generators(config.seed, n_episodes),
                               costs=config.costs)
     costs_sum = costs_sq = 0.0
     for k, c in enumerate(batch.cost.tolist()):   # in order: the printed statistics depend on it

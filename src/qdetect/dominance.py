@@ -342,9 +342,9 @@ def region_scan(
 
     For every (ref, test) pair and both directions, looks for a shared
     garbling matrix at each sampled belief; a direction is certified when
-    every belief admits one within GARBLING_TOL. Certified directions also
-    record the value ordering margin (garbled side should cost at least as
-    much everywhere).
+    every belief admits one within GARBLING_TOL. Every row, certified or not,
+    records the value ordering margin min(V_dst - V_src) (the garbled side
+    should cost at least as much everywhere).
 
     The channel families, kernels and value functions are built here, in
     order. The garbling searches of each pair direction are one job; the jobs

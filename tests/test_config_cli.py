@@ -616,19 +616,27 @@ def test_commands_return_their_artifacts_and_leave_writing_to_main(tmp_path, cap
         assert rest == [f"{argv[0]}: {line}" for line in lines]
 
 
-def test_cli_simulate_corrupt_kernel_is_cache_miss(tmp_path, capsys):
+def test_cli_simulate_builds_its_kernel_from_the_config(tmp_path, capsys):
+    # simulate reads only policy.csv: a missing or corrupt kernel.csv changes nothing
     ini = write_ini(tmp_path)
     out = str(tmp_path / "out")
     assert main(["--config", ini, "--out", out, "solve"]) == 0
-    path = os.path.join(out, load_config(BASE_INI).hash, "kernel.csv")
-    lines = open(path, encoding="utf-8").read().splitlines()
+    cache = os.path.join(out, load_config(BASE_INI).hash)
+    kernel_path = os.path.join(cache, "kernel.csv")
+    lines = open(kernel_path, encoding="utf-8").read().splitlines()
     lines[-1] = lines[-2]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-    capsys.readouterr()
-    assert main(["--config", ini, "--out", out, "simulate", "--episodes", "5"]) == 4
-    assert ("kernel.csv is corrupt: row 244 has (pi1=1.0, x=2.0, a=1.0), "
-            "expected (pi1=1.0, x=2.0, a=2.0)") in capsys.readouterr().err
+    runs = []
+    for kernel_csv in ("intact", "deleted", "corrupt"):
+        if kernel_csv == "deleted":
+            os.remove(kernel_path)
+        elif kernel_csv == "corrupt":
+            with open(kernel_path, "w", encoding="utf-8") as fh:
+                fh.write("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["--config", ini, "--out", out, "simulate", "--episodes", "5"]) == 0
+        with open(os.path.join(cache, "episodes.csv"), "rb") as fh:
+            runs.append((fh.read(), capsys.readouterr().out))
+    assert runs[0] == runs[1] == runs[2]
 
 
 def test_cli_simulate_blank_line_in_policy_is_cache_miss(tmp_path, capsys):
@@ -742,7 +750,7 @@ def test_cli_simulate_policy_off_its_grid_is_cache_miss(tmp_path, capsys):
 def test_cli_simulate_policy_on_another_grid_is_cache_miss(tmp_path, capsys):
     # grid_n 2 writes the policy on 0, 0.5, 1; without its middle row the
     # policy.csv is a well-formed policy on the 1-cell grid 0, 1, which is
-    # not the kernel's grid
+    # not the config's grid
     text = BASE_INI.replace("f = 5\n", "f = 50\n").replace("grid_n = 60", "grid_n = 2")
     ini = write_ini(tmp_path, text)
     out = str(tmp_path / "out")
@@ -755,7 +763,7 @@ def test_cli_simulate_policy_on_another_grid_is_cache_miss(tmp_path, capsys):
         fh.write("\n".join(lines) + "\n")
     capsys.readouterr()
     assert main(["--config", ini, "--out", out, "simulate", "--episodes", "5"]) == 4
-    assert ("policy.csv is on a 1-cell grid, kernel.csv on a 2-cell grid; "
+    assert ("policy.csv is on a 1-cell grid, the config's grid has 2 cells; "
             "run the solve command first") in capsys.readouterr().err
     assert not os.path.exists(os.path.join(cache, "episodes.csv"))
 
@@ -787,6 +795,14 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert main(["--config", ini, "--out", str(tmp_path / "o5"), "--grid", "50", "solve"]) == 3
     assert capsys.readouterr().err.startswith("error [numerical]: steady readout misses "
                                               "its closed form by 0.0435 (alpha=1.0, phi=1e-12)")
+    assert not (tmp_path / "o5").exists()
+    # simulate reads policy.csv before it builds the model, so the unsolved
+    # model is a cache miss, not the numerical failure
+    assert main(["--config", ini, "--out", str(tmp_path / "o5"), "--grid", "50",
+                 "simulate", "--episodes", "5"]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error [cache-miss]: missing artifact ")
+    assert err.endswith("; run the solve command first\n")
     assert not (tmp_path / "o5").exists()
 
     strict = BASE_INI.replace("seed = 11", "seed = 11\nmax_iter = 1")
