@@ -2,15 +2,16 @@
 the observation likelihood sigma(pi, y) written through it, the policy that
 stops at once, the Lindblad superoperators in their np.kron form, the
 probability-row rule row by row with the stacks it is tried on, the
-former per-row normalization of a steady action distribution, and the
-former nearest-grid-point rule of Policy.decide."""
+former per-row normalization of a steady action distribution, the former
+nearest-grid-point rule of Policy.decide, the former every-belief verdict of
+a region-scan row, and the exact Blackwell order of two A = 2 opponents."""
 
 import math
 
 import numpy as np
 from hypothesis import strategies as st
 
-from qdetect import Policy, hamiltonian
+from qdetect import Policy, best_transform, hamiltonian
 
 # how far from 1 Generator.choice lets the sum of p be
 SQRT_EPS = np.sqrt(np.finfo(float).eps)
@@ -78,6 +79,38 @@ def nearest_point(points, x):
     lo = np.maximum(np.searchsorted(points, x) - 1, 0)
     hi = np.minimum(lo + 1, points.size - 1)
     return np.where(np.abs(points[hi] - x) < np.abs(points[lo] - x), hi, lo)
+
+
+def every_belief_verdict(src_fam, dst_fam):
+    """A region-scan row's worst residual the former way: best_transform at
+    every sampled belief, in belief order, from 0.0."""
+    return float(max([0.0] + [best_transform(src, dst)[1]
+                              for src, dst in zip(src_fam, dst_fam)]))
+
+
+def vertex_order(V, V2):
+    """Whether the n = 2, A = 2 vertex matrix V garbles into V2, exactly, and
+    the slack of that verdict: (garbles, slack).
+
+    A row-stochastic M = [[m1, 1 - m1], [m2, 1 - m2]] maps V onto V2 exactly
+    when the affine f(t) = m2 + t (m1 - m2) takes q = V[:, 0] onto r =
+    V2[:, 0], and f(0) = m2, f(1) = m1 must lie in [0, 1]. If q[0] != q[1],
+    f is the line through (q[0], r[0]) and (q[1], r[1]); it garbles when f(0)
+    and f(1) are in [0, 1], with slack their least distance from 0 and 1. If
+    not, with v the farthest either lies outside and d = |q[0] - q[1]|, no
+    stochastic M has a worst-entry residual below the slack v d / (d + 2): a
+    line within e of both points moves f(0) and f(1) by at most e (1 + 2 / d).
+    If q[0] == q[1], V garbles into V2 exactly when r[0] == r[1] (slack inf),
+    and otherwise no residual is below the slack |r[0] - r[1]| / 2."""
+    q, r = V[:, 0], V2[:, 0]
+    d = abs(q[0] - q[1])
+    if d == 0.0:
+        spread = float(abs(r[0] - r[1]))
+        return spread == 0.0, math.inf if spread == 0.0 else spread / 2.0
+    s = (r[0] - r[1]) / (q[0] - q[1])
+    ends = np.array([r[0] - s * q[0], r[0] + s * (1.0 - q[0])])    # f(0), f(1)
+    inside = float(np.minimum(ends, 1.0 - ends).min())
+    return (True, inside) if inside >= 0.0 else (False, -inside * d / (d + 2.0))
 
 
 @st.composite

@@ -13,7 +13,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from qdetect import (
     ActionKernel,
@@ -22,6 +22,7 @@ from qdetect import (
     ChangeModel,
     DecisionFrame,
     DetectionCosts,
+    ObservationModel,
     ParameterMixture,
     PsychParams,
     best_transform,
@@ -39,6 +40,8 @@ from qdetect.dominance import _channel_family, _mix_params
 from qdetect.errors import InvalidModel, QDetectError
 from qdetect.protocol import _transitions
 from qdetect.quantum import closed_form_vertices
+
+from oracles import every_belief_verdict, vertex_order
 
 PAIR_HI = PsychParams(0.9, 50.0, 0.3)    # dominating side of the test pair
 PAIR_LO = PsychParams(0.2, 50.0, 0.3)
@@ -318,11 +321,17 @@ def test_betweenness_flags_real_violation(pd_frame, pd_change, pd_obs):
     assert abs(report.worst_margin - (-2.0652097155893223e-04)) <= 1e-9
 
 
+def posteriors(change, obs, pi_values):
+    """The sensor posteriors T(pi, y) as distributions over the two states,
+    shaped (n_pi, n_obs, 2): a channel family is these times a vertex matrix."""
+    post = _transitions(pi_values, obs.B[0][:, None], obs.B[1][:, None], change.p)[0].T
+    return np.stack([post, 1.0 - post], axis=-1)
+
+
 def closed_form_family(frame, params, change, obs, pi_values):
     """_channel_family with closed_form_vertices in place of the eigensolve:
     the sensor posteriors T(pi, y) times the vertex matrix."""
-    post = _transitions(pi_values, obs.B[0][:, None], obs.B[1][:, None], change.p)[0].T
-    return np.stack([post, 1.0 - post], axis=-1) @ closed_form_vertices(frame, params)
+    return posteriors(change, obs, pi_values) @ closed_form_vertices(frame, params)
 
 
 def test_criterion_8_violations_are_the_closed_forms(pd_frame, pd_change, pd_obs):
@@ -518,10 +527,15 @@ def test_box_grid_counts():
     assert all(p.alpha == 0.3 and p.phi == 0.2 for p in flat)
 
 
+def default_box_points():
+    """The CLI's default ref and test boxes, 2 points per axis."""
+    return (box_grid((0.8, 1.0), (10.0, 100.0), (0.1, 0.5), points_per_axis=2),
+            box_grid((0.1, 0.5), (10.0, 100.0), (0.1, 0.5), points_per_axis=2))
+
+
 def default_box_scan(pd_frame, pd_change, pd_obs, pd_costs):
     """region_scan over the CLI's default boxes, 2 points per axis, grid_n 100."""
-    ref = box_grid((0.8, 1.0), (10.0, 100.0), (0.1, 0.5), points_per_axis=2)
-    test = box_grid((0.1, 0.5), (10.0, 100.0), (0.1, 0.5), points_per_axis=2)
+    ref, test = default_box_points()
     return region_scan(pd_frame, ref, test, pd_change, pd_obs, pd_costs,
                        BeliefGrid(n_cells=100))
 
@@ -534,17 +548,18 @@ def row_bits(row):
 def test_region_scan_pool_matches_serial(
     pd_frame, pd_change, pd_obs, pd_costs, monkeypatch, tmp_path
 ):
-    # each garbling search appends the pid it ran in, so the test sees which
-    # path ran; two CPUs force the pool even on a one-CPU host
+    # each garbling LP appends the pid it ran in, so the test sees which path
+    # ran (the forked workers inherit the patched forwarder, and every scan of
+    # these boxes runs LPs); two CPUs force the pool even on a one-CPU host
     pid_log = tmp_path / "pids"
-    search = dominance.best_transform
+    forward = dominance.linprog
 
     def logged(*args, **kwargs):
         with open(pid_log, "a", encoding="utf-8") as fh:
             fh.write(f"{os.getpid()}\n")
-        return search(*args, **kwargs)
+        return forward(*args, **kwargs)
 
-    monkeypatch.setattr(dominance, "best_transform", logged)
+    monkeypatch.setattr(dominance, "linprog", logged)
     scans = {}
     for cpus in ({0, 1}, {0}):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
@@ -594,6 +609,157 @@ def test_region_scan_worker_error_reaches_caller(
             default_box_scan(pd_frame, pd_change, pd_obs, pd_costs)
     finally:
         faulthandler.cancel_dump_traceback_later()
+
+
+def counting_lps(fn, *args):
+    """fn(*args) and the number of garbling LPs it ran."""
+    calls = []
+    forward = dominance.linprog
+
+    def counting(*a, **kw):
+        calls.append(None)
+        return forward(*a, **kw)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dominance, "linprog", counting)
+        got = fn(*args)
+    return got, len(calls)
+
+
+def test_pruned_verdicts_are_the_every_belief_ones_on_the_default_boxes(
+    pd_frame, pd_change, pd_obs
+):
+    # default_box_scan's 128 rows, each to the bit, with about a third of
+    # the LPs: only those that can set a row's worst residual run
+    pi_values = np.linspace(0.0, 1.0, 11)
+    ref, test = ([_channel_family(pd_frame, p, pd_change, pd_obs, pi_values) for p in box]
+                 for box in default_box_points())
+    rows = [pair for fr in ref for ft in test for pair in ((fr, ft), (ft, fr))]
+    pruned_lps = every_lps = 0
+    for src, dst in rows:
+        worst, n = counting_lps(dominance._row_verdict, src, dst)
+        want, n_every = counting_lps(every_belief_verdict, src, dst)
+        assert worst.hex() == want.hex()
+        pruned_lps, every_lps = pruned_lps + n, every_lps + n_every
+    assert len(rows) == 128
+    assert 0 < 2 * pruned_lps < every_lps, (pruned_lps, every_lps)
+
+
+@st.composite
+def vertex_pairs(draw):
+    """The closed-form vertex matrices V, V2 of two parameter points of one
+    random A = 2 frame; alpha = 1 and phi = 0 are drawn often."""
+    utility = draw(st.lists(st.floats(1.0, 30.0), min_size=4, max_size=4))
+    frame = DecisionFrame(2, 2, np.reshape(utility, (2, 2)))
+    return tuple(closed_form_vertices(frame, PsychParams(
+        alpha=draw(st.just(1.0) | st.floats(0.05, 1.0)),
+        lam=draw(st.floats(0.0, 30.0)),
+        phi=draw(st.just(0.0) | st.floats(0.0, 1.0)))) for _ in range(2))
+
+
+@settings(max_examples=60)
+@given(vertex_pairs(), st.data())
+def test_pruned_verdict_is_the_every_belief_one_on_vertex_families(pair, data):
+    # random rows of T(pi) V families: a random sensor and change rate,
+    # 1-11 sampled beliefs
+    V, V2 = pair
+    n_obs = data.draw(st.integers(1, 4))
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    obs = ObservationModel(np.random.default_rng(seed).dirichlet(np.ones(n_obs), 2))
+    change = ChangeModel(data.draw(st.floats(0.0, 1.0, exclude_min=True)))
+    pi_values = np.sort(data.draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=11)))
+    post = posteriors(change, obs, pi_values)
+    for src, dst in ((post @ V, post @ V2), (post @ V2, post @ V)):
+        assert dominance._row_verdict(src, dst).hex() == every_belief_verdict(src, dst).hex()
+
+
+@settings(max_examples=30)
+@given(st.integers(1, 11), st.integers(1, 4), st.booleans(), st.integers(0, 2**32 - 1))
+def test_pruned_verdict_runs_every_lp_at_three_actions(K, m, garbled, seed):
+    # no bound at A != 2: every belief's LP runs, in belief order
+    rng = np.random.default_rng(seed)
+    src = rng.dirichlet(np.ones(3), size=(K, m))
+    dst = (src @ rng.dirichlet(np.ones(3), size=3) if garbled
+           else rng.dirichlet(np.ones(3), size=(K, m)))
+    (worst, n), (want, n_every) = (counting_lps(fn, src, dst)
+                                   for fn in (dominance._row_verdict, every_belief_verdict))
+    assert worst.hex() == want.hex()
+    assert n == n_every == K
+
+
+@settings(max_examples=40)
+@given(st.integers(0, 2**32 - 1), st.floats(1e-4, 1e-2), st.booleans())
+def test_pruned_verdict_runs_both_lps_of_optima_within_the_margin(seed, delta, swap):
+    # g = ghat @ (1 + delta, m2) fits exactly with a column outside [0, 1], so
+    # the shortcut settles neither belief, and the LP optimum is positive; the
+    # two beliefs' optima differ by about 1e-8, well within PRUNE_MARGIN, so
+    # both LPs run and the worst is the larger of the two
+    rng = np.random.default_rng(seed)
+    first = rng.uniform(0.2, 0.8, size=3)
+    ghat = np.stack([first, 1.0 - first], axis=-1)
+    m2 = rng.uniform(0.0, 0.5)
+    src = np.stack([ghat, ghat])
+    dst = np.empty_like(src)
+    for k, shift in enumerate((0.0, 1e-8)[::-1] if swap else (0.0, 1e-8)):
+        dst[k, :, 0] = ghat @ [1.0 + delta + shift, m2]
+        dst[k, :, 1] = 1.0 - dst[k, :, 0]
+    assert all(dominance._transform_two_actions(s, d) is None for s, d in zip(src, dst))
+    u = dominance._minimax_bounds(src, dst)
+    assert u.min() > 0.0 and abs(u[0] - u[1]) < dominance.PRUNE_MARGIN
+    worst, n = counting_lps(dominance._row_verdict, src, dst)
+    assert n == 2
+    assert worst.hex() == every_belief_verdict(src, dst).hex()
+
+
+@st.composite
+def two_action_stacks(draw):
+    """Stacks of 1-4 A = 2 family pairs (ghat, g) of one shape, each (K, m, 2):
+    random Dirichlet rows (exact zeros at small concentrations), pairs within
+    1e-5 of a garbling, or vertex matrices (m = 2)."""
+    kind = draw(st.sampled_from(["random", "near", "vertex"]))
+    K = draw(st.integers(1, 4))
+    if kind == "vertex":
+        return tuple(np.array(stack) for stack in zip(*(draw(vertex_pairs()) for _ in range(K))))
+    m = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    concentration = np.full(2, draw(st.sampled_from([0.02, 0.2, 1.0, 5.0])))
+    ghat = rng.dirichlet(concentration, size=(K, m))
+    if kind == "random":
+        return ghat, rng.dirichlet(concentration, size=(K, m))
+    g = ghat @ rng.dirichlet(np.ones(2), size=(K, 2))
+    g[..., 0] = np.clip(g[..., 0] + rng.uniform(-1e-5, 1e-5, size=(K, m)), 0.0, 1.0)
+    g[..., 1] = 1.0 - g[..., 0]
+    return ghat, g
+
+
+@settings(max_examples=200)
+@given(two_action_stacks())
+def test_minimax_bound_is_the_lp_optimum(stack):
+    # u_k is the residual of a stochastic M, so the LP's never exceeds it by
+    # more than HiGHS's tolerances, well inside PRUNE_MARGIN; and the line
+    # crossings hold the LP's optimal vertex, so u_k is that optimum and no
+    # prune is lost to a missed candidate
+    bounds = dominance._minimax_bounds(*stack)
+    assert bounds.shape == (len(stack[0]),)
+    for u, src, dst in zip(bounds, *stack):
+        _, lp = dominance._transform_linprog(src, dst)
+        assert lp <= u + dominance.PRUNE_MARGIN / 10
+        assert u <= lp + 1e-9
+
+
+@settings(max_examples=200)
+@given(vertex_pairs())
+def test_exact_vertex_order_is_best_transforms_verdict(pair):
+    # the exact A = 2 Blackwell test against best_transform(V, V2) at
+    # GARBLING_TOL. A garbling pair is drawn when f(0) and f(1) are more than
+    # 1e-9 inside [0, 1]. best_transform certifies a residual up to
+    # GARBLING_TOL, so a pair that does not garble is drawn only when its
+    # least residual is above twice that, clear of HiGHS's 1e-7 tolerances
+    V, V2 = pair
+    garbles, slack = vertex_order(V, V2)
+    assume(slack > (1e-9 if garbles else 2 * dominance.GARBLING_TOL))
+    _, resid = best_transform(V, V2)
+    assert garbles == (resid <= dominance.GARBLING_TOL), (V, V2, resid, slack)
 
 
 @pytest.mark.parametrize("cls", [QDetectError, *QDetectError.__subclasses__()])
