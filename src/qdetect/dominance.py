@@ -188,18 +188,6 @@ def _transform_linprog(ghat, g):
     return M, resid
 
 
-@functools.lru_cache(maxsize=None)
-def _line_pairs(m):
-    """The pairs of _minimax_bounds' lines for m-row families whose crossings
-    hold every vertex of the A = 2 garbling LP: (first, second) index arrays.
-    Two residual lines meet at a vertex only when they share a row y; a box
-    line meets any line."""
-    uses = [{y} for y in range(m)] + [{y, z} for y, z in zip(*np.triu_indices(m, 1))] * 2
-    uses += [set()] * 4                     # the box lines
-    return np.array([(i, j) for i, j in itertools.combinations(range(len(uses)), 2)
-                     if uses[i] & uses[j] or not (uses[i] and uses[j])]).T
-
-
 def _minimax_bounds(ghat, g):
     """Upper bounds on the garbling LP's optimum for a stack of A = 2 family
     pairs, shaped (K, m, 2): for each, the least worst-entry residual of a
@@ -212,10 +200,10 @@ def _minimax_bounds(ghat, g):
     its ends, b and b + s, in [0, 1]. Its optimum sits at a vertex of
     {(m1, m2, t): |r_y| <= t, 0 <= m1, m2 <= 1}, where three of those
     constraints hold with equality; without t, that is where two of the lines
-    r_y = 0, r_y = r_z, r_y = -r_z (y < z) and m1, m2 in {0, 1} cross. So the
-    least residual over the crossings is the LP's optimum up to rounding, and
-    every candidate's residual, over both columns, is that of a feasible M:
-    an upper bound on the optimum however the crossings round."""
+    r_y = 0, r_y = r_z, r_y = -r_z (y < z) and m1, m2 in {0, 1} cross, and
+    every crossing is a candidate. So the least residual over them is the
+    LP's optimum up to rounding, and each candidate's residual, over both
+    columns, is that of a feasible M: an upper bound however they round."""
     K, m, _ = ghat.shape
     c = g[..., 0]
     y, z = np.triu_indices(m, 1)
@@ -224,7 +212,7 @@ def _minimax_bounds(ghat, g):
     normal = np.concatenate(
         [ghat, ghat[:, y] - ghat[:, z], ghat[:, y] + ghat[:, z], box_normal], axis=1)
     level = np.concatenate([c, c[:, y] - c[:, z], c[:, y] + c[:, z], box_level], axis=1)
-    i, j = _line_pairs(m)
+    i, j = np.triu_indices(normal.shape[1], 1)
     p, q, hp, hq = normal[:, i], normal[:, j], level[:, i], level[:, j]
     with np.errstate(divide="ignore", invalid="ignore"):
         # Cramer's rule; parallel lines give NaN, skipped below, or an inf

@@ -276,6 +276,8 @@ MAX_STEPS = 2**20
 # episode k seeds from the spawn key (k,), which is one uint32 word only below this
 MAX_EPISODES = 2**32
 
+BLOCK_STEPS = 64                # steps of uniforms each running episode draws at once
+
 # numpy.random.SeedSequence's mixing, which numpy keeps stream-stable: a pool
 # of 4 uint32 words, the hash constants of its entropy mixing (A) and of its
 # generate_state (B), and the multipliers of mix
@@ -416,7 +418,7 @@ def simulate_episodes(frame, params, change, obs, policy, kernel, rngs, costs):
 
     Episode k draws from the Generator rngs[k]: the change time, then two
     uniforms per step that _draw turns into y and a as Generator.choice
-    would, drawn in blocks of at most 1024 steps, so memory is bounded by
+    would, drawn in blocks of BLOCK_STEPS steps, so memory is bounded by
     the running episodes, not by the steps. The filters keep the scalar
     expression order, so each episode's times and cost equal those of the
     episode run alone. Errors name the episode and step; of several failures
@@ -434,19 +436,18 @@ def simulate_episodes(frame, params, change, obs, policy, kernel, rngs, costs):
     act = np.arange(len(rngs))                      # running episodes
     tau = tau0                                      # and their change times
     pi = np.tile(change.pi0, (act.size, 1))
-    n = block_end = 0
+    n = 0
     while act.size:
         n += 1
         if n > step_cap:
             raise RunawayEpisode(f"episode {act[0]}: no stop after {step_cap} steps",
                                  episode=int(act[0]), step_cap=step_cap)
-        if n > block_end:                           # the next uniforms of each running episode
-            width = min(max(32, n), 1024)
-            uniforms = np.empty((act.size, 2 * width))
+        col = 2 * ((n - 1) % BLOCK_STEPS)
+        if col == 0:                                # the next uniforms of each running episode
+            uniforms = np.empty((act.size, 2 * BLOCK_STEPS))
             for k, row in zip(act.tolist(), uniforms):
                 rngs[k].random(out=row)
-            rows, block_start, block_end = np.arange(act.size), n, n + width - 1
-        col = 2 * (n - block_start)
+            rows = np.arange(act.size)
         # y's cdf row is state 2's (index 1) until the change at step tau
         y = _draw(obs_cdf.take(tau > n, axis=0), uniforms[rows, col])
         pi = check_belief(pi, 2)

@@ -57,6 +57,26 @@ pi_x = p(. | x) for the choice rates and q for the action marginal:
    and by Blackwell (1953) the detector's optimal cost with the larger-g
    opponent is no higher. The exception is phi = 0, where pi_x is replaced by
    its state mean: such a point shares that mean, not pi_x, with the others.
+6. At n = A = 2 the order of step 5 is exact for any two points. The rows of
+   V sum to 1, so V is fixed by its first column q = (q_1, q_2). For M =
+   [[m_1, 1 - m_1], [m_2, 1 - m_2]], (V M)[x, 0] = q_x m_1 + (1 - q_x) m_2 =
+   f(q_x) with the affine f(t) = m_2 + t (m_1 - m_2), and the second column
+   follows from the row sums. M is row-stochastic exactly when f(0) = m_2 and
+   f(1) = m_1 lie in [0, 1], that is when f maps [0, 1] into [0, 1]. So V
+   garbles into V' iff an affine f maps [0, 1] into [0, 1] and q_x onto q'_x:
+   such an M gives its f, and such an f gives M with m_2 = f(0), m_1 = f(1).
+   If q_1 != q_2, f is the line through (q_1, q'_1) and (q_2, q'_2), with
+   slope s = (q'_1 - q'_2) / (q_1 - q_2) and f(0) = q'_1 - s q_1, and the test
+   is f(0), f(0) + s in [0, 1]. If q_1 = q_2, V is uninformative and garbles
+   into V' iff q'_1 = q'_2. As in step 5, one M then garbles every channel row
+   eta @ V at once, and the garbled opponent's optimal cost is no lower;
+   step 5 is the equal-lam case. In a Prisoner's Dilemma frame (utility
+   20 5 ; 25 10) defection pays more in both states, so as lam grows pi_x
+   tends to defection in both, q_1 - q_2 tends to 0 and every V garbles into
+   the large-lam one: a fully rational opponent's action says nothing about
+   the state. More rationality helps only below a frame-dependent lam; at
+   alpha 0.812, phi 0.9 the larger lam garbles into the smaller along 0.5,
+   1, 2, 5, and the smaller into the larger along 5, 10, 30, 100.
 """
 
 import numpy as np

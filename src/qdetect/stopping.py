@@ -13,7 +13,7 @@ V read off the grid by linear interpolation. Ties break toward stopping.
 import numpy as np
 
 from ._record import derived, record
-from .errors import InvalidModel, NonConvergence
+from .errors import InvalidModel, NonConvergence, NumericalFailure
 from .protocol import BeliefGrid, _transitions, grid_interp, grid_slopes, grid_stencil
 
 # Default stopping rule of every Bellman loop: sup-norm change and sweep budget.
@@ -87,7 +87,12 @@ def _iterate(grid, transitions, costs, tol, max_iter, stop_mask=None):
 
     The posteriors do not move between sweeps, so their grid_stencil is
     taken once; each sweep takes V's slopes into one buffer and reads V at
-    every posterior through grid_interp, np.interp's numbers to the bit."""
+    every posterior through grid_interp, np.interp's numbers to the bit.
+
+    Costs near the float maximum can overflow V's slopes or the continuation
+    in some sweep; the solve then raises NumericalFailure naming f, d and
+    grid_n instead of going on with an inf, with no RuntimeWarning. A solve
+    that never overflows is untouched."""
     t1, weights = transitions
     points = grid.points
     stencil = grid_stencil(points, t1)
@@ -101,19 +106,25 @@ def _iterate(grid, transitions, costs, tol, max_iter, stop_mask=None):
         return delay_cost + sum(terms)              # the rows add in evidence order from 0
 
     fixed = stop_mask is not None
+    kind = "policy evaluation" if fixed else "value iteration"
     V = np.where(stop_mask, stop_cost, 0.0) if fixed else np.zeros_like(points)
     delta = np.inf
-    for sweep in range(1, max_iter + 1):
-        cont = continuation(V)
-        Vn = np.where(stop_mask, stop_cost, cont) if fixed else np.minimum(stop_cost, cont)
-        delta = np.abs(Vn - V).max()
-        V = Vn
-        if delta <= tol:
-            break
-    else:
-        raise NonConvergence(f"{'policy evaluation' if fixed else 'value iteration'} missed "
-                             f"tolerance {tol} after {max_iter} sweeps", last_delta=float(delta))
-    cont = continuation(V)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            for sweep in range(1, max_iter + 1):
+                cont = continuation(V)
+                Vn = np.where(stop_mask, stop_cost, cont) if fixed else np.minimum(stop_cost, cont)
+                delta = np.abs(Vn - V).max()
+                V = Vn
+                if delta <= tol:
+                    break
+            else:
+                raise NonConvergence(f"{kind} missed tolerance {tol} after {max_iter} sweeps",
+                                     last_delta=float(delta))
+            cont = continuation(V)
+    except FloatingPointError as exc:
+        raise NumericalFailure(f"{kind} is not finite ({exc}) at f = {costs.f!r}, "
+                               f"d = {costs.d!r}, grid_n = {grid.n_cells}") from None
     return (
         ValueTable(grid=grid, values=V, sweeps=sweep),
         Policy(grid=grid, u=np.where(stop_cost <= cont, 1, 2)),

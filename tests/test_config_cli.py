@@ -914,21 +914,44 @@ def test_cli_simulate_overflowing_cost_square_exits_3(tmp_path, capsys):
     assert not (out / load_config(huge).hash / "episodes.csv").exists()
 
 
-def test_cli_overflowing_likelihood_row_exits_2_without_a_warning(tmp_path):
-    # run where a RuntimeWarning is an error: the row sum overflowed, and the
-    # config error named the warning, not the row
-    text = BASE_INI.replace("b = 0.6 0.25 0.15 ; 0.15 0.25 0.6", "b = 1e308 1e308 0 ; 0.5 0.5 0")
+def _solve_warnings_as_errors(tmp_path, text):
+    """`solve` on the config text in a process where a RuntimeWarning is an
+    error, writing under tmp_path / "o"."""
     ini = write_ini(tmp_path, text, "overflow.ini")
     env = dict(os.environ)
     src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "qdetect.cli",
+    return subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "qdetect.cli",
                            "--config", ini, "--out", str(tmp_path / "o"), "solve"],
                           env=env, capture_output=True, text=True, timeout=120)
+
+
+def test_cli_overflowing_likelihood_row_exits_2_without_a_warning(tmp_path):
+    # the row sum overflows: a config error that names the row, not the warning
+    text = BASE_INI.replace("b = 0.6 0.25 0.15 ; 0.15 0.25 0.6", "b = 1e308 1e308 0 ; 0.5 0.5 0")
+    proc = _solve_warnings_as_errors(tmp_path, text)
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr == ("error [config]: observation likelihoods must sum to 1 (off by inf), "
                            "got row 0: [1e+308, 1e+308, 0.0]\n")
     assert not (tmp_path / "o").exists()
+
+
+def test_cli_overflowing_value_iteration_exits_3_without_a_warning(tmp_path):
+    # costs near the float maximum overflow V's slopes in the third sweep:
+    # a typed numerical error naming the costs and the grid
+    text = (BASE_INI.replace("p = 0.95", "p = 0.02").replace("f = 5", "f = 1.7e308")
+            .replace("d = 1\n", "d = 1e308\n").replace("grid_n = 60", "grid_n = 29"))
+    proc = _solve_warnings_as_errors(tmp_path, text)
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr == ("error [numerical]: value iteration is not finite (overflow "
+                           "encountered in divide) at f = 1.7e+308, d = 1e+308, grid_n = 29\n")
+    assert not (tmp_path / "o").exists()
+    # the largest costs alone do not fail: f = 1e308 with d = 1 solves
+    text = (BASE_INI.replace("p = 0.95", "p = 0.02").replace("f = 5", "f = 1e308")
+            .replace("grid_n = 60", "grid_n = 1000"))
+    proc = _solve_warnings_as_errors(tmp_path, text)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
 
 
 MAX = sys.float_info.max
@@ -945,7 +968,7 @@ def schema_configs(draw):
     up to 4 actions, utilities and lambda over their whole finite range,
     alpha and phi at 0 and 1, p from subnormal to 1, observation rows with
     zeros, one row in four of raw entries (above 1 included), f and d from
-    0, grid_n up to 50 and a small max_iter."""
+    0 to the float maximum, grid_n up to 50 and a small max_iter."""
     n_actions, n_obs = draw(st.integers(1, 4)), draw(st.integers(1, 3))
     utility = [draw(st.lists(st.sampled_from([1e-6, 1.0, 1e6]) | st.floats(1e-3, 1e3) | POSITIVE,
                              min_size=2, max_size=2)) for _ in range(n_actions)]
@@ -957,7 +980,7 @@ def schema_configs(draw):
         w = np.array(draw(st.lists(LIKELIHOOD, min_size=n_obs, max_size=n_obs)))
         rows.append(w / w.sum() if w.sum() > 0 else np.eye(n_obs)[0])
     p = draw(st.sampled_from([1.0, 1e-9, 1e-300]) | st.floats(0.0, 1.0, exclude_min=True))
-    unit, cost = st.floats(0.0, 1.0), st.sampled_from([0.0]) | st.floats(0.0, 1e6)
+    unit, cost = st.floats(0.0, 1.0), st.sampled_from([0.0]) | st.floats(0.0, 1e6) | POSITIVE
 
     def matrix(table):
         return " ; ".join(" ".join(map(repr, map(float, row))) for row in table)

@@ -579,19 +579,44 @@ def test_region_scan_sound_against_vertex_certificate(
 ):
     # the channel family at belief pi is T(pi) V for the vertex matrix V, so
     # a garbling M with V_src M = V_dst (Blackwell's order) certifies every
-    # sampled belief at once: a vertex-certified direction must be certified
+    # sampled belief at once: a vertex-certified direction must be certified.
+    # Where the exact A = 2 test of proof step 6 finds such an M, the garbled
+    # side also costs at least as much at every grid point. The other 24
+    # vertex-certified rows garble within GARBLING_TOL only: each into a
+    # lambda-100 point, whose two vertex rows agree to about 2e-10
     _, rows = default_box_scan(pd_frame, pd_change, pd_obs, pd_costs)
-    vertex_certified = 0
+    vertex_certified = exact = 0
     for row in rows:
         src, dst = ((row.ref, row.test) if row.direction == "ref_to_test"
                     else (row.test, row.ref))
-        _, resid = best_transform(ActionMap(pd_frame, src).vertices,
-                                  ActionMap(pd_frame, dst).vertices)
+        V_src, V_dst = ActionMap(pd_frame, src).vertices, ActionMap(pd_frame, dst).vertices
+        _, resid = best_transform(V_src, V_dst)
         if resid <= 1e-6:
             vertex_certified += 1
             assert row.certified, (row, resid)
-    assert vertex_certified >= 1
-    assert len(rows) == 128
+        if vertex_order(V_src, V_dst)[0]:
+            exact += 1
+            assert row.certified and row.worst_V_margin >= -1e-6, row
+    assert (exact, vertex_certified, len(rows)) == (56, 80, 128)
+
+
+def test_vertex_order_flips_once_on_a_lambda_ladder(pd_frame):
+    # information is not monotone in lambda. In the README frame defection
+    # pays more in both states, so a fully rational player's action says
+    # nothing about the state. At alpha 0.812, phi 0.9 the larger lambda
+    # garbles into the smaller up to lambda 5, and from lambda 5 on the
+    # smaller garbles into the larger; exactly one direction holds per step
+    lams = [0.5, 1.0, 2.0, 5.0, 10.0, 30.0, 100.0]
+    V = [closed_form_vertices(pd_frame, PsychParams(0.812, lam, 0.9)) for lam in lams]
+    order = []
+    for small, large in zip(V, V[1:]):
+        (up, up_slack), (down, down_slack) = vertex_order(small, large), vertex_order(large, small)
+        assert up != down and min(up_slack, down_slack) > 1e-4, (up_slack, down_slack)
+        for garbles, src, dst in ((up, small, large), (down, large, small)):
+            assert garbles == (best_transform(src, dst)[1] <= dominance.GARBLING_TOL)
+        order.append("small into large" if up else "large into small")
+    assert order == ["large into small"] * 3 + ["small into large"] * 3
+    assert abs(V[-1][0, 0] - V[-1][1, 0]) < 1e-5
 
 
 def test_region_scan_worker_error_reaches_caller(

@@ -50,7 +50,7 @@ from qdetect import (
     value_iteration,
 )
 from qdetect.protocol import (
-    _cdf, _draw, _transitions, bayes_step, grid_interp, grid_slopes, grid_stencil,
+    BLOCK_STEPS, _cdf, _draw, _transitions, bayes_step, grid_interp, grid_slopes, grid_stencil,
 )
 from qdetect.quantum import assemble_lindbladian, check_belief
 
@@ -915,7 +915,7 @@ def test_tiny_p_batch_stops_at_max_steps(monkeypatch, pd_frame, pd_params, pd_ob
 def test_tiny_p_batch_memory_does_not_grow_with_steps(monkeypatch, pd_frame, pd_params,
                                                       pd_obs):
     # a never-stopping batch holds its running episodes' state and one block
-    # of uniforms of at most 1024 steps, whatever the number of steps
+    # of uniforms of BLOCK_STEPS steps, whatever the number of steps
     change, kernel, never_stop = _never_stop(pd_frame, pd_params, pd_obs, 1e-20)
 
     def peak_bytes(max_steps):
@@ -932,11 +932,32 @@ def test_tiny_p_batch_memory_does_not_grow_with_steps(monkeypatch, pd_frame, pd_
 
     faulthandler.dump_traceback_later(120, exit=True)     # a hang fails loudly
     try:
-        # both caps pass the 1024-step block, so a per-step leak shows in the ratio
+        # both caps pass many BLOCK_STEPS blocks, so a per-step leak shows in the ratio
         short, long = peak_bytes(1100), peak_bytes(4400)
     finally:
         faulthandler.cancel_dump_traceback_later()
     assert long < 1.5 * short, (short, long)
+
+
+def test_batch_memory_is_one_block_of_uniforms_per_episode(monkeypatch, pd_frame, pd_params,
+                                                           pd_obs):
+    # 2000 never-stopping episodes run 265 steps: the uniforms come in blocks
+    # of BLOCK_STEPS steps, two per step and episode, and a refill frees the
+    # block before it, so at most two blocks are alive (a peak of about 2.14
+    # blocks); a block that grew with the steps would be 256 steps wide by now
+    change, kernel, never_stop = _never_stop(pd_frame, pd_params, pd_obs, 1e-20)
+    monkeypatch.setattr("qdetect.protocol.MAX_STEPS", 265)
+    rngs = _rngs(range(2000))
+    block = len(rngs) * 2 * BLOCK_STEPS * 8
+    tracemalloc.start()
+    try:
+        with pytest.raises(RunawayEpisode):
+            simulate_episodes(pd_frame, pd_params, change, pd_obs, never_stop, kernel, rngs,
+                              NO_COSTS)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * block, (peak, block)
 
 
 def test_draw_rule_and_checks():
