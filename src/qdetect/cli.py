@@ -14,7 +14,7 @@ error type's code: the exit codes and tags live on the types in errors.py
 import argparse
 import os
 import sys
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -75,14 +75,15 @@ def cmd_stp_sweep(config, args):
 
 
 def _kernel(config):
-    """The config's action kernel; a missing change, obs or costs section is a ConfigError."""
+    """The config's ActionMap and its action kernel; a missing change, obs or
+    costs section is a ConfigError, raised before the ActionMap is built."""
     config.require("change", "obs", "costs")
-    return build_action_kernel(config.frame, config.params, config.change, config.obs,
-                               config.grid)
+    amap = ActionMap(config.frame, config.params)
+    return amap, build_action_kernel(amap, config.change, config.obs, config.grid)
 
 
 def cmd_solve(config, args):
-    kernel = _kernel(config)
+    _, kernel = _kernel(config)
     table, policy = value_iteration(
         kernel, config.change, config.costs,
         tol=config.vi_tol, max_iter=config.max_iter,
@@ -113,7 +114,7 @@ def _parse_f_values(text):
 
 def cmd_threshold_sweep(config, args):
     f_values = _parse_f_values(args.f_values)
-    kernel = _kernel(config)
+    _, kernel = _kernel(config)
     rows = []
     for f in f_values:
         costs = DetectionCosts(f=float(f), d=config.costs.d)
@@ -146,9 +147,9 @@ def cmd_simulate(config, args):
                             f"the config's grid has {config.grid.n_cells} cells")
     except CacheMiss as exc:
         raise CacheMiss(f"{exc}; run the solve command first") from None
-    batch = simulate_episodes(config.frame, config.params, config.change, config.obs, policy,
-                              _kernel(config), episode_generators(config.seed, n_episodes),
-                              costs=config.costs)
+    amap, kernel = _kernel(config)                  # the same map for the kernel and the agent
+    batch = simulate_episodes(amap, config.change, config.obs, policy, kernel,
+                              episode_generators(config.seed, n_episodes), costs=config.costs)
     costs_sum = costs_sq = 0.0
     for k, c in enumerate(batch.cost.tolist()):   # in order: the printed statistics depend on it
         costs_sum += c
@@ -244,7 +245,10 @@ _OVERRIDES = (
 )
 
 
+@cache
 def build_parser():
+    """The CLI's argument parser, built once per process: every main call
+    shares it, so it must not be changed."""
     parser = argparse.ArgumentParser(
         prog="qdetect",
         description="Quantum-decision change detection experiments",

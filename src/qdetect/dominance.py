@@ -19,7 +19,7 @@ import numpy as np
 from ._record import record
 from .errors import InvalidModel
 from .protocol import _channel_family, build_action_kernel, build_mismatched_kernel
-from .quantum import PsychParams
+from .quantum import ActionMap, PsychParams
 from .stopping import MAX_ITER, VI_TOL, evaluate_policy, value_iteration
 
 GARBLING_TOL = 1e-6             # a garbling certifies at this worst-entry residual
@@ -243,20 +243,12 @@ def interpolation_betweenness_check(frame, p1, p2, change, obs):
     interval spanned by the endpoint values, within tol = 1e-6.
     """
     eps_values, pi_values, tol = np.linspace(0.1, 0.9, 9), np.linspace(0.0, 1.0, 11), 1e-6
-    fam1 = _channel_family(frame, p1, change, obs, pi_values)
-    fam2 = _channel_family(frame, p2, change, obs, pi_values)
-    lo = np.minimum(fam1, fam2)
-    hi = np.maximum(fam1, fam2)
-    checks = 0
-    violations = 0
-    worst = np.inf
-    for eps in eps_values:
-        fam3 = _channel_family(frame, _mix_params(p1, p2, eps), change, obs, pi_values)
-        margin = np.minimum(fam3 - lo, hi - fam3)
-        checks += margin.size
-        violations += int(np.count_nonzero(margin < -tol))
-        worst = min(worst, float(margin.min()))
-    return BetweennessReport(checks=checks, violations=violations, worst_margin=worst)
+    fam1, fam2, *mixed = (_channel_family(ActionMap(frame, p), change, obs, pi_values)
+                          for p in (p1, p2, *(_mix_params(p1, p2, eps) for eps in eps_values)))
+    lo, hi = np.minimum(fam1, fam2), np.maximum(fam1, fam2)
+    margins = np.stack([np.minimum(fam3 - lo, hi - fam3) for fam3 in mixed])
+    return BetweennessReport(checks=margins.size, violations=int(np.count_nonzero(margins < -tol)),
+                             worst_margin=float(margins.min()))
 
 
 def model_distance(kernel, kernel_hat, change):
@@ -280,24 +272,15 @@ def model_distance(kernel, kernel_hat, change):
     return float(np.sqrt(2.0) * inner.max())
 
 
-def sensitivity_bound_check(
-    frame,
-    params_true,
-    mixture,
-    change,
-    obs,
-    costs,
-    grid,
-    tol=VI_TOL,
-    max_iter=MAX_ITER,
-):
+def sensitivity_bound_check(frame, params_true, mixture, change, obs, costs, grid, tol=VI_TOL,
+                            max_iter=MAX_ITER):
     """Robustness bound for running the mismatched-model policy on the truth.
 
     lhs = cost of the policy optimized against the mixture kernel, evaluated
     under the true kernel; rhs = true optimal cost + 2 K distance with
     K = max(f, d) / p.
     """
-    kernel = build_action_kernel(frame, params_true, change, obs, grid)
+    kernel = build_action_kernel(ActionMap(frame, params_true), change, obs, grid)
     kernel_hat = build_mismatched_kernel(frame, mixture, change, obs, grid)
     V_true, _ = value_iteration(kernel, change, costs, tol=tol, max_iter=max_iter)
     _, pol_hat = value_iteration(kernel_hat, change, costs, tol=tol, max_iter=max_iter)
@@ -305,9 +288,7 @@ def sensitivity_bound_check(
     distance = model_distance(kernel, kernel_hat, change)
     K = max(costs.f, costs.d) / change.p
     rhs = V_true.values + 2.0 * K * distance
-    return KLBoundReport(
-        K=K, distance=distance, points=grid.points, lhs=lhs.values, rhs=rhs
-    )
+    return KLBoundReport(K=K, distance=distance, points=grid.points, lhs=lhs.values, rhs=rhs)
 
 
 def box_grid(alpha, lam, phi, points_per_axis):
@@ -393,18 +374,8 @@ def _tag(own, other):
     return "dominating" if all(own) else "dominated" if all(other) else "unresolved"
 
 
-def region_scan(
-    frame,
-    ref_points,
-    test_points,
-    change,
-    obs,
-    costs,
-    grid,
-    pi_samples=11,
-    tol=VI_TOL,
-    max_iter=MAX_ITER,
-):
+def region_scan(frame, ref_points, test_points, change, obs, costs, grid, pi_samples=11,
+                tol=VI_TOL, max_iter=MAX_ITER):
     """Pairwise dominance scan between two sampled parameter regions.
 
     For every (ref, test) pair and both directions, looks for a shared
@@ -414,9 +385,10 @@ def region_scan(
     should cost at least as much everywhere).
 
     The channel families, kernels and value functions are built here, in
-    order. The garbling searches of each pair direction are one job; the jobs
-    run on one forked worker process per CPU this process may use (serially
-    here when that is one, e.g. under ``taskset -c 0``). Every search has the
+    order, each point's family and kernel from one ActionMap. The garbling
+    searches of each pair direction are one job; the jobs run on one forked
+    worker process per CPU this process may use (serially here when that is
+    one, e.g. under ``taskset -c 0``). Every search has the
     same inputs either way, so the rows are the same to the bit.
 
     A row's residual is the largest over its beliefs, so _row_verdict runs a
@@ -435,8 +407,9 @@ def region_scan(
     def prep(points):
         out = []
         for p in points:
-            fam = _channel_family(frame, p, change, obs, pi_values)
-            kernel = build_action_kernel(frame, p, change, obs, grid)
+            amap = ActionMap(frame, p)
+            fam = _channel_family(amap, change, obs, pi_values)
+            kernel = build_action_kernel(amap, change, obs, grid)
             V, _ = value_iteration(kernel, change, costs, tol=tol, max_iter=max_iter)
             out.append((p, fam, V.values))
         return out

@@ -228,31 +228,30 @@ def private_belief_update(pi, y, change, obs):
     return np.array([num1, num2]) / sigma
 
 
-def _channel_family(frame, params, change, obs, pi_values):
-    """Steady action distributions Gamma(T(pi, y)) at the sensor's posterior
-    for each belief pi(1) and observation y, shape (n_pi, n_obs, A)."""
+def _channel_family(amap, change, obs, pi_values):
+    """Steady action distributions Gamma(T(pi, y)) of the ActionMap amap at
+    the sensor's posterior for each belief pi(1) and observation y, shape
+    (n_pi, n_obs, A)."""
     pi = np.asarray(pi_values, dtype=float)
     e1 = _transitions(pi, obs.B[0][:, None], obs.B[1][:, None], change.p)[0].T.reshape(-1)
-    gammas = ActionMap(frame, params).batch(np.stack([e1, 1.0 - e1], axis=1))
+    gammas = amap.batch(np.stack([e1, 1.0 - e1], axis=1))
     return gammas.reshape(len(pi_values), obs.n_obs, -1)
 
 
-def build_action_kernel(frame, params, change, obs, grid):
+def build_action_kernel(amap, change, obs, grid):
     """Detector-side action likelihoods on the belief grid:
     R_{x,pi}(a) = sum_y Gamma(T(pi, y))(a) B_{x,y}, with Gamma the steady-state
-    action distribution at the sensor's posterior."""
-    gammas = _channel_family(frame, params, change, obs, grid.points)
+    action distribution of the ActionMap amap at the sensor's posterior."""
+    gammas = _channel_family(amap, change, obs, grid.points)
     return ActionKernel(grid=grid, table=np.einsum("iya,xy->xia", gammas, obs.B))
 
 
 def build_mismatched_kernel(frame, mixture, change, obs, grid):
     """Kernel under parameter uncertainty: the mixture-weighted sum of
     per-atom kernels. A single-atom mixture reduces to build_action_kernel."""
-    table = None
-    for params, weight in mixture.atoms:
-        k = build_action_kernel(frame, params, change, obs, grid)
-        table = weight * k.table if table is None else table + weight * k.table
-    return ActionKernel(grid=grid, table=table)
+    tables = [weight * build_action_kernel(ActionMap(frame, params), change, obs, grid).table
+              for params, weight in mixture.atoms]
+    return ActionKernel(grid=grid, table=sum(tables[1:], tables[0]))
 
 
 def public_belief_update(pi, a, change, kernel):
@@ -409,12 +408,13 @@ def _update(pi, like1, like2, p, error, kind, values, episodes, n):
     return out
 
 
-def simulate_episodes(frame, params, change, obs, policy, kernel, rngs, costs):
+def simulate_episodes(amap, change, obs, policy, kernel, rngs, costs):
     """Run the protocol once per generator, every running episode advancing one
     step per iteration on arrays: the chain may jump, the sensor observes y
     and updates its private belief, the agent draws an action from the steady
-    state there, the detector updates the public belief through the kernel
-    and applies the policy, and an episode stops at its first u = 1.
+    state of the ActionMap amap there, the detector updates the public belief
+    through the kernel and applies the policy, and an episode stops at its
+    first u = 1.
 
     Episode k draws from the Generator rngs[k]: the change time, then two
     uniforms per step that _draw turns into y and a as Generator.choice
@@ -428,7 +428,6 @@ def simulate_episodes(frame, params, change, obs, policy, kernel, rngs, costs):
     """
     if not rngs:
         raise InvalidModel("need at least one episode")
-    amap = ActionMap(frame, params)
     step_cap = int(min(10 * change.mean_change_time + 1000, MAX_STEPS))
     tau0 = np.array([rng.geometric(change.p) for rng in rngs])
     stop = np.zeros_like(tau0)
@@ -469,16 +468,16 @@ def simulate_episodes(frame, params, change, obs, policy, kernel, rngs, costs):
                         costs.d * delay + np.where(false_alarm, costs.f, 0.0))
 
 
-def simulate_episode(frame, params, change, obs, policy, kernel, seed, costs):
+def simulate_episode(amap, change, obs, policy, kernel, seed, costs):
     """One run of the protocol from default_rng(seed): a one-episode EpisodeBatch."""
-    return simulate_episodes(frame, params, change, obs, policy, kernel,
+    return simulate_episodes(amap, change, obs, policy, kernel,
                              [np.random.default_rng(seed)], costs)
 
 
-def estimate_cost(frame, params, change, obs, policy, kernel, costs, n_episodes, seed):
+def estimate_cost(amap, change, obs, policy, kernel, costs, n_episodes, seed):
     """Mean realized cost and its standard error over independent episodes,
     one per child of SeedSequence(seed), seeded by episode_generators."""
-    realized = simulate_episodes(frame, params, change, obs, policy, kernel,
+    realized = simulate_episodes(amap, change, obs, policy, kernel,
                                  episode_generators(seed, n_episodes), costs).cost
     stderr = float(realized.std(ddof=1) / np.sqrt(n_episodes)) if n_episodes > 1 else 0.0
     return float(realized.mean()), stderr

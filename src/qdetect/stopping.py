@@ -10,6 +10,8 @@ with expectations under the one-step action (or observation) likelihoods and
 V read off the grid by linear interpolation. Ties break toward stopping.
 """
 
+import math
+
 import numpy as np
 
 from ._record import derived, record
@@ -79,6 +81,24 @@ def _action_transitions(kernel, change):
     return _transitions(kernel.grid.points, *kernel.columns, change.p)
 
 
+def _missed(kind, tol, max_iter, prev, delta):
+    """NonConvergence after max_iter sweeps whose last two deltas are prev
+    and delta > tol, naming the observed contraction rho = delta / prev and
+    the sweeps in all that this rate would need to reach tol: a projection
+    from the last sweep alone, so early in a solve it can be far off."""
+    if prev == math.inf:
+        rate = "one sweep gives no contraction rate"
+    elif not delta < prev:
+        rate = f"not contracting: the delta before it was {prev:.3g}"
+    else:
+        rho = delta / prev
+        need = max_iter + math.ceil(math.log(tol / delta) / math.log(rho)) if tol > 0 else math.inf
+        rate = (f"contraction rho = {rho:.6g} per sweep, at the observed rate about {need} "
+                "sweeps in all would reach it")
+    return NonConvergence(f"{kind} missed tolerance {tol} after {max_iter} sweeps (last delta "
+                          f"{delta:.3g}; {rate})", last_delta=delta)
+
+
 def _iterate(grid, transitions, costs, tol, max_iter, stop_mask=None):
     """Bellman sweeps on the grid until the sup-norm change is <= tol.
     Without a stop mask the policy is the greedy one; with a mask it is
@@ -108,19 +128,18 @@ def _iterate(grid, transitions, costs, tol, max_iter, stop_mask=None):
     fixed = stop_mask is not None
     kind = "policy evaluation" if fixed else "value iteration"
     V = np.where(stop_mask, stop_cost, 0.0) if fixed else np.zeros_like(points)
-    delta = np.inf
+    prev = delta = np.inf
     try:
         with np.errstate(over="raise", invalid="raise"):
             for sweep in range(1, max_iter + 1):
                 cont = continuation(V)
                 Vn = np.where(stop_mask, stop_cost, cont) if fixed else np.minimum(stop_cost, cont)
-                delta = np.abs(Vn - V).max()
+                prev, delta = delta, float(np.abs(Vn - V).max())
                 V = Vn
                 if delta <= tol:
                     break
             else:
-                raise NonConvergence(f"{kind} missed tolerance {tol} after {max_iter} sweeps",
-                                     last_delta=float(delta))
+                raise _missed(kind, tol, max_iter, prev, delta)
             cont = continuation(V)
     except FloatingPointError as exc:
         raise NumericalFailure(f"{kind} is not finite ({exc}) at f = {costs.f!r}, "

@@ -87,13 +87,13 @@ def pd_action_map(pd_frame, pd_params):
 
 @pytest.fixture(scope="session")
 def pd_kernel_small(pd_frame, pd_params, pd_change, pd_obs, small_grid):
-    return build_action_kernel(pd_frame, pd_params, pd_change, pd_obs,
+    return build_action_kernel(ActionMap(pd_frame, pd_params), pd_change, pd_obs,
                                small_grid)
 
 
 @pytest.fixture(scope="session")
 def pd_kernel_full(pd_frame, pd_params, pd_change, pd_obs, full_grid):
-    return build_action_kernel(pd_frame, pd_params, pd_change, pd_obs,
+    return build_action_kernel(ActionMap(pd_frame, pd_params), pd_change, pd_obs,
                                full_grid)
 
 

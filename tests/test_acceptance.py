@@ -15,6 +15,7 @@ import time
 import numpy as np
 
 from qdetect import (
+    ActionMap,
     BeliefGrid,
     ChangeModel,
     DecisionFrame,
@@ -83,7 +84,7 @@ def test_criterion_2_threshold_location_and_grid_stability(
 ):
     _, pol_1000 = value_iteration(pd_kernel_full, pd_change, pd_costs)
     kernel_2000 = build_action_kernel(
-        pd_frame, pd_params, pd_change, pd_obs, BeliefGrid(2000)
+        ActionMap(pd_frame, pd_params), pd_change, pd_obs, BeliefGrid(2000)
     )
     _, pol_2000 = value_iteration(kernel_2000, pd_change, pd_costs)
 
@@ -161,7 +162,7 @@ def test_criterion_5_value_structure_random_draws(
             phi=float(rng.uniform(0.0, 1.0)),
         )
         kernel = build_action_kernel(
-            pd_frame, p, pd_change, pd_obs, BeliefGrid(1000)
+            ActionMap(pd_frame, p), pd_change, pd_obs, BeliefGrid(1000)
         )
         table, policy = value_iteration(kernel, pd_change, pd_costs)
         V = table.values
@@ -211,13 +212,14 @@ def test_criterion_6_mismatch_bound_with_monte_carlo(
         )
         worst_slack = min(worst_slack, bound.worst_slack)
 
-        kernel = build_action_kernel(pd_frame, true, pd_change, pd_obs, grid)
+        amap = ActionMap(pd_frame, true)
+        kernel = build_action_kernel(amap, pd_change, pd_obs, grid)
         khat = build_mismatched_kernel(
             pd_frame, mixture, pd_change, pd_obs, grid
         )
         _, pol_hat = value_iteration(khat, pd_change, pd_costs)
         mean, se = estimate_cost(
-            pd_frame, true, pd_change, pd_obs, pol_hat, kernel, pd_costs,
+            amap, pd_change, pd_obs, pol_hat, kernel, pd_costs,
             n_episodes=600, seed=int(rng.integers(2**31)),
         )
         z = (mean - bound.lhs[0]) / se

@@ -1092,6 +1092,58 @@ def test_grid_reads_do_not_call_np_interp(tmp_path, capsys, monkeypatch):
     assert "np.interp" not in capsys.readouterr().err
 
 
+def test_each_command_builds_one_action_map_per_model(tmp_path, capsys, monkeypatch):
+    # counted through ActionMap.__init__, so every construction counts,
+    # wherever it happens
+    import qdetect.quantum
+
+    built, init = [], qdetect.quantum.ActionMap.__init__
+
+    def counting_init(self, frame, params):
+        built.append(params)
+        init(self, frame, params)
+
+    monkeypatch.setattr(qdetect.quantum.ActionMap, "__init__", counting_init)
+    ini = write_ini(tmp_path, BASE_INI.replace("grid_n = 60", "grid_n = 20"))
+    out = str(tmp_path / "out")
+    scan = ["region-scan", "--ref-box", "0.9:1.0,50:50,0.3:0.3",
+            "--test-box", "0.2:0.3,50:50,0.3:0.3", "--points-per-axis", "2", "--pi-samples", "5"]
+    for argv, models in ((["solve"], 1), (["threshold-sweep", "--f-values", "1:3"], 1),
+                         (["simulate", "--episodes", "5"], 1), (scan, 4)):
+        built.clear()
+        assert main(["--config", ini, "--out", out, *argv]) == 0
+        assert len(built) == len(set(built)) == models, argv
+    capsys.readouterr()
+
+    # the unsolved model that misses its closed form: simulate's cache miss
+    # comes before any ActionMap is built
+    built.clear()
+    miss = BASE_INI.replace("alpha = 0.812", "alpha = 1").replace("phi = 0.9", "phi = 1e-12")
+    ini = write_ini(tmp_path, miss, "miss.ini")
+    assert main(["--config", ini, "--out", out, "simulate", "--episodes", "5"]) == 4
+    assert "error [cache-miss]" in capsys.readouterr().err
+    assert built == []
+
+
+def test_main_shares_one_parser_and_a_failed_call_leaves_it_as_it_was(tmp_path, capsys):
+    assert build_parser() is build_parser()
+    ini = write_ini(tmp_path)
+    out = tmp_path / "out"
+    solve = ["--config", ini, "--out", str(out), "solve"]
+
+    def solve_run():
+        assert main(solve) == 0
+        cache = out / load_config(BASE_INI).hash
+        written = {name: (cache / name).read_bytes() for name in sorted(os.listdir(cache))}
+        shutil.rmtree(out)
+        return capsys.readouterr().out, written
+
+    first = solve_run()
+    assert main(["--config", ini, "--out", str(out), "simulate", "--episodes", "0"]) == 2
+    assert "--episodes must be at least 1, got 0" in capsys.readouterr().err
+    assert solve_run() == first
+
+
 def test_cli_region_scan(tmp_path, capsys):
     ini = write_ini(tmp_path)
     out = str(tmp_path / "out")

@@ -50,7 +50,7 @@ LAM_LO = PsychParams(0.9, 10.0, 0.3)
 
 
 def family_at(frame, params, change, obs, pi1):
-    return _channel_family(frame, params, change, obs, [pi1])[0]
+    return _channel_family(ActionMap(frame, params), change, obs, [pi1])[0]
 
 
 def random_stochastic(rng, rows, cols):
@@ -279,10 +279,10 @@ def test_betweenness_degenerate_pair(pd_frame, pd_change, pd_obs):
 
     assert _mix_params(p, PsychParams(0.1, 5.0, 0.9), 1.0) == p
     fam_mix = _channel_family(
-        pd_frame, _mix_params(p, PsychParams(0.1, 5.0, 0.9), 1.0),
+        ActionMap(pd_frame, _mix_params(p, PsychParams(0.1, 5.0, 0.9), 1.0)),
         pd_change, pd_obs, [0.3],
     )
-    fam_p = _channel_family(pd_frame, p, pd_change, pd_obs, [0.3])
+    fam_p = _channel_family(ActionMap(pd_frame, p), pd_change, pd_obs, [0.3])
     np.testing.assert_array_equal(fam_mix, fam_p)
 
 
@@ -449,7 +449,7 @@ def test_sensitivity_point_mass(
     assert report.K == pd_costs.f / pd_change.p
     assert report.worst_slack >= -5e-8
     table, _ = value_iteration(
-        build_action_kernel(pd_frame, pd_params, pd_change, pd_obs, small_grid),
+        build_action_kernel(ActionMap(pd_frame, pd_params), pd_change, pd_obs, small_grid),
         pd_change, pd_costs,
     )
     assert np.abs(report.lhs - table.values).max() <= 5e-8
@@ -657,8 +657,8 @@ def test_pruned_verdicts_are_the_every_belief_ones_on_the_default_boxes(
     # default_box_scan's 128 rows, each to the bit, with about a third of
     # the LPs: only those that can set a row's worst residual run
     pi_values = np.linspace(0.0, 1.0, 11)
-    ref, test = ([_channel_family(pd_frame, p, pd_change, pd_obs, pi_values) for p in box]
-                 for box in default_box_points())
+    ref, test = ([_channel_family(ActionMap(pd_frame, p), pd_change, pd_obs, pi_values)
+                  for p in box] for box in default_box_points())
     rows = [pair for fr in ref for ft in test for pair in ((fr, ft), (ft, fr))]
     pruned_lps = every_lps = 0
     for src, dst in rows:

@@ -182,7 +182,7 @@ def test_star_import_binds_names_not_modules():
     imported = {alias.name for node in ast.walk(ast.parse(quickstart.split("```", 1)[0]))
                 if isinstance(node, ast.ImportFrom) and node.module == "qdetect"
                 for alias in node.names}
-    assert len(imported) == 8 and imported <= set(qdetect.__all__)
+    assert len(imported) == 9 and imported <= set(qdetect.__all__)
     assert not [name for name in qdetect.__all__
                 if isinstance(getattr(qdetect, name), types.ModuleType)]
     namespace = {}

@@ -267,7 +267,7 @@ def kernel_models(draw):
 @given(kernel_models())
 def test_kernel_rows_stochastic_on_random_frames(model):
     frame, params, change, obs, grid = model
-    table = build_action_kernel(frame, params, change, obs, grid).table
+    table = build_action_kernel(ActionMap(frame, params), change, obs, grid).table
     assert table.shape == (2, grid.size, frame.n_actions)
     assert table.min() >= 0.0
     assert np.abs(table.sum(axis=2) - 1.0).max() <= 1e-12
@@ -293,7 +293,7 @@ def test_kernel_belief_free_when_uncoupled(pd_frame, pd_change, pd_obs):
     # phi = 0 removes belief dependence, so the kernel cannot distinguish
     # states and is flat across the grid
     kernel = build_action_kernel(
-        pd_frame, PsychParams(0.812, 10.495, 0.0), pd_change, pd_obs,
+        ActionMap(pd_frame, PsychParams(0.812, 10.495, 0.0)), pd_change, pd_obs,
         BeliefGrid(8),
     )
     np.testing.assert_allclose(kernel.table[0], kernel.table[1], atol=1e-8)
@@ -306,7 +306,7 @@ def test_kernel_matches_long_time_evolution(
 ):
     # independent oracle: steady state per observation via expm propagation
     grid = BeliefGrid(4)
-    kernel = build_action_kernel(pd_frame, pd_params, pd_change, pd_obs, grid)
+    kernel = build_action_kernel(ActionMap(pd_frame, pd_params), pd_change, pd_obs, grid)
     i = 2                                   # grid point pi(1) = 0.5
     pi = np.array([0.5, 0.5])
     R = np.zeros((2, 2))
@@ -334,8 +334,8 @@ def test_mismatched_kernel_two_atoms(pd_frame, pd_change, pd_obs):
     grid = BeliefGrid(16)
     p1 = PsychParams(0.812, 10.495, 0.9)
     p2 = PsychParams(0.7, 10.495, 0.9)
-    k1 = build_action_kernel(pd_frame, p1, pd_change, pd_obs, grid)
-    k2 = build_action_kernel(pd_frame, p2, pd_change, pd_obs, grid)
+    k1 = build_action_kernel(ActionMap(pd_frame, p1), pd_change, pd_obs, grid)
+    k2 = build_action_kernel(ActionMap(pd_frame, p2), pd_change, pd_obs, grid)
 
     half = build_mismatched_kernel(
         pd_frame, ParameterMixture(((p1, 0.5), (p2, 0.5))), pd_change, pd_obs,
@@ -445,7 +445,7 @@ Episode = namedtuple("Episode", "change_time stop_time records cost")
 
 class StepRecorder:
     """A policy that records what simulate_episodes hands it and, through
-    action_map (an ActionMap patched into qdetect.protocol), the private
+    action_map (an ActionMap subclass to simulate with), the private
     posteriors of the running episodes: each step's eta1 and pi1 arrays and
     the decisions u."""
 
@@ -489,10 +489,8 @@ def _rngs(seeds):
 def _simulate(frame, params, change, obs, policy, kernel, seeds, costs):
     """simulate_episodes under a StepRecorder, as one Episode per seed."""
     recorder = StepRecorder(policy)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr("qdetect.protocol.ActionMap", recorder.action_map)
-        batch = simulate_episodes(frame, params, change, obs, recorder, kernel, _rngs(seeds),
-                                  costs)
+    batch = simulate_episodes(recorder.action_map(frame, params), change, obs, recorder, kernel,
+                              _rngs(seeds), costs)
     return recorder.episodes(batch)
 
 
@@ -525,7 +523,7 @@ def test_simulate_runaway(monkeypatch, pd_frame, pd_params, pd_change, pd_obs,
     never_stop = Policy(grid=grid, u=np.full(grid.size, 2))
     with pytest.raises(RunawayEpisode):
         simulate_episode(
-            pd_frame, pd_params, pd_change, pd_obs, never_stop,
+            ActionMap(pd_frame, pd_params), pd_change, pd_obs, never_stop,
             pd_kernel_small, 1, NO_COSTS,
         )
 
@@ -538,7 +536,7 @@ def test_simulate_forced_immediate_change(
     policy = always_stop_policy(pd_kernel_small.grid)
     for seed in range(50):
         batch = simulate_episode(
-            pd_frame, pd_params, change, pd_obs, policy, pd_kernel_small,
+            ActionMap(pd_frame, pd_params), change, pd_obs, policy, pd_kernel_small,
             seed, costs=pd_costs,
         )
         assert batch.change_time.tolist() == [1]
@@ -567,7 +565,7 @@ def test_estimate_cost_matches_dynamic_program(
 ):
     table, policy = value_iteration(pd_kernel_small, pd_change, pd_costs)
     mean, stderr = estimate_cost(
-        pd_frame, pd_params, pd_change, pd_obs, policy, pd_kernel_small,
+        ActionMap(pd_frame, pd_params), pd_change, pd_obs, policy, pd_kernel_small,
         pd_costs, n_episodes=1200, seed=42,
     )
     assert abs(mean - table.values[0]) <= 3 * stderr
@@ -578,11 +576,11 @@ def test_estimate_cost_seed_reproducibility(
 ):
     policy = always_stop_policy(pd_kernel_small.grid)
     a = estimate_cost(
-        pd_frame, pd_params, pd_change, pd_obs, policy, pd_kernel_small,
+        ActionMap(pd_frame, pd_params), pd_change, pd_obs, policy, pd_kernel_small,
         pd_costs, n_episodes=60, seed=7,
     )
     b = estimate_cost(
-        pd_frame, pd_params, pd_change, pd_obs, policy, pd_kernel_small,
+        ActionMap(pd_frame, pd_params), pd_change, pd_obs, policy, pd_kernel_small,
         pd_costs, n_episodes=60, seed=7,
     )
     assert a == b
@@ -593,11 +591,11 @@ def test_estimate_cost_variance_shrinks(
 ):
     policy = always_stop_policy(pd_kernel_small.grid)
     _, se_small = estimate_cost(
-        pd_frame, pd_params, pd_change, pd_obs, policy, pd_kernel_small,
+        ActionMap(pd_frame, pd_params), pd_change, pd_obs, policy, pd_kernel_small,
         pd_costs, n_episodes=200, seed=3,
     )
     _, se_big = estimate_cost(
-        pd_frame, pd_params, pd_change, pd_obs, policy, pd_kernel_small,
+        ActionMap(pd_frame, pd_params), pd_change, pd_obs, policy, pd_kernel_small,
         pd_costs, n_episodes=800, seed=3,
     )
     # quadrupling episodes should roughly halve the standard error
@@ -656,7 +654,8 @@ def slow_change():
 
 @pytest.fixture(scope="module")
 def slow_kernel(pd_frame, pd_params, slow_change, pd_obs):
-    return build_action_kernel(pd_frame, pd_params, slow_change, pd_obs, BeliefGrid(200))
+    return build_action_kernel(ActionMap(pd_frame, pd_params), slow_change, pd_obs,
+                               BeliefGrid(200))
 
 
 @pytest.fixture(scope="module")
@@ -718,7 +717,7 @@ def test_lockstep_matches_oracle_always_stop(
 
 def test_lockstep_matches_oracle_immediate_change(pd_frame, pd_params, pd_obs, pd_costs):
     change = ChangeModel(p=1.0)
-    kernel = build_action_kernel(pd_frame, pd_params, change, pd_obs, BeliefGrid(50))
+    kernel = build_action_kernel(ActionMap(pd_frame, pd_params), change, pd_obs, BeliefGrid(50))
     _, policy = value_iteration(kernel, change, pd_costs)
     traces = _assert_matches_oracle(
         pd_frame, pd_params, change, pd_obs, policy, kernel, pd_costs, seed=11,
@@ -764,7 +763,7 @@ def lockstep_models(draw):
 @given(lockstep_models(), st.integers(0, 2**32 - 1))
 def test_lockstep_matches_oracle_on_random_observation_models(pd_params, model, seed):
     frame, change, obs, grid, u = model
-    kernel = build_action_kernel(frame, pd_params, change, obs, grid)
+    kernel = build_action_kernel(ActionMap(frame, pd_params), change, obs, grid)
     _assert_matches_oracle(frame, pd_params, change, obs, Policy(grid=grid, u=u),
                            kernel, DetectionCosts(f=20.0, d=1.0), seed, n=16)
 
@@ -780,7 +779,7 @@ def test_estimate_cost_equals_oracle(
         for s in np.random.SeedSequence(5).spawn(n)
     ])
     want = (float(realized.mean()), float(realized.std(ddof=1) / np.sqrt(n)))
-    got = estimate_cost(pd_frame, pd_params, slow_change, pd_obs, slow_policy,
+    got = estimate_cost(ActionMap(pd_frame, pd_params), slow_change, pd_obs, slow_policy,
                         slow_kernel, costs, n_episodes=n, seed=5)
     assert got == want
 
@@ -825,12 +824,12 @@ def test_lockstep_impossible_action(pd_frame, pd_params, pd_change, pd_obs):
     first = []
     for i, seed in enumerate(seeds):
         with pytest.raises(ImpossibleAction) as alone:
-            simulate_episode(pd_frame, pd_params, pd_change, pd_obs, never_stop,
+            simulate_episode(ActionMap(pd_frame, pd_params), pd_change, pd_obs, never_stop,
                              kernel, seed, NO_COSTS)
         assert alone.value.episode == 0
         first.append((alone.value.step, i))
     with pytest.raises(ImpossibleAction) as info:
-        simulate_episodes(pd_frame, pd_params, pd_change, pd_obs, never_stop,
+        simulate_episodes(ActionMap(pd_frame, pd_params), pd_change, pd_obs, never_stop,
                           kernel, _rngs(seeds), NO_COSTS)
     err = info.value
     assert (err.step, err.episode) == min(first)
@@ -853,12 +852,12 @@ def test_lockstep_impossible_observation(pd_frame, pd_params):
     first = []                              # (step, check order, episode) of each failure
     for i, seed in enumerate(seeds):
         with pytest.raises((ImpossibleObservation, ImpossibleAction)) as alone:
-            simulate_episode(pd_frame, pd_params, change, obs, never_stop, kernel, seed,
-                             NO_COSTS)
+            simulate_episode(ActionMap(pd_frame, pd_params), change, obs, never_stop, kernel,
+                             seed, NO_COSTS)
         first.append((alone.value.step, isinstance(alone.value, ImpossibleAction), i))
     with pytest.raises(ImpossibleObservation) as info:
-        simulate_episodes(pd_frame, pd_params, change, obs, never_stop, kernel, _rngs(seeds),
-                          NO_COSTS)
+        simulate_episodes(ActionMap(pd_frame, pd_params), change, obs, never_stop, kernel,
+                          _rngs(seeds), NO_COSTS)
     err = info.value
     assert (err.step, False, err.episode) == min(first) == (2, False, 1)
     assert err.observation == 3
@@ -870,7 +869,7 @@ def test_lockstep_one_runaway_episode(
     monkeypatch, pd_frame, pd_params, slow_change, pd_obs, slow_kernel, slow_policy
 ):
     seeds = list(range(40))
-    taus = simulate_episodes(pd_frame, pd_params, slow_change, pd_obs,
+    taus = simulate_episodes(ActionMap(pd_frame, pd_params), slow_change, pd_obs,
                              slow_policy, slow_kernel, _rngs(seeds), NO_COSTS).stop_time
     longest = int(np.argmax(taus))
     cap = int(taus[longest]) - 1
@@ -880,7 +879,7 @@ def test_lockstep_one_runaway_episode(
     assert len(batch) > 10
     monkeypatch.setattr("qdetect.protocol.MAX_STEPS", cap)
     with pytest.raises(RunawayEpisode) as info:
-        simulate_episodes(pd_frame, pd_params, slow_change, pd_obs, slow_policy,
+        simulate_episodes(ActionMap(pd_frame, pd_params), slow_change, pd_obs, slow_policy,
                           slow_kernel, _rngs(batch), NO_COSTS)
     assert info.value.episode == 3
     assert info.value.step_cap == cap
@@ -888,13 +887,13 @@ def test_lockstep_one_runaway_episode(
         _oracle_episode(pd_frame, pd_params, slow_change, pd_obs, slow_policy,
                         slow_kernel, seeds[longest], NO_COSTS, step_cap=cap)
     del batch[3]
-    simulate_episodes(pd_frame, pd_params, slow_change, pd_obs, slow_policy,
+    simulate_episodes(ActionMap(pd_frame, pd_params), slow_change, pd_obs, slow_policy,
                       slow_kernel, _rngs(batch), NO_COSTS)
 
 
 def _never_stop(frame, params, obs, p):
     change = ChangeModel(p=p)
-    kernel = build_action_kernel(frame, params, change, obs, BeliefGrid(50))
+    kernel = build_action_kernel(ActionMap(frame, params), change, obs, BeliefGrid(50))
     return change, kernel, Policy(grid=kernel.grid, u=np.full(kernel.grid.size, 2))
 
 
@@ -905,7 +904,7 @@ def test_tiny_p_batch_stops_at_max_steps(monkeypatch, pd_frame, pd_params, pd_ob
     change, kernel, never_stop = _never_stop(pd_frame, pd_params, pd_obs, p)
     monkeypatch.setattr("qdetect.protocol.MAX_STEPS", 100)
     with pytest.raises(RunawayEpisode) as info:
-        simulate_episodes(pd_frame, pd_params, change, pd_obs, never_stop, kernel,
+        simulate_episodes(ActionMap(pd_frame, pd_params), change, pd_obs, never_stop, kernel,
                           _rngs([0, 1, 2]), NO_COSTS)
     err = info.value
     assert (err.episode, err.step_cap) == (0, 100)
@@ -923,8 +922,8 @@ def test_tiny_p_batch_memory_does_not_grow_with_steps(monkeypatch, pd_frame, pd_
         tracemalloc.start()
         try:
             with pytest.raises(RunawayEpisode) as info:
-                simulate_episodes(pd_frame, pd_params, change, pd_obs, never_stop, kernel,
-                                  _rngs(range(50)), NO_COSTS)
+                simulate_episodes(ActionMap(pd_frame, pd_params), change, pd_obs, never_stop,
+                                  kernel, _rngs(range(50)), NO_COSTS)
             assert info.value.step_cap == max_steps
             return tracemalloc.get_traced_memory()[1]
         finally:
@@ -952,8 +951,8 @@ def test_batch_memory_is_one_block_of_uniforms_per_episode(monkeypatch, pd_frame
     tracemalloc.start()
     try:
         with pytest.raises(RunawayEpisode):
-            simulate_episodes(pd_frame, pd_params, change, pd_obs, never_stop, kernel, rngs,
-                              NO_COSTS)
+            simulate_episodes(ActionMap(pd_frame, pd_params), change, pd_obs, never_stop,
+                              kernel, rngs, NO_COSTS)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1059,13 +1058,13 @@ def test_a_row_of_minus_and_plus_inf_is_a_typed_error(pd_params):
 
 @pytest.mark.parametrize("nan_first", [True, False])
 def test_lockstep_names_the_first_episode_with_a_bad_action_distribution(
-    monkeypatch, pd_frame, pd_params, slow_change, pd_obs, slow_kernel, slow_policy, nan_first
+    pd_frame, pd_params, slow_change, pd_obs, slow_kernel, slow_policy, nan_first
 ):
     # at a step after some episodes have stopped, one running episode's
     # action distribution is NaN and a later one's has a negative entry, or
     # the other way round: the first of the two is named
     seeds = list(range(30))
-    stop = simulate_episodes(pd_frame, pd_params, slow_change, pd_obs, slow_policy,
+    stop = simulate_episodes(ActionMap(pd_frame, pd_params), slow_change, pd_obs, slow_policy,
                              slow_kernel, _rngs(seeds), NO_COSTS).stop_time
     step = int(np.sort(stop)[len(seeds) // 3]) + 1
     running = np.flatnonzero(stop >= step)
@@ -1084,10 +1083,9 @@ def test_lockstep_names_the_first_episode_with_a_bad_action_distribution(
                     gammas[row] = gamma
             return gammas
 
-    monkeypatch.setattr("qdetect.protocol.ActionMap", SpoiledActionMap)
     with pytest.raises(NumericalFailure) as info:
-        simulate_episodes(pd_frame, pd_params, slow_change, pd_obs, slow_policy, slow_kernel,
-                          _rngs(seeds), NO_COSTS)
+        simulate_episodes(SpoiledActionMap(pd_frame, pd_params), slow_change, pd_obs,
+                          slow_policy, slow_kernel, _rngs(seeds), NO_COSTS)
     assert calls[-1] == running.size
     assert str(info.value) == (f"episode {running[3]}: {bad[3]} is not a probability vector")
     assert same_bits(info.value.residual, np.nan if nan_first else 0.0)

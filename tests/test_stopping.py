@@ -7,12 +7,15 @@ at pi* = f p / (d + f p). The solver must place its grid threshold at the
 first grid point at or above pi*, independent of the action channel.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from qdetect import (
     ActionKernel,
+    ActionMap,
     BeliefGrid,
     ChangeModel,
     DecisionFrame,
@@ -246,7 +249,7 @@ def test_slow_change_contraction(pd_frame, pd_params, pd_obs, pd_costs):
     # deltas decay; replicate the iteration and compare
     change = ChangeModel(p=0.05)
     kernel = build_action_kernel(
-        pd_frame, pd_params, change, pd_obs, BeliefGrid(100)
+        ActionMap(pd_frame, pd_params), change, pd_obs, BeliefGrid(100)
     )
     table, _ = value_iteration(kernel, change, pd_costs)
 
@@ -275,6 +278,79 @@ def test_nonconvergence_reports_delta(pd_kernel_small, pd_change, pd_costs):
             pd_kernel_small, pd_change, pd_costs, tol=1e-15, max_iter=1
         )
     assert exc.value.last_delta > 0.0
+    assert str(exc.value).endswith("; one sweep gives no contraction rate)")
+
+
+def _last_delta(kernel, change, costs, tol, max_iter):
+    with pytest.raises(NonConvergence) as exc:
+        value_iteration(kernel, change, costs, tol=tol, max_iter=max_iter)
+    return exc.value
+
+
+@pytest.mark.parametrize("max_iter", [2, 100, 1000])
+def test_nonconvergence_names_the_observed_contraction(pd_frame, pd_params, pd_obs, max_iter):
+    # the slow model, whose solve takes 8716 sweeps: the message's rho and
+    # sweep count are what the last two deltas give, however far off they are
+    change, costs, tol = ChangeModel(p=0.001), DetectionCosts(f=2000.0, d=1.0), 1e-8
+    kernel = build_action_kernel(ActionMap(pd_frame, pd_params), change, pd_obs, BeliefGrid(50))
+    prev = _last_delta(kernel, change, costs, tol, max_iter - 1).last_delta
+    exc = _last_delta(kernel, change, costs, tol, max_iter)
+    delta = exc.last_delta
+    rho = delta / prev
+    need = max_iter + math.ceil(math.log(tol / delta) / math.log(rho))
+    assert str(exc) == (f"value iteration missed tolerance 1e-08 after {max_iter} sweeps "
+                        f"(last delta {delta:.3g}; contraction rho = {rho:.6g} per sweep, at "
+                        f"the observed rate about {need} sweeps in all would reach it)")
+
+
+def test_nonconvergence_says_when_the_iteration_does_not_contract():
+    # evidence weights summing to 1.5 with the belief fixed: each sweep of
+    # the never-stopping policy adds 1.5 times the last change
+    grid = BeliefGrid(4)
+    transitions = (np.tile(grid.points, (2, 1)), np.full((2, grid.size), 0.75))
+    with pytest.raises(NonConvergence) as exc:
+        _iterate(grid, transitions, DetectionCosts(f=1.0, d=1.0), 1e-8, 5,
+                 stop_mask=np.zeros(grid.size, bool))
+    assert exc.value.last_delta == 1.5**4
+    assert str(exc.value) == ("policy evaluation missed tolerance 1e-08 after 5 sweeps (last "
+                              "delta 5.06; not contracting: the delta before it was 3.38)")
+
+
+@settings(max_examples=60)
+@given(st.integers(2, 4), st.data())
+def test_refining_the_grid_never_lowers_the_value(A, data):
+    # Iterated from V = 0, the Bellman sweeps rise monotonically to their
+    # fixed point, so the coarse solve lies below its grid's exact value.
+    # The fine solve stops at a delta <= tol; at the contraction rho of its
+    # last sweeps it is then within tol * rho / (1 - rho) of its own. With V
+    # concave, the exact value on the 2N-grid is >= the N-grid's at every
+    # shared point (Lovejoy 1991), so the fine solve on the N-grid's points
+    # may fall short of the coarse one by that iteration error, plus the
+    # rounding of the sums, 16 ulps of the largest value. Over 300 draws
+    # like these the largest shortfall was 3.1e-15.
+    draw = data.draw
+    utility = draw(st.lists(st.floats(1.0, 30.0), min_size=2 * A, max_size=2 * A))
+    params = PsychParams(alpha=draw(st.floats(0.1, 1.0)), lam=draw(st.floats(0.0, 50.0)),
+                         phi=draw(st.floats(0.05, 0.95)))
+    obs = ObservationModel(stochastic_rows(draw, (2, draw(st.integers(2, 4))), 1.0))
+    change = ChangeModel(draw(st.floats(0.02, 0.9)))
+    costs = DetectionCosts(f=draw(st.floats(1.0, 100.0)), d=1.0)
+    n, tol = draw(st.integers(5, 60)), 1e-10
+    try:
+        amap = ActionMap(DecisionFrame(2, A, np.reshape(utility, (A, 2))), params)
+    except NumericalFailure:
+        assume(False)                           # the closed-form guard's refusal: no solve
+    coarse, fine = (build_action_kernel(amap, change, obs, BeliefGrid(k)) for k in (n, 2 * n))
+    V_n = value_iteration(coarse, change, costs, tol=tol)[0].values
+    table, _ = value_iteration(fine, change, costs, tol=tol)
+    assume(table.sweeps >= 3)                   # two deltas above tol give rho
+    deltas = [_last_delta(fine, change, costs, tol, table.sweeps - k).last_delta
+              for k in (2, 1)]
+    rho = deltas[1] / deltas[0]
+    assert rho < 1.0
+    margin = tol * rho / (1.0 - rho) + 16 * np.spacing(V_n.max())
+    shortfall = float((V_n - table.values[::2]).max())
+    assert shortfall <= margin, (shortfall, margin, rho)
 
 
 def oracle_iterate(points, transitions, costs, tol, max_iter, stop_mask=None):
@@ -356,8 +432,8 @@ def test_iterate_matches_per_evidence_oracle(data):
 
 
 def check_solve_path(frame, params, grid, change, obs, costs):
-    table, policy = value_iteration(build_action_kernel(frame, params, change, obs, grid),
-                                    change, costs)
+    kernel = build_action_kernel(ActionMap(frame, params), change, obs, grid)
+    table, policy = value_iteration(kernel, change, costs)
     V = table.values
     assert np.all(V <= costs.f * (1.0 - grid.points))
     assert (V[2:] - 2.0 * V[1:-1] + V[:-2]).max() <= 1e-7        # criterion 5's cap
