@@ -41,9 +41,6 @@ from .protocol import (
     build_mismatched_kernel,
     episode_generators,
     estimate_cost,
-    private_belief_update,
-    public_belief_update,
-    simulate_episode,
     simulate_episodes,
 )
 from .stopping import (

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import serialize
 from .config import load_config_file
-from .errors import CacheMiss, ConfigError, NumericalFailure, QDetectError
+from .errors import CacheMiss, ConfigError, QDetectError
 from .protocol import (
     MAX_EPISODES,
     DetectionCosts,
@@ -150,20 +150,11 @@ def cmd_simulate(config, args):
     amap, kernel = _kernel(config)                  # the same map for the kernel and the agent
     batch = simulate_episodes(amap, config.change, config.obs, policy, kernel,
                               episode_generators(config.seed, n_episodes), costs=config.costs)
-    costs_sum = costs_sq = 0.0
-    for k, c in enumerate(batch.cost.tolist()):   # in order: the printed statistics depend on it
-        costs_sum += c
-        try:
-            costs_sq += c**2
-        except OverflowError:
-            raise NumericalFailure(f"episode {k}: cost {c!r} overflows when squared") from None
     table = partial(serialize.write_csv,
                     columns=("episode", "tau0", "tau", "delay", "false_alarm", "cost"),
                     data=(np.arange(n_episodes), batch.change_time, batch.stop_time, batch.delay,
                           batch.false_alarm, batch.cost))
-    mean = costs_sum / n_episodes
-    var = max(costs_sq / n_episodes - mean**2, 0.0)
-    stderr = (var * n_episodes / max(n_episodes - 1, 1)) ** 0.5 / n_episodes**0.5
+    mean, stderr = batch.cost_stats()
     p_fa = float(batch.false_alarm.mean())
     detected = batch.delay[~batch.false_alarm]
     mean_delay = float(detected.mean()) if detected.size else float("nan")

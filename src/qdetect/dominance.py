@@ -292,7 +292,9 @@ def sensitivity_bound_check(frame, params_true, mixture, change, obs, costs, gri
 
 
 def box_grid(alpha, lam, phi, points_per_axis):
-    """Cartesian sample of a parameter box, points_per_axis per axis."""
+    """Cartesian sample of a parameter box, points_per_axis >= 1 per axis."""
+    if points_per_axis < 1:
+        raise InvalidModel(f"points_per_axis must be >= 1, got {points_per_axis}")
     axes = [np.linspace(lo, hi, points_per_axis) if hi > lo else np.array([lo])
             for lo, hi in (alpha, lam, phi)]
     return [PsychParams(alpha=float(a), lam=float(l), phi=float(ph))
@@ -402,6 +404,8 @@ def region_scan(frame, ref_points, test_points, change, obs, costs, grid, pi_sam
     Returns (tags, rows): the ref box's and the test box's tag (see _tag),
     and the pair records, ref-major with ref_to_test before test_to_ref.
     """
+    if not (ref_points and test_points):
+        raise InvalidModel(f"the {'test' if ref_points else 'ref'} box has no parameter points")
     pi_values = np.linspace(0.0, 1.0, pi_samples)
 
     def prep(points):

@@ -367,6 +367,20 @@ class EpisodeBatch:
     false_alarm: np.ndarray
     cost: np.ndarray
 
+    def cost_stats(self):
+        """Mean cost and its standard error, from sums taken in episode order."""
+        n = self.cost.size
+        total = total_sq = 0.0
+        for k, c in enumerate(self.cost.tolist()):
+            total += c
+            try:
+                total_sq += c**2
+            except OverflowError:
+                raise NumericalFailure(f"episode {k}: cost {c!r} overflows when squared") from None
+        mean = total / n
+        var = max(total_sq / n - mean**2, 0.0)
+        return mean, (var * n / max(n - 1, 1)) ** 0.5 / n**0.5
+
 
 # how far from 1 Generator.choice lets the sum of p be
 _SQRT_EPS = np.sqrt(np.finfo(float).eps)
@@ -475,9 +489,6 @@ def simulate_episode(amap, change, obs, policy, kernel, seed, costs):
 
 
 def estimate_cost(amap, change, obs, policy, kernel, costs, n_episodes, seed):
-    """Mean realized cost and its standard error over independent episodes,
-    one per child of SeedSequence(seed), seeded by episode_generators."""
-    realized = simulate_episodes(amap, change, obs, policy, kernel,
-                                 episode_generators(seed, n_episodes), costs).cost
-    stderr = float(realized.std(ddof=1) / np.sqrt(n_episodes)) if n_episodes > 1 else 0.0
-    return float(realized.mean()), stderr
+    """EpisodeBatch.cost_stats of the episodes seeded by episode_generators(seed, n_episodes)."""
+    return simulate_episodes(amap, change, obs, policy, kernel,
+                             episode_generators(seed, n_episodes), costs).cost_stats()

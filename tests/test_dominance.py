@@ -527,6 +527,17 @@ def test_box_grid_counts():
     assert all(p.alpha == 0.3 and p.phi == 0.2 for p in flat)
 
 
+def test_empty_parameter_box_is_an_error(
+    pd_frame, pd_params, pd_change, pd_obs, pd_costs, small_grid
+):
+    # no points claim no tag, not one that holds vacuously for both boxes
+    with pytest.raises(InvalidModel, match="points_per_axis must be >= 1, got 0"):
+        box_grid((0.1, 0.5), (10.0, 100.0), (0.1, 0.5), points_per_axis=0)
+    for ref, test, box in (([], [pd_params], "ref"), ([pd_params], [], "test")):
+        with pytest.raises(InvalidModel, match=f"the {box} box has no parameter points"):
+            region_scan(pd_frame, ref, test, pd_change, pd_obs, pd_costs, small_grid)
+
+
 def default_box_points():
     """The CLI's default ref and test boxes, 2 points per axis."""
     return (box_grid((0.8, 1.0), (10.0, 100.0), (0.1, 0.5), points_per_axis=2),

@@ -20,7 +20,9 @@ import os
 import numpy as np
 import pytest
 
+from qdetect import ActionMap, build_action_kernel, estimate_cost, load_config_file
 from qdetect.cli import main
+from qdetect.serialize import read_policy
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden.json")
 
@@ -112,3 +114,19 @@ def test_artifacts_match_pinned_digests(tmp_path):
     assert sorted(got) == sorted(golden["digests"])
     changed = [key for key, digest in golden["digests"].items() if got[key] != digest]
     assert changed == [], f"artifacts differ from the pinned bytes: {changed}"
+
+
+def test_simulate_line_is_estimate_cost(tmp_path, capsys):
+    # the command and the library summarize the same episodes by one rule
+    ini, out = tmp_path / "slow.ini", str(tmp_path / "out")
+    ini.write_text(CONFIGS["slow"], encoding="utf-8")
+    for command in (["solve"], ["simulate", "--episodes", "200"]):
+        assert main(["--config", str(ini), "--out", out, *command]) == 0
+    printed = capsys.readouterr().out.splitlines()[-1]
+    config = load_config_file(str(ini))
+    amap = ActionMap(config.frame, config.params)
+    kernel = build_action_kernel(amap, config.change, config.obs, config.grid)
+    policy = read_policy(os.path.join(out, config.hash, "policy.csv"), config.hash)
+    mean, stderr = estimate_cost(amap, config.change, config.obs, policy, kernel, config.costs,
+                                 n_episodes=200, seed=config.seed)
+    assert printed.startswith(f"simulate: mean cost {mean:.6g} +- {stderr:.3g}, ")

@@ -43,14 +43,12 @@ from qdetect import (
     estimate_cost,
     evolve,
     maximally_mixed,
-    private_belief_update,
-    public_belief_update,
-    simulate_episode,
     simulate_episodes,
     value_iteration,
 )
 from qdetect.protocol import (
     BLOCK_STEPS, _cdf, _draw, _transitions, bayes_step, grid_interp, grid_slopes, grid_stencil,
+    private_belief_update, public_belief_update, simulate_episode,
 )
 from qdetect.quantum import assemble_lindbladian, check_belief
 
@@ -778,10 +776,33 @@ def test_estimate_cost_equals_oracle(
                         slow_kernel, s, costs=costs).cost
         for s in np.random.SeedSequence(5).spawn(n)
     ])
-    want = (float(realized.mean()), float(realized.std(ddof=1) / np.sqrt(n)))
+    # the simulate command's rule: the costs and their squares summed in episode order
+    total = total_sq = 0.0
+    for c in realized.tolist():
+        total += c
+        total_sq += c**2
+    mean = total / n
+    var = max(total_sq / n - mean**2, 0.0)
+    want = (mean, (var * n / (n - 1)) ** 0.5 / n**0.5)
     got = estimate_cost(ActionMap(pd_frame, pd_params), slow_change, pd_obs, slow_policy,
                         slow_kernel, costs, n_episodes=n, seed=5)
     assert got == want
+
+
+def test_estimate_cost_overflowing_cost_square_names_the_episode(
+    pd_frame, pd_params, slow_change, pd_obs, slow_kernel
+):
+    # a false alarm at f = 1e200 squares past the float maximum: the typed error
+    # the simulate command raises, naming the first such episode, and no warning
+    costs = DetectionCosts(f=1e200, d=1.0)
+    amap, policy = ActionMap(pd_frame, pd_params), always_stop_policy(slow_kernel.grid)
+    batch = simulate_episodes(amap, slow_change, pd_obs, policy, slow_kernel,
+                              episode_generators(7, 50), costs)
+    k = batch.false_alarm.tolist().index(True)
+    with pytest.raises(NumericalFailure,
+                       match=rf"^episode {k}: cost 1e\+200 overflows when squared$"):
+        estimate_cost(amap, slow_change, pd_obs, policy, slow_kernel, costs,
+                      n_episodes=50, seed=7)
 
 
 # seeds of one word, of up to the 4-word pool, and longer than the pool, whose
