@@ -292,9 +292,13 @@ def sensitivity_bound_check(frame, params_true, mixture, change, obs, costs, gri
 
 
 def box_grid(alpha, lam, phi, points_per_axis):
-    """Cartesian sample of a parameter box, points_per_axis >= 1 per axis."""
+    """Cartesian sample of a parameter box, points_per_axis >= 1 per axis,
+    each axis a (lo, hi) pair with lo <= hi."""
     if points_per_axis < 1:
         raise InvalidModel(f"points_per_axis must be >= 1, got {points_per_axis}")
+    for axis, (lo, hi) in zip(("alpha", "lambda", "phi"), (alpha, lam, phi)):
+        if lo > hi:
+            raise InvalidModel(f"{axis} needs lo <= hi, got {lo!r}:{hi!r}")
     axes = [np.linspace(lo, hi, points_per_axis) if hi > lo else np.array([lo])
             for lo, hi in (alpha, lam, phi)]
     return [PsychParams(alpha=float(a), lam=float(l), phi=float(ph))

@@ -287,19 +287,11 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 
 
-def _hash_consts(init, mult):
-    """The (before, after) hash constants of successive hashmix calls."""
-    while True:
-        after = init * mult & _MASK
-        yield init, after
-        init = after
-
-
-def _hashmix(value, consts):
-    """SeedSequence's hashmix of a word (a Python int or a uint32 array) with
-    the next pair of hash constants."""
-    before, after = next(consts)
-    value = (value ^ before) * after & _MASK
+def _hashmix(value, init, mult, k):
+    """SeedSequence's hashmix of a word (a Python int or a uint32 array) as
+    its k-th hashmix call from init: hash constant init * mult**k mod 2**32."""
+    const = init * pow(mult, k, _MASK + 1) & _MASK
+    value = (value ^ const) * (const * mult & _MASK) & _MASK
     return value ^ value >> 16
 
 
@@ -314,12 +306,13 @@ def episode_generators(seed, n):
     exactly the state default_rng(child) gives, for seed >= 0 and
     n <= MAX_EPISODES.
 
-    SeedSequence's mixing runs once for all the children. Child k's entropy
-    is the seed's 32-bit words, zero-padded to the pool size, then its spawn
-    key k. The seed's words are common to every child and mix as Python
-    ints; the spawn key mixes as one uint32 array over k, so the pool becomes
-    one array per word and then the (n, 8) state words PCG64 seeds from."""
-    from numpy.random import PCG64, Generator
+    Child k's entropy is the seed's 32-bit words, zero-padded to the pool
+    size, then its spawn key k, so its pool is the parent's pool,
+    SeedSequence(seed).pool, with k mixed in last. numpy mixes the seed; the
+    spawn keys mix here as one uint32 array over k, from the hash constant
+    after the seed's words, and the pool then gives the (n, 8) state words
+    PCG64 seeds from."""
+    from numpy.random import PCG64, Generator, SeedSequence
     from numpy.random.bit_generator import ISeedSequence
 
     class StateWords(ISeedSequence):
@@ -336,22 +329,15 @@ def episode_generators(seed, n):
         raise InvalidModel(f"seed must be >= 0, got {seed}")
     if n > MAX_EPISODES:
         raise InvalidModel(f"at most {MAX_EPISODES} (2**32) episodes, got {n}")
-    entropy = [seed >> shift & _MASK for shift in range(0, max(seed.bit_length(), 1), 32)]
-    entropy += [0] * (_POOL - len(entropy))
-    entropy.append(np.arange(n, dtype=np.uint32))
-    consts = _hash_consts(_INIT_A, _MULT_A)
-    pool = [_hashmix(word, consts) for word in entropy[:_POOL]]
-    for src in range(_POOL):
-        for dst in range(_POOL):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], _hashmix(pool[src], consts))
-    for word in entropy[_POOL:]:
-        for dst in range(_POOL):
-            pool[dst] = _mix(pool[dst], _hashmix(word, consts))
+    # the seed's mixing made 4 hashmix calls to fill the pool, 12 to cross-mix
+    # it and 4 per seed word past the pool
+    first = 16 + 4 * max((seed.bit_length() + 31) // 32 - _POOL, 0)
+    pool = SeedSequence(seed).pool.tolist()
+    keys = np.arange(n, dtype=np.uint32)
+    pool = [_mix(word, _hashmix(keys, _INIT_A, _MULT_A, first + i)) for i, word in enumerate(pool)]
     state = np.empty((n, 2 * _POOL), dtype=np.uint32)
-    consts = _hash_consts(_INIT_B, _MULT_B)
     for i in range(2 * _POOL):
-        state[:, i] = _hashmix(pool[i % _POOL], consts)
+        state[:, i] = _hashmix(pool[i % _POOL], _INIT_B, _MULT_B, i)
     words = state.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
     return [Generator(PCG64(StateWords(w))) for w in words]
 
@@ -370,6 +356,8 @@ class EpisodeBatch:
     def cost_stats(self):
         """Mean cost and its standard error, from sums taken in episode order."""
         n = self.cost.size
+        if n == 0:
+            raise InvalidModel("an empty EpisodeBatch has no cost statistics")
         total = total_sq = 0.0
         for k, c in enumerate(self.cost.tolist()):
             total += c
@@ -377,6 +365,8 @@ class EpisodeBatch:
                 total_sq += c**2
             except OverflowError:
                 raise NumericalFailure(f"episode {k}: cost {c!r} overflows when squared") from None
+            if total_sq == np.inf:
+                raise NumericalFailure(f"episode {k}: the sum of squared costs overflows")
         mean = total / n
         var = max(total_sq / n - mean**2, 0.0)
         return mean, (var * n / max(n - 1, 1)) ** 0.5 / n**0.5

@@ -527,6 +527,14 @@ def test_box_grid_counts():
     assert all(p.alpha == 0.3 and p.phi == 0.2 for p in flat)
 
 
+def test_box_grid_refuses_a_reversed_axis():
+    # lo > hi is an error naming the axis, not the single point lo
+    with pytest.raises(InvalidModel, match=r"^alpha needs lo <= hi, got 0\.5:0\.1$"):
+        box_grid((0.5, 0.1), (10.0, 100.0), (0.1, 0.5), 2)
+    with pytest.raises(InvalidModel, match=r"^phi needs lo <= hi, got 0\.5:0\.1$"):
+        box_grid((0.1, 0.5), (10.0, 100.0), (0.5, 0.1), 2)
+
+
 def test_empty_parameter_box_is_an_error(
     pd_frame, pd_params, pd_change, pd_obs, pd_costs, small_grid
 ):

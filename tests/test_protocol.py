@@ -19,7 +19,7 @@ from collections import namedtuple
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qdetect import (
     ActionKernel,
@@ -28,6 +28,7 @@ from qdetect import (
     ChangeModel,
     DecisionFrame,
     DetectionCosts,
+    EpisodeBatch,
     ImpossibleAction,
     ImpossibleObservation,
     InvalidModel,
@@ -805,6 +806,23 @@ def test_estimate_cost_overflowing_cost_square_names_the_episode(
                       n_episodes=50, seed=7)
 
 
+def _batch_of_costs(costs):
+    zeros = np.zeros(len(costs), dtype=int)
+    return EpisodeBatch(zeros, zeros, zeros, zeros.astype(bool), np.array(costs, dtype=float))
+
+
+def test_cost_stats_overflowing_sum_of_squares_names_the_episode():
+    # each square of 1e154 is finite, their running sum is not from the second
+    with pytest.raises(NumericalFailure,
+                       match=r"^episode 1: the sum of squared costs overflows$"):
+        _batch_of_costs([1e154, 1e154, 1e154]).cost_stats()
+
+
+def test_cost_stats_of_an_empty_batch_is_an_error():
+    with pytest.raises(InvalidModel, match="an empty EpisodeBatch has no cost statistics"):
+        _batch_of_costs([]).cost_stats()
+
+
 # seeds of one word, of up to the 4-word pool, and longer than the pool, whose
 # words past the fourth go through SeedSequence's remaining-entropy stage
 SEEDS = st.integers(0, 2**32 - 1) | st.integers(2**32, 2**128 - 1) | st.integers(2**128, 2**300)
@@ -812,6 +830,15 @@ SEEDS = st.integers(0, 2**32 - 1) | st.integers(2**32, 2**128 - 1) | st.integers
 
 @settings(max_examples=60)
 @given(SEEDS, st.integers(1, 300), st.floats(0.01, 1.0))
+# the word-count boundaries that set the spawn keys' first hash constant
+@example(0, 3, 0.5)
+@example(2**32 - 1, 3, 0.5)
+@example(2**32, 3, 0.5)
+@example(2**128 - 1, 3, 0.5)
+@example(2**128, 3, 0.5)
+@example(2**160 - 1, 3, 0.5)
+@example(2**160, 3, 0.5)
+@example(2**300, 3, 0.5)
 def test_episode_generators_are_numpys_spawned_generators(seed, n, p):
     got = episode_generators(seed, n)
     want = [np.random.default_rng(c) for c in np.random.SeedSequence(seed).spawn(n)]
