@@ -3,15 +3,17 @@ the observation likelihood sigma(pi, y) written through it, the policy that
 stops at once, the Lindblad superoperators in their np.kron form, the
 probability-row rule row by row with the stacks it is tried on, the
 former per-row normalization of a steady action distribution, the former
-nearest-grid-point rule of Policy.decide, the former every-belief verdict of
-a region-scan row, and the exact Blackwell order of two A = 2 opponents."""
+nearest-grid-point rule of Policy.decide, the former scalar least-squares
+shortcut with the every-belief and the per-row pruned verdicts of a
+region-scan row built on it, and the exact Blackwell order of two A = 2
+opponents."""
 
 import math
 
 import numpy as np
 from hypothesis import strategies as st
 
-from qdetect import Policy, best_transform, hamiltonian
+from qdetect import Policy, dominance, hamiltonian
 
 # how far from 1 Generator.choice lets the sum of p be
 SQRT_EPS = np.sqrt(np.finfo(float).eps)
@@ -81,11 +83,59 @@ def nearest_point(points, x):
     return np.where(np.abs(points[hi] - x) < np.abs(points[lo] - x), hi, lo)
 
 
+def two_action_shortcut(ghat, g):
+    """best_transform's least-squares shortcut for one A = 2 pair, the former
+    scalar way: (M, residual) when it settles the pair against GARBLING_TOL,
+    else None."""
+    # M = [[m1, 1-m1], [m2, 1-m2]]; matching the first column suffices.
+    c = g[:, 0]
+    sol, res2, rank, _ = np.linalg.lstsq(ghat, c, rcond=None)
+    mvec = np.clip(sol, 0.0, 1.0)
+    err = ghat @ mvec - c
+    resid = float(np.abs(err).max())
+    M = np.column_stack([mvec, 1.0 - mvec])
+    if resid <= dominance.GARBLING_TOL:
+        return M, resid
+    if rank == ghat.shape[1] and res2.size:
+        # unconstrained L2 residual lower-bounds the constrained minimax:
+        # t* >= ||e||_inf >= ||e||_2 / sqrt(m) for any feasible point
+        lower = float(np.sqrt(res2[0] / ghat.shape[0]))
+        if lower > dominance.GARBLING_TOL:
+            return M, resid
+    return None
+
+
 def every_belief_verdict(src_fam, dst_fam):
-    """A region-scan row's worst residual the former way: best_transform at
-    every sampled belief, in belief order, from 0.0."""
-    return float(max([0.0] + [best_transform(src, dst)[1]
-                              for src, dst in zip(src_fam, dst_fam)]))
+    """A region-scan row's worst residual the former way: best_transform's
+    rule at every sampled belief, in belief order, from 0.0, with the scalar
+    shortcut in place of the stacked one."""
+    worst = 0.0
+    for src, dst in zip(src_fam, dst_fam):
+        got = two_action_shortcut(src, dst) if src.shape[-1] == 2 else None
+        worst = max(worst, (got or dominance._transform_linprog(src, dst))[1])
+    return worst
+
+
+def pruned_row_verdict(src_fam, dst_fam):
+    """A region-scan row's (worst, LP count) the former per-row way: the
+    scalar shortcut at each belief in belief order, then _minimax_bounds over
+    the unsettled beliefs of this row alone, and their LPs in descending
+    bound until none can reach the running worst."""
+    worst, rest, lps = 0.0, [], 0
+    for k, (src, dst) in enumerate(zip(src_fam, dst_fam)):
+        got = two_action_shortcut(src, dst) if src.shape[-1] == 2 else None
+        if got is None:
+            rest.append(k)
+        else:
+            worst = max(worst, got[1])
+    bounds = (dominance._minimax_bounds(src_fam[rest], dst_fam[rest]) if src_fam.shape[-1] == 2
+              else np.full(len(rest), np.inf))
+    for u, k in sorted(zip(bounds, rest), key=lambda pair: -pair[0]):
+        if u + dominance.PRUNE_MARGIN < worst:
+            break
+        worst = max(worst, dominance._transform_linprog(src_fam[k], dst_fam[k])[1])
+        lps += 1
+    return worst, lps
 
 
 def vertex_order(V, V2):

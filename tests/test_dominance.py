@@ -9,6 +9,7 @@ true minimax residual, and by at most the grid's Lipschitz slack.
 import faulthandler
 import os
 import pickle
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -41,7 +42,7 @@ from qdetect.errors import InvalidModel, QDetectError
 from qdetect.protocol import _transitions
 from qdetect.quantum import closed_form_vertices
 
-from oracles import every_belief_verdict, vertex_order
+from oracles import every_belief_verdict, pruned_row_verdict, two_action_shortcut, vertex_order
 
 PAIR_HI = PsychParams(0.9, 50.0, 0.3)    # dominating side of the test pair
 PAIR_LO = PsychParams(0.2, 50.0, 0.3)
@@ -564,12 +565,22 @@ def row_bits(row):
             row.residual.hex(), row.worst_V_margin.hex())
 
 
+def uneven_box_scan(pd_frame, pd_change, pd_obs, pd_costs):
+    """region_scan of the CLI's default ref box, 3 points per axis, against
+    one test point: 54 rows, in chunks of 16, 16, 16 and 6."""
+    ref = box_grid((0.8, 1.0), (10.0, 100.0), (0.1, 0.5), points_per_axis=3)
+    return region_scan(pd_frame, ref, [PsychParams(0.3, 55.0, 0.3)], pd_change, pd_obs,
+                       pd_costs, BeliefGrid(n_cells=100))
+
+
 def test_region_scan_pool_matches_serial(
     pd_frame, pd_change, pd_obs, pd_costs, monkeypatch, tmp_path
 ):
     # each garbling LP appends the pid it ran in, so the test sees which path
     # ran (the forked workers inherit the patched forwarder, and every scan of
-    # these boxes runs LPs); two CPUs force the pool even on a one-CPU host
+    # these boxes runs LPs); three and two CPUs force the pool even on a
+    # one-CPU host. The rows go in the same chunks of 16 whatever the CPU
+    # count, the last one short when 16 does not divide the row count
     pid_log = tmp_path / "pids"
     forward = dominance.linprog
 
@@ -579,18 +590,39 @@ def test_region_scan_pool_matches_serial(
         return forward(*args, **kwargs)
 
     monkeypatch.setattr(dominance, "linprog", logged)
-    scans = {}
-    for cpus in ({0, 1}, {0}):
+    for scan, n_rows in ((default_box_scan, 128), (uneven_box_scan, 54)):
+        scans = {}
+        for cpus in ({0, 1, 2}, {0, 1}, {0}):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
+            pid_log.write_text("", encoding="utf-8")
+            scans[len(cpus)] = scan(pd_frame, pd_change, pd_obs, pd_costs)
+            pids = pid_log.read_text(encoding="utf-8").split()
+            assert (str(os.getpid()) in pids) == (len(cpus) == 1)
+            assert len(pids) == sum(row.lp_calls for row in scans[len(cpus)][1]) > 0
+        serial_tags, serial_rows = scans[1]
+        assert len(serial_rows) == n_rows
+        for cpus in (3, 2):
+            pool_tags, pool_rows = scans[cpus]
+            assert [row_bits(r) for r in pool_rows] == [row_bits(r) for r in serial_rows]
+            assert [r.lp_calls for r in pool_rows] == [r.lp_calls for r in serial_rows]
+            assert pool_tags == serial_tags
+
+
+def test_scan_rows_count_the_lps_they_ran(pd_frame, pd_change, pd_obs, pd_costs, monkeypatch):
+    # lp_calls summed over a small scan's rows is what a counting forwarder
+    # sees in a serial run, and the pool gives every row the same count.
+    # 4 ref against 3 test points: 24 rows, two chunks
+    ref, test = default_box_points()
+    per_row = {}
+    for cpus in ({0}, {0, 1}):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
-        pid_log.write_text("", encoding="utf-8")
-        scans[len(cpus)] = default_box_scan(pd_frame, pd_change, pd_obs, pd_costs)
-        pids = set(pid_log.read_text(encoding="utf-8").split())
-        assert (str(os.getpid()) in pids) == (len(cpus) == 1)
-        assert len(pids) >= 1
-    (pool_tags, pool_rows), (serial_tags, serial_rows) = scans[2], scans[1]
-    assert len(pool_rows) == 128
-    assert [row_bits(r) for r in pool_rows] == [row_bits(r) for r in serial_rows]
-    assert pool_tags == serial_tags
+        (_, rows), n = counting_lps(region_scan, pd_frame, ref[:4], test[:3], pd_change,
+                                    pd_obs, pd_costs, BeliefGrid(n_cells=20))
+        per_row[len(cpus)] = [row.lp_calls for row in rows]
+        if len(cpus) == 1:
+            assert sum(per_row[1]) == n > 0
+    assert len(per_row[1]) == 24
+    assert per_row[2] == per_row[1]
 
 
 def test_region_scan_sound_against_vertex_certificate(
@@ -679,12 +711,13 @@ def test_pruned_verdicts_are_the_every_belief_ones_on_the_default_boxes(
     ref, test = ([_channel_family(ActionMap(pd_frame, p), pd_change, pd_obs, pi_values)
                   for p in box] for box in default_box_points())
     rows = [pair for fr in ref for ft in test for pair in ((fr, ft), (ft, fr))]
-    pruned_lps = every_lps = 0
-    for src, dst in rows:
-        worst, n = counting_lps(dominance._row_verdict, src, dst)
+    verdicts, pruned_lps = counting_lps(dominance._row_verdicts, *zip(*rows))
+    assert sum(n for _, n in verdicts) == pruned_lps
+    every_lps = 0
+    for (src, dst), (worst, _) in zip(rows, verdicts):
         want, n_every = counting_lps(every_belief_verdict, src, dst)
         assert worst.hex() == want.hex()
-        pruned_lps, every_lps = pruned_lps + n, every_lps + n_every
+        every_lps += n_every
     assert len(rows) == 128
     assert 0 < 2 * pruned_lps < every_lps, (pruned_lps, every_lps)
 
@@ -714,7 +747,8 @@ def test_pruned_verdict_is_the_every_belief_one_on_vertex_families(pair, data):
     pi_values = np.sort(data.draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=11)))
     post = posteriors(change, obs, pi_values)
     for src, dst in ((post @ V, post @ V2), (post @ V2, post @ V)):
-        assert dominance._row_verdict(src, dst).hex() == every_belief_verdict(src, dst).hex()
+        [(worst, _)] = dominance._row_verdicts([src], [dst])
+        assert worst.hex() == every_belief_verdict(src, dst).hex()
 
 
 @settings(max_examples=30)
@@ -725,8 +759,8 @@ def test_pruned_verdict_runs_every_lp_at_three_actions(K, m, garbled, seed):
     src = rng.dirichlet(np.ones(3), size=(K, m))
     dst = (src @ rng.dirichlet(np.ones(3), size=3) if garbled
            else rng.dirichlet(np.ones(3), size=(K, m)))
-    (worst, n), (want, n_every) = (counting_lps(fn, src, dst)
-                                   for fn in (dominance._row_verdict, every_belief_verdict))
+    ([(worst, _)], n), (want, n_every) = (counting_lps(dominance._row_verdicts, [src], [dst]),
+                                          counting_lps(every_belief_verdict, src, dst))
     assert worst.hex() == want.hex()
     assert n == n_every == K
 
@@ -747,10 +781,10 @@ def test_pruned_verdict_runs_both_lps_of_optima_within_the_margin(seed, delta, s
     for k, shift in enumerate((0.0, 1e-8)[::-1] if swap else (0.0, 1e-8)):
         dst[k, :, 0] = ghat @ [1.0 + delta + shift, m2]
         dst[k, :, 1] = 1.0 - dst[k, :, 0]
-    assert all(dominance._transform_two_actions(s, d) is None for s, d in zip(src, dst))
+    assert not dominance._transform_two_actions(src, dst)[2].any()
     u = dominance._minimax_bounds(src, dst)
     assert u.min() > 0.0 and abs(u[0] - u[1]) < dominance.PRUNE_MARGIN
-    worst, n = counting_lps(dominance._row_verdict, src, dst)
+    [(worst, _)], n = counting_lps(dominance._row_verdicts, [src], [dst])
     assert n == 2
     assert worst.hex() == every_belief_verdict(src, dst).hex()
 
@@ -789,6 +823,97 @@ def test_minimax_bound_is_the_lp_optimum(stack):
         _, lp = dominance._transform_linprog(src, dst)
         assert lp <= u + dominance.PRUNE_MARGIN / 10
         assert u <= lp + 1e-9
+
+
+@settings(max_examples=200)
+@given(two_action_stacks())
+def test_stack_shortcut_is_the_scalar_one(stack):
+    # the least-squares shortcut over a stack settles the pairs the scalar
+    # oracle settles, with its M and residual to the bit
+    M, resid, settled = dominance._transform_two_actions(*stack)
+    for k, (src, dst) in enumerate(zip(*stack)):
+        got = two_action_shortcut(src, dst)
+        assert settled[k] == (got is not None)
+        if got is not None:
+            assert M[k].tobytes() == got[0].tobytes()
+            assert resid[k].hex() == got[1].hex()
+
+
+@st.composite
+def verdict_rows(draw):
+    """Lists of 1-20 rows of one shape, each a (src, dst) pair of (K, m, A)
+    families with K 1-11, m 1-4 and A 2 or 3, drawn as two_action_stacks
+    draws its pairs: random Dirichlet rows (exact zeros at small
+    concentrations), rows within 1e-5 of a garbling, or the vertex matrices
+    of two points of one random frame (m = 2)."""
+    A, kind = draw(st.sampled_from([2, 3])), draw(st.sampled_from(["random", "near", "vertex"]))
+    R, K = draw(st.integers(1, 20)), draw(st.integers(1, 11))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "vertex":
+        def point():
+            return PsychParams(alpha=rng.choice([1.0, rng.uniform(0.05, 1.0)]),
+                               lam=rng.uniform(0.0, 30.0),
+                               phi=rng.choice([0.0, rng.uniform(0.0, 1.0)]))
+
+        pairs = []
+        for _ in range(R * K):
+            frame = DecisionFrame(2, A, rng.uniform(1.0, 30.0, size=(A, 2)))
+            pairs.append([closed_form_vertices(frame, point()) for _ in range(2)])
+        src, dst = np.array(pairs).reshape(R, K, 2, 2, A).transpose(2, 0, 1, 3, 4)
+        return list(src), list(dst)
+    m = draw(st.integers(1, 4))
+    concentration = np.full(A, draw(st.sampled_from([0.02, 0.2, 1.0, 5.0])))
+    src = rng.dirichlet(concentration, size=(R, K, m))
+    if kind == "random":
+        dst = rng.dirichlet(concentration, size=(R, K, m))
+    else:
+        dst = src @ rng.dirichlet(np.ones(A), size=(R, K, A))
+        rest = dst[..., 2:].sum(axis=-1)
+        dst[..., 0] = np.clip(dst[..., 0] + rng.uniform(-1e-5, 1e-5, size=(R, K, m)),
+                              0.0, 1.0 - rest)
+        dst[..., 1] = 1.0 - rest - dst[..., 0]
+    return list(src), list(dst)
+
+
+@settings(max_examples=30)
+@given(verdict_rows(), st.data())
+def test_row_verdicts_are_the_per_row_oracle_in_any_chunks(rows, data):
+    # the stacked pass gives each row the worst residual and the LP count of
+    # the former per-row verdict, to the bit, and cutting the rows into any
+    # chunks gives the same list
+    src, dst = rows
+    got, n = counting_lps(dominance._row_verdicts, src, dst)
+    want = []
+    for s, d in zip(src, dst):
+        (worst, lps), counted = counting_lps(pruned_row_verdict, s, d)
+        assert lps == counted
+        want.append((worst.hex(), lps))
+    assert [(worst.hex(), lps) for worst, lps in got] == want
+    assert n == sum(lps for _, lps in want)
+    cuts = sorted(data.draw(st.sets(st.integers(1, len(src) - 1))) if len(src) > 1 else ())
+    ends = [0, *cuts, len(src)]
+    split = [v for a, b in zip(ends, ends[1:]) for v in dominance._row_verdicts(src[a:b], dst[a:b])]
+    assert [(worst.hex(), lps) for worst, lps in split] == want
+
+
+def test_serial_scan_memory_is_one_chunk_of_rows(pd_frame, pd_change, pd_obs, monkeypatch):
+    # the rows are judged 16 at a time, so a serial pass over the default
+    # boxes' 128 rows peaks at about what their first 16 take
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    pi_values = np.linspace(0.0, 1.0, 11)
+    ref, test = ([_channel_family(ActionMap(pd_frame, p), pd_change, pd_obs, pi_values)
+                  for p in box] for box in default_box_points())
+    src, dst = zip(*[pair for fr in ref for ft in test for pair in ((fr, ft), (ft, fr))])
+    dominance._map_rows(src[:16], dst[:16])    # scipy's lazy imports and the LP template
+    peaks = []
+    for n in (16, 128):
+        tracemalloc.start()
+        try:
+            dominance._map_rows(src[:n], dst[:n])
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.5 * peaks[0], peaks
 
 
 @settings(max_examples=200)

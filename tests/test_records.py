@@ -56,8 +56,8 @@ RECORDS = [
     (KLBoundReport, (0.5, 0.1, GRID.points, np.zeros(5), np.ones(5)),
      "K distance points lhs rhs", False),
     (BetweennessReport, (99, 0, 0.01), "checks violations worst_margin", True),
-    (ScanRow, (PARAMS, OTHER, "ref_to_test", True, 0.0, 0.5),
-     "ref test direction certified residual worst_V_margin", True),
+    (ScanRow, (PARAMS, OTHER, "ref_to_test", True, 0.0, 0.5, 3),
+     "ref test direction certified residual worst_V_margin lp_calls", True),
     (ExperimentConfig, (FRAME, PARAMS, None, CHANGE, OBS, COSTS, GRID, 1e-8, 100, 11,
                         "out", "0123456789ab"),
      "frame params mixture change obs costs grid vi_tol max_iter seed out_dir hash", False),
