@@ -10,13 +10,13 @@ every command's start:
 - ``__repr__`` as ``Name(field=value, ...)``, and ``__eq__`` and
   ``__hash__`` over the tuple of the same fields;
 - ``AttributeError`` on assignment or deletion; ``__post_init__`` sets
-  fields with ``object.__setattr__``;
+  fields and cached values with ``object.__setattr__``;
 - ``__signature__`` and ``__match_args__`` for introspection.
 
-A field whose default is ``derived()`` is set by ``__post_init__``, not
-``__init__``; ``derived(hidden=True)`` also leaves it out of repr, == and
-hash. Fields are plain instance attributes, so pickle and copy need nothing
-more.
+A record is its constructor arguments: repr, == and hash see nothing else.
+``__post_init__`` may cache a value computed from them as a plain
+attribute, which the class docstring names. All are instance attributes,
+so pickle and copy need nothing more.
 """
 
 import inspect
@@ -28,34 +28,19 @@ _EMPTY = inspect.Parameter.empty
 _set = object.__setattr__
 
 
-class derived:
-    """Class-level default of a field that __post_init__ sets."""
-
-    def __init__(self, hidden=False):
-        self.hidden = hidden
-
-
 def _refuse_set(self, name, value):
-    raise AttributeError(f"cannot assign to field {name!r}")
+    raise AttributeError(f"cannot assign to attribute {name!r}")
 
 
 def _refuse_del(self, name):
-    raise AttributeError(f"cannot delete field {name!r}")
+    raise AttributeError(f"cannot delete attribute {name!r}")
 
 
 def record(cls):
     """Make cls a frozen value record over its annotated fields."""
-    params, shown = [], []
-    for name in cls.__annotations__:
-        default = cls.__dict__.get(name, _EMPTY)
-        if isinstance(default, derived):
-            delattr(cls, name)
-            if default.hidden:
-                continue
-        else:
-            params.append(inspect.Parameter(name, _KIND, default=default))
-        shown.append(name)
-    signature = inspect.Signature(params)       # raises on a default before a required field
+    signature = inspect.Signature([      # raises on a default before a required field
+        inspect.Parameter(name, _KIND, default=cls.__dict__.get(name, _EMPTY))
+        for name in cls.__annotations__])
     names = tuple(signature.parameters)
     n = len(names)
     tails = [set(names[k:]) for k in range(n + 1)]     # the fields after k positional arguments
@@ -76,7 +61,7 @@ def record(cls):
             self.__post_init__()
 
     def key(self):
-        return tuple([getattr(self, name) for name in shown])
+        return tuple([getattr(self, name) for name in names])
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -87,7 +72,7 @@ def record(cls):
         return hash(key(self))
 
     def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in shown)
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in names)
         return f"{self.__class__.__qualname__}({fields})"
 
     for method in (__init__, __eq__, __hash__, __repr__):

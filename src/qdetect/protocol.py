@@ -16,7 +16,7 @@ import operator
 
 import numpy as np
 
-from ._record import derived, record
+from ._record import record
 from .errors import (
     ImpossibleAction,
     ImpossibleObservation,
@@ -95,10 +95,10 @@ class DetectionCosts:
 
 @record
 class BeliefGrid:
-    """N+1 uniformly spaced values of pi(1) on [0, 1]."""
+    """N+1 uniformly spaced values of pi(1) on [0, 1], cached read-only as
+    the attribute points."""
 
     n_cells: int
-    points: np.ndarray = derived(hidden=True)
 
     def __post_init__(self):
         if self.n_cells < 1:
@@ -165,12 +165,12 @@ class ParameterMixture:
 
 @record
 class ActionKernel:
-    """Action likelihoods R[x-1, i, a-1] = p(a | state x, public belief grid[i])."""
+    """Action likelihoods R[x-1, i, a-1] = p(a | state x, public belief grid[i]).
+    Cached attributes: columns, each (state, action) column of R contiguous,
+    shape (2, n_actions, size), and slopes, their grid_slopes."""
 
     grid: BeliefGrid
     table: np.ndarray
-    columns: np.ndarray = derived(hidden=True)
-    slopes: np.ndarray = derived(hidden=True)
 
     def __post_init__(self):
         R = np.asarray(self.table, dtype=float)
@@ -178,8 +178,6 @@ class ActionKernel:
         if R.ndim != 3 or R.shape[0] != 2 or R.shape[1] != self.grid.size:
             raise InvalidModel(f"kernel table has shape {R.shape}")
         _check_rows(R.reshape(2 * self.grid.size, -1), 1e-9, "kernel rows")
-        # each (state, action) column of R contiguous, shape (2, n_actions, size),
-        # and its grid_slopes
         columns = np.ascontiguousarray(R.transpose(0, 2, 1))
         object.__setattr__(self, "columns", columns)
         object.__setattr__(self, "slopes", grid_slopes(columns, np.diff(self.grid.points)))

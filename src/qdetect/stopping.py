@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from ._record import derived, record
+from ._record import record
 from .errors import InvalidModel, NonConvergence, NumericalFailure
 from .protocol import BeliefGrid, _transitions, grid_interp, grid_slopes, grid_stencil
 
@@ -25,11 +25,15 @@ MAX_ITER = 10000
 
 @record
 class ValueTable:
-    """Optimal (or fixed-policy) expected cost at each point of its grid."""
+    """Optimal (or fixed-policy) expected cost at each point of its grid, with
+    the solve's sweep count and last two sweep deltas (prev_delta is inf after
+    one sweep; all three are None on a table read from a CSV)."""
 
     grid: BeliefGrid
     values: np.ndarray
     sweeps: int | None = None
+    last_delta: float | None = None
+    prev_delta: float | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
@@ -42,12 +46,10 @@ class ValueTable:
 @record
 class Policy:
     """Stop/continue decision u at each grid point. u is the whole rule: the
-    threshold and crossing count are derived from it by extract_threshold."""
+    cached attributes threshold and crossings are extract_threshold's."""
 
     grid: BeliefGrid
     u: np.ndarray
-    threshold: float | None = derived()
-    crossings: int = derived()
 
     def __post_init__(self):
         u = np.asarray(self.u)
@@ -145,7 +147,7 @@ def _iterate(grid, transitions, costs, tol, max_iter, stop_mask=None):
         raise NumericalFailure(f"{kind} is not finite ({exc}) at f = {costs.f!r}, "
                                f"d = {costs.d!r}, grid_n = {grid.n_cells}") from None
     return (
-        ValueTable(grid=grid, values=V, sweeps=sweep),
+        ValueTable(grid=grid, values=V, sweeps=sweep, last_delta=delta, prev_delta=prev),
         Policy(grid=grid, u=np.where(stop_cost <= cont, 1, 2)),
     )
 

@@ -1,8 +1,8 @@
 """The value types are frozen records: constructed by position or keyword,
 refusing assignment, and compared, hashed, printed and pickled over their
-fields. BeliefGrid.points and ActionKernel.columns and .slopes are derived
-from the other fields and left out of ==, hash and repr; Policy's threshold
-and crossings are derived too but kept in them.
+constructor arguments. BeliefGrid.points, ActionKernel.columns and .slopes,
+and Policy.threshold and .crossings are attributes cached from those
+arguments, and are left out of ==, hash and repr.
 """
 
 import inspect
@@ -51,8 +51,9 @@ RECORDS = [
     (EpisodeBatch, (np.array([3, 1]), np.array([4, 0]), np.array([1, 0]),
                     np.array([False, True]), np.array([1.0, 5.0])),
      "change_time stop_time delay false_alarm cost", False),
-    (ValueTable, (GRID, np.linspace(5.0, 0.0, 5), 7), "grid values sweeps", False),
-    (Policy, (GRID, np.array([2, 2, 2, 1, 1])), "grid u threshold crossings", False),
+    (ValueTable, (GRID, np.linspace(5.0, 0.0, 5), 7, 1e-9, 2e-9),
+     "grid values sweeps last_delta prev_delta", False),
+    (Policy, (GRID, np.array([2, 2, 2, 1, 1])), "grid u", False),
     (KLBoundReport, (0.5, 0.1, GRID.points, np.zeros(5), np.ones(5)),
      "K distance points lhs rhs", False),
     (BetweennessReport, (99, 0, 0.01), "checks violations worst_margin", True),
@@ -101,6 +102,7 @@ def test_record_contract(cls, args, shown, hashable):
             delattr(record, name)
 
     shown = shown.split()
+    assert shown == names
     assert repr(record) == f"{cls.__name__}({', '.join(f'{n}={getattr(record, n)!r}' for n in shown)})"
     assert same(pickle.loads(pickle.dumps(record)), record)
 
@@ -113,7 +115,7 @@ def test_record_contract(cls, args, shown, hashable):
             hash(record)
 
 
-def test_derived_fields_stay_out_of_the_comparison():
+def test_cached_attributes_stay_out_of_the_comparison():
     a, b = BeliefGrid(4), BeliefGrid(4)
     assert a.points is not b.points and np.array_equal(a.points, b.points)
     assert a == b and hash(a) == hash(b) and a != BeliefGrid(5)
@@ -121,6 +123,9 @@ def test_derived_fields_stay_out_of_the_comparison():
     assert "slopes" not in repr(kernel) and kernel.slopes.shape == (2, 2, 5)
     assert "columns" not in repr(kernel) and kernel.columns.flags.c_contiguous
     np.testing.assert_array_equal(kernel.columns, TABLE.transpose(0, 2, 1))
+    policy = Policy(GRID, np.array([2, 2, 2, 1, 1]))
+    assert policy.threshold == 0.75 and policy.crossings == 1
+    assert "threshold" not in repr(policy) and "crossings" not in repr(policy)
 
 
 def test_constructor_argument_errors():
@@ -133,5 +138,6 @@ def test_constructor_argument_errors():
     with pytest.raises(TypeError):
         PsychParams(0.8, 10.0, rho=0.5)
     with pytest.raises(TypeError):
-        Policy(GRID, np.ones(5), threshold=0.5)         # derived, not an argument
-    assert ValueTable(GRID, np.zeros(5)).sweeps is None
+        Policy(GRID, np.ones(5), threshold=0.5)         # cached, not an argument
+    table = ValueTable(GRID, np.zeros(5))
+    assert table.sweeps is None and table.last_delta is None and table.prev_delta is None

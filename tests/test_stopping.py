@@ -33,7 +33,7 @@ from qdetect import (
     value_iteration,
 )
 from qdetect.protocol import _transitions
-from qdetect.stopping import _action_transitions, _iterate
+from qdetect.stopping import MAX_ITER, VI_TOL, _action_transitions, _iterate
 
 from oracles import always_stop_policy, nearest_point
 
@@ -314,6 +314,33 @@ def test_nonconvergence_says_when_the_iteration_does_not_contract():
     assert exc.value.last_delta == 1.5**4
     assert str(exc.value) == ("policy evaluation missed tolerance 1e-08 after 5 sweeps (last "
                               "delta 5.06; not contracting: the delta before it was 3.38)")
+
+
+@pytest.mark.parametrize("p, f, n_cells", [(0.95, 5.0, 50), (0.05, 5.0, 100),
+                                          (0.02, 50.0, 200), (0.95, 0.0, 50)])
+def test_value_tables_carry_their_last_two_deltas(pd_frame, pd_params, pd_obs, p, f, n_cells):
+    # a solve's table keeps the last sweep delta (<= tol) and the one before
+    # it: the last delta of the same solve stopped one sweep short. At f = 0
+    # every solver stops after one sweep, with no delta before it
+    change, costs = ChangeModel(p), DetectionCosts(f, 1.0)
+    kernel = build_action_kernel(ActionMap(pd_frame, pd_params), change, pd_obs,
+                                 BeliefGrid(n_cells))
+    policy = value_iteration(kernel, change, costs)[1]
+    solves = (lambda m: value_iteration(kernel, change, costs, max_iter=m)[0],
+              lambda m: classical_value_iteration(change, pd_obs, costs, kernel.grid,
+                                                  max_iter=m)[0],
+              lambda m: evaluate_policy(kernel, change, costs, policy, max_iter=m))
+    for solve in solves:
+        table = solve(MAX_ITER)
+        assert table.last_delta <= VI_TOL
+        assert (table.sweeps == 1) == (f == 0.0)
+        if table.sweeps == 1:
+            assert table.prev_delta == math.inf
+            continue
+        assert VI_TOL < table.prev_delta < math.inf
+        with pytest.raises(NonConvergence) as exc:
+            solve(table.sweeps - 1)
+        assert exc.value.last_delta == table.prev_delta
 
 
 @settings(max_examples=60)
