@@ -9,23 +9,40 @@ every command's start:
   if the class has one;
 - ``__repr__`` as ``Name(field=value, ...)``, and ``__eq__`` and
   ``__hash__`` over the tuple of the same fields;
-- ``AttributeError`` on assignment or deletion; ``__post_init__`` sets
-  fields and cached values with ``object.__setattr__``;
+- ``AttributeError`` on assignment or deletion;
 - ``__signature__`` and ``__match_args__`` for introspection.
 
-A record is its constructor arguments: repr, == and hash see nothing else.
-``__post_init__`` may cache a value computed from them as a plain
-attribute, which the class docstring names. All are instance attributes,
-so pickle and copy need nothing more.
+A record is its constructor arguments: repr, ==, hash, pickle and copy see
+nothing else. ``__post_init__`` checks, and returns what it normalises or
+caches (a dict, or None); the class docstring names each cached value. One
+setter stores the fields, then that dict, each array read-only: a writable
+field as a copy, an array ``__post_init__`` made from the fields in place.
+== and hash compare arrays bitwise, by dtype, shape and bytes: -0.0 differs
+from 0.0, and a NaN equals itself.
 """
 
 import inspect
+
+import numpy as np
 
 _KIND = inspect.Parameter.POSITIONAL_OR_KEYWORD
 _EMPTY = inspect.Parameter.empty
 # __init__ sets the fields one by one: reading self.__dict__ instead would
 # give each instance a dict of its own and make every attribute read ~4x slower
 _set = object.__setattr__
+
+
+def _store(self, name, value, made=False):
+    if isinstance(value, np.ndarray) and value.flags.writeable:
+        value = value if made else value.copy(order="K")
+        value.flags.writeable = False
+    _set(self, name, value)
+
+
+def _bits(value):
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.shape, value.tobytes()
+    return value
 
 
 def _refuse_set(self, name, value):
@@ -44,7 +61,7 @@ def record(cls):
     names = tuple(signature.parameters)
     n = len(names)
     tails = [set(names[k:]) for k in range(n + 1)]     # the fields after k positional arguments
-    post_init = hasattr(cls, "__post_init__")
+    post_init = getattr(cls, "__post_init__", lambda self: None)
 
     def __init__(self, *args, **kwargs):
         if kwargs or len(args) != n:
@@ -56,12 +73,12 @@ def record(cls):
                 bound.apply_defaults()
                 args = bound.args
         for name, value in zip(names, args):
-            _set(self, name, value)
-        if post_init:
-            self.__post_init__()
+            _store(self, name, value)
+        for name, value in (post_init(self) or {}).items():
+            _store(self, name, value, made=True)
 
     def key(self):
-        return tuple([getattr(self, name) for name in names])
+        return tuple([_bits(getattr(self, name)) for name in names])
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -71,11 +88,14 @@ def record(cls):
     def __hash__(self):
         return hash(key(self))
 
+    def __reduce__(self):
+        return self.__class__, tuple([getattr(self, name) for name in names])
+
     def __repr__(self):
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in names)
         return f"{self.__class__.__qualname__}({fields})"
 
-    for method in (__init__, __eq__, __hash__, __repr__):
+    for method in (__init__, __eq__, __hash__, __reduce__, __repr__):
         method.__qualname__ = f"{cls.__qualname__}.{method.__name__}"
         setattr(cls, method.__name__, method)
     cls.__setattr__, cls.__delattr__ = _refuse_set, _refuse_del

@@ -69,10 +69,10 @@ class ObservationModel:
 
     def __post_init__(self):
         B = np.asarray(self.B, dtype=float)
-        object.__setattr__(self, "B", B)
         if B.ndim != 2 or B.shape[0] != 2:
             raise InvalidModel(f"B must be 2 x n_obs, got {B.shape}")
         _check_rows(B, 1e-12, "observation likelihoods")
+        return {"B": B}
 
     @property
     def n_obs(self):
@@ -103,9 +103,7 @@ class BeliefGrid:
     def __post_init__(self):
         if self.n_cells < 1:
             raise InvalidModel(f"grid needs at least one cell, got {self.n_cells}")
-        points = np.linspace(0.0, 1.0, self.n_cells + 1)
-        points.flags.writeable = False              # shared by every table on this grid
-        object.__setattr__(self, "points", points)
+        return {"points": np.linspace(0.0, 1.0, self.n_cells + 1)}
 
     @property
     def size(self):
@@ -156,11 +154,11 @@ class ParameterMixture:
     atoms: tuple
 
     def __post_init__(self):
-        atoms = tuple(self.atoms)
-        object.__setattr__(self, "atoms", atoms)
+        atoms = tuple(map(tuple, self.atoms))
         if not atoms:
             raise InvalidModel("mixture needs at least one atom")
         _check_rows(np.array([[w for _, w in atoms]], dtype=float), 1e-12, "mixture weights")
+        return {"atoms": atoms}
 
 
 @record
@@ -174,13 +172,12 @@ class ActionKernel:
 
     def __post_init__(self):
         R = np.asarray(self.table, dtype=float)
-        object.__setattr__(self, "table", R)
         if R.ndim != 3 or R.shape[0] != 2 or R.shape[1] != self.grid.size:
             raise InvalidModel(f"kernel table has shape {R.shape}")
         _check_rows(R.reshape(2 * self.grid.size, -1), 1e-9, "kernel rows")
         columns = np.ascontiguousarray(R.transpose(0, 2, 1))
-        object.__setattr__(self, "columns", columns)
-        object.__setattr__(self, "slopes", grid_slopes(columns, np.diff(self.grid.points)))
+        return {"table": R, "columns": columns,
+                "slopes": grid_slopes(columns, np.diff(self.grid.points))}
 
     @property
     def n_actions(self):

@@ -119,7 +119,6 @@ class DecisionFrame:
 
     def __post_init__(self):
         u = np.asarray(self.utility, dtype=float)
-        object.__setattr__(self, "utility", u)
         if self.n_states < 1 or self.n_actions < 1:
             raise InvalidModel("need at least one state and one action")
         if u.shape != (self.n_actions, self.n_states):
@@ -129,6 +128,7 @@ class DecisionFrame:
             )
         if not np.all(np.isfinite(u) & (u > 0)):
             raise InvalidModel("utilities must be finite and strictly positive")
+        return {"utility": u}
 
     @property
     def dim(self):

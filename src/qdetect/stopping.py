@@ -36,11 +36,12 @@ class ValueTable:
     prev_delta: float | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
-        if self.values.shape != (self.grid.size,):
-            raise InvalidModel(f"values have shape {self.values.shape}, not ({self.grid.size},)")
-        if not np.all(np.isfinite(self.values)):
+        values = np.asarray(self.values, dtype=float)
+        if values.shape != (self.grid.size,):
+            raise InvalidModel(f"values have shape {values.shape}, not ({self.grid.size},)")
+        if not np.all(np.isfinite(values)):
             raise InvalidModel("values must be finite")
+        return {"values": values}
 
 
 @record
@@ -57,10 +58,9 @@ class Policy:
             raise InvalidModel(f"decisions have shape {u.shape}, not ({self.grid.size},)")
         if not np.all((u == 1) | (u == 2)):         # before the int cast truncates 1.5 to 1
             raise InvalidModel("decisions must be 1 (stop) or 2 (continue)")
-        object.__setattr__(self, "u", u.astype(int))
-        threshold, crossings = extract_threshold(self.grid.points, self.u)
-        object.__setattr__(self, "threshold", threshold)
-        object.__setattr__(self, "crossings", crossings)
+        u = u.astype(int, copy=False)
+        threshold, crossings = extract_threshold(self.grid.points, u)
+        return {"u": u, "threshold": threshold, "crossings": crossings}
 
     def decide(self, pi1):
         """Decision at arbitrary beliefs, elementwise over an array of pi(1):
